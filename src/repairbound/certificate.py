@@ -28,9 +28,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .instance import ALPHA, BETA, BIGB, LinExpr, column_key, enumerate_rows
+from .instance import (
+    ALPHA,
+    BETA,
+    BIGB,
+    LinExpr,
+    column_key,
+    enumerate_rows,
+    instance_row,
+    instances,
+)
 from .ratlp import IncrementalDualSolver, LPProblem, LPRow, solve
-from .universe import EntropyClass, Universe, index_for_token
+from .universe import EntropyClass, Universe, closure_round, index_for_token
 
 RESERVED_COLUMNS = (ALPHA, BETA, BIGB)
 
@@ -184,6 +193,15 @@ def load_bundled(name: str) -> Certificate:
 # -- exact sum check ---------------------------------------------------
 
 
+def column_sums(rows) -> dict:
+    """Exact column sums of coefficient rows, zero sums dropped."""
+    sums: dict = {}
+    for row in rows:
+        for key, v in row.items():
+            sums[key] = sums.get(key, 0) + v
+    return {key: v for key, v in sums.items() if v}
+
+
 def check_sum(cert: Certificate):
     """Column sums of the rows against the target, exactly.
 
@@ -191,12 +209,7 @@ def check_sum(cert: Certificate):
     of a target of the shape a*alpha + b*beta - c*B with a, b, c >= 0
     and not all zero, or None when the target has any other shape.
     """
-    sums: dict = {}
-    for row in cert.rows:
-        for key, v in row.items():
-            sums[key] = sums.get(key, 0) + v
-    sums = {key: v for key, v in sums.items() if v}
-    sum_ok = sums == cert.target
+    sum_ok = column_sums(cert.rows) == cert.target
 
     meaning = None
     if set(cert.target) <= set(RESERVED_COLUMNS):
@@ -209,10 +222,14 @@ def check_sum(cert: Certificate):
     return sum_ok, meaning
 
 
-def format_meaning(meaning) -> str:
-    a, b, c = meaning
+def format_plane(a, b, c) -> str:
+    """a*alpha + b*beta >= c as printed, e.g. ``3α+1β ≥ 1``."""
     left = "+".join(s for s in (a and f"{a}α", b and f"{b}β") if s) or "0"
-    return f"{left} ≥ {c}B"
+    return f"{left} ≥ {c}"
+
+
+def format_meaning(meaning) -> str:
+    return format_plane(*meaning) + "B"
 
 
 # -- per-row semantic verification -------------------------------------
@@ -246,26 +263,6 @@ def _row_expr(row: dict, term_cols: dict) -> LinExpr:
             col = term_cols[key]
         coeffs[col] = coeffs.get(col, 0) + v
     return LinExpr({c: Fraction(v) for c, v in coeffs.items() if v}, "certificate-row")
-
-
-def _close_once(u: Universe, masks, cap: int):
-    """One union/intersection closure round over (representative, orbit
-    member) pairs.  Returns (new mask set, completed flag)."""
-    fam = sorted(masks, reverse=True)
-    out = set(masks)
-    full = u.full_mask
-    for i, ra in enumerate(fam):
-        for rb in fam[i:]:
-            for m in u.orbit_masks(rb):
-                un = u.closure_mask(ra | m)
-                if un != full:
-                    out.add(u.canon_mask(un))
-                inter = ra & m
-                if inter:
-                    out.add(u.canon_mask(inter))
-                if len(out) > cap:
-                    return out, False
-    return out, True
 
 
 def _pool(u: Universe, fam_masks, elem: bool, anchors, bases, cache):
@@ -302,33 +299,30 @@ def _anchor_rows(w_cls, s_cls):
     ]
 
 
-def _cone_solve(u: Universe, fam_masks, rows, expr: LinExpr, boxed: bool):
-    """Minimize the row over the cone cut out by `rows` (anchors as
-    equalities, everything else >= 0), optionally intersected with the
-    unit box to make a negative minimum attainable at a point."""
-    columns = [ALPHA, BETA, BIGB] + sorted(
+def _columns(u: Universe, fam_masks) -> list:
+    return [ALPHA, BETA, BIGB] + sorted(
         (EntropyClass(u.n, u.k, m) for m in fam_masks), key=column_key
     )
-    lp_rows = [
-        LPRow(dict(r.coeffs), Fraction(0), "=" if r.kind.endswith("anchor") else ">=")
-        for r in rows
-    ]
-    if boxed:
-        lp_rows += [LPRow({c: Fraction(-1)}, Fraction(1), ">=") for c in columns]
-    lp = LPProblem(
-        columns=columns,
-        objective=dict(expr.coeffs),
-        rows=lp_rows,
-        nonneg=set(columns),
-    )
-    return solve(lp, orientation="dual", known_feasible=True)
+
+
+def _lp_row(row: LinExpr) -> LPRow:
+    # anchors are equalities, every other pool row is >= 0
+    rel = "=" if row.kind.endswith("anchor") else ">="
+    return LPRow(dict(row.coeffs), Fraction(0), rel)
 
 
 def _try_pool(u: Universe, pool, fam_masks, expr: LinExpr, w_cls, s_cls):
-    """Minimize the row over the pool's cone.  Returns a witness list
-    when the minimum is zero, else None."""
+    """Minimize the row over the cone cut out by the pool and the
+    anchors.  Returns a witness list when the minimum is zero, else None."""
     all_rows = list(pool) + _anchor_rows(w_cls, s_cls)
-    sol = _cone_solve(u, fam_masks, all_rows, expr, boxed=False)
+    columns = _columns(u, fam_masks)
+    lp = LPProblem(
+        columns=columns,
+        objective=dict(expr.coeffs),
+        rows=[_lp_row(r) for r in all_rows],
+        nonneg=set(columns),
+    )
+    sol = solve(lp, orientation="dual", known_feasible=True)
     if sol.status == "unbounded":
         return None
     if sol.status != "optimal" or sol.value != 0:
@@ -338,87 +332,16 @@ def _try_pool(u: Universe, pool, fam_masks, expr: LinExpr, w_cls, s_cls):
     )
 
 
-def _candidates(u: Universe, fam_masks, anchors, bases):
-    """Compact descriptor list for every inequality the pool over this
-    family would contain, minus what the active set carries upfront.
-
-    Each descriptor is (ka, kb, ku, ki): the instance asserts
-    H(ka) + H(kb) - H(ku) - H(ki) >= 0, keys being canonical class
-    masks, "B" for a spanning argument, or 0 for an empty one.
-    Monotonicity is encoded with kb = ki = 0.
-    """
-    full = u.full_mask
-    allowed = set(fam_masks) | {0, full}
-    fam = sorted(fam_masks, reverse=True)
-    anc = None if anchors is None else set(anchors)
-    seen = set()
-    out = []
-
-    def key_of(mask):
-        return "B" if mask == full else mask
-
-    def emit(ka, kb, ku, ki):
-        desc = (ka, kb, ku, ki)
-        if desc not in seen:
-            seen.add(desc)
-            out.append(desc)
-
-    for ai, ra in enumerate(fam):
-        for rb in fam[ai:]:
-            if anc is not None and ra not in anc and rb not in anc:
-                continue
-            for m in u.orbit_masks(rb):
-                if m == ra:
-                    continue
-                inter = ra & m
-                ci = u.canon_mask(inter)
-                if ci not in allowed:
-                    continue
-                union = u.closure_mask(ra | m)
-                if union != full and u.canon_mask(union) not in allowed:
-                    continue
-                emit(ra, rb, key_of(u.canon_mask(union)), ci if ci else 0)
-                if inter == m:
-                    emit(ra, 0, rb, 0)
-                elif inter == ra:
-                    emit(rb, 0, ra, 0)
-
-    nv = u.num_vars
-    for c_mask in bases:
-        outside = [v for v in range(nv) if not c_mask >> (nv - 1 - v) & 1]
-        for xi, x in enumerate(outside):
-            bx = u.var_bit(x)
-            cx = u.closure_mask(c_mask | bx)
-            kx = key_of(u.canon_mask(cx)) if cx != full else "B"
-            if kx != "B" and kx not in allowed:
-                continue
-            for y in outside[xi + 1:]:
-                by = u.var_bit(y)
-                cy = u.closure_mask(c_mask | by)
-                ky = key_of(u.canon_mask(cy)) if cy != full else "B"
-                if ky != "B" and ky not in allowed:
-                    continue
-                cxy = u.closure_mask(c_mask | bx | by)
-                kxy = key_of(u.canon_mask(cxy)) if cxy != full else "B"
-                if kxy != "B" and kxy not in allowed:
-                    continue
-                emit(kx, ky, kxy, c_mask if c_mask else 0)
-    return out
-
-
-def _expr_of_descriptor(u: Universe, desc) -> LinExpr:
-    coeffs: dict = {}
-    for key, sign in zip(desc, (1, 1, -1, -1)):
-        if key == 0:
-            continue
-        col = BIGB if key == "B" else u.canon_class(key)
-        coeffs[col] = coeffs.get(col, 0) + sign
-    kind = "monotonicity" if desc[1] == 0 and desc[3] == 0 else "submodularity"
-    return LinExpr({c: Fraction(v) for c, v in coeffs.items() if v}, kind)
-
-
 def _try_pool_active(
-    u: Universe, fam_masks, anchors, bases, expr: LinExpr, w_cls, s_cls, ctx
+    u: Universe,
+    fam_masks,
+    elem: bool,
+    anchors,
+    bases,
+    expr: LinExpr,
+    w_cls,
+    s_cls,
+    ctx,
 ):
     """Active-set variant of _try_pool for large families: solve a boxed
     relaxation over a small working row set, separate violated instances
@@ -432,22 +355,22 @@ def _try_pool_active(
     """
     cand_key = (
         frozenset(fam_masks),
+        elem,
         None if anchors is None else frozenset(anchors),
         tuple(bases),
     )
     cands = ctx.setdefault("cands", {})
     if cand_key not in cands:
-        cands[cand_key] = _candidates(u, fam_masks, anchors, bases)
+        cands[cand_key] = list(
+            dict.fromkeys(instances(u, fam_masks, anchors, bases if elem else ()))
+        )
     descriptors = cands[cand_key]
 
     base = frozenset(b for b in bases if b)
-    active = list(_pool(u, base, True, None, bases, ctx.setdefault("pool", {})))
+    active = list(_pool(u, base, elem, None, bases, ctx.setdefault("pool", {})))
+    cols: dict = {}
     for m in sorted(fam_masks, reverse=True):
-        active.append(
-            LinExpr(
-                {BIGB: Fraction(1), u.canon_class(m): Fraction(-1)}, "spanning-value"
-            )
-        )
+        active.append(instance_row(u, (BIGB, 0, m, 0), cols, "spanning-value"))
     active += _anchor_rows(w_cls, s_cls)
     sigs = {r.signature() for r in active}
 
@@ -456,8 +379,8 @@ def _try_pool_active(
     # so start with all of them in the working set.
     submod_descriptors = []
     for desc in descriptors:
-        if desc[1] == 0 and desc[3] == 0:
-            row = _expr_of_descriptor(u, desc)
+        if desc[1] == 0:
+            row = instance_row(u, desc, cols)
             sig = row.signature()
             if sig not in sigs:
                 sigs.add(sig)
@@ -466,20 +389,11 @@ def _try_pool_active(
             submod_descriptors.append(desc)
     descriptors = submod_descriptors
 
-    columns = [ALPHA, BETA, BIGB] + sorted(
-        (EntropyClass(u.n, u.k, m) for m in fam_masks), key=column_key
-    )
+    columns = _columns(u, fam_masks)
     box = [LPRow({c: Fraction(-1)}, Fraction(1), ">=") for c in columns]
     n_box = len(box)
     solver = IncrementalDualSolver(
-        columns,
-        dict(expr.coeffs),
-        box
-        + [
-            LPRow(dict(r.coeffs), Fraction(0), "=" if r.kind.endswith("anchor") else ">=")
-            for r in active
-        ],
-        set(columns),
+        columns, dict(expr.coeffs), box + [_lp_row(r) for r in active], set(columns)
     )
 
     batch = 200
@@ -495,7 +409,7 @@ def _try_pool_active(
         den = 1
         for v in sol.primal.values():
             den = den * v.denominator // math.gcd(den, v.denominator)
-        val = {0: 0, "B": int(sol.primal[BIGB] * den)}
+        val = {0: 0, BIGB: int(sol.primal[BIGB] * den)}
         for col, v in sol.primal.items():
             if isinstance(col, EntropyClass):
                 val[col.mask] = int(v * den)
@@ -515,7 +429,7 @@ def _try_pool_active(
             picks += rest[::stride][:batch]
         fresh = []
         for _, idx in picks:
-            row = _expr_of_descriptor(u, descriptors[idx])
+            row = instance_row(u, descriptors[idx], cols)
             sig = row.signature()
             if sig not in sigs:
                 sigs.add(sig)
@@ -525,6 +439,22 @@ def _try_pool_active(
             raise CertificateError("separation produced only duplicate rows")
         solver.add_rows(fresh)
     raise CertificateError("active-set row search failed to converge")
+
+
+def _rungs(u: Universe, base, max_depth: int, family_cap: int):
+    """The ladder over a row's base classes: (family, elementals, pair
+    anchors, reported depth) per rung, and whether a closure round hit
+    the family cap."""
+    rungs = [(frozenset(base), False, None, 1), (frozenset(base), True, None, 1)]
+    fam = set(base)
+    for gen in range(1, max_depth):
+        prev = frozenset(fam)
+        fam, done = closure_round(u, fam, family_cap)
+        if not done:
+            return rungs, True
+        rungs.append((frozenset(fam), True, prev, gen + 1))
+        rungs.append((frozenset(fam), True, None, gen + 1))
+    return rungs, False
 
 
 def check_row(
@@ -564,19 +494,7 @@ def check_row(
         if isinstance(col, EntropyClass):
             base.add(col.mask)
     bases = [0] + sorted(base, reverse=True)
-
-    # ladder rungs: (family, elementals, pair anchors, reported depth)
-    rungs = [(frozenset(base), False, None, 1), (frozenset(base), True, None, 1)]
-    fam = set(base)
-    capped = False
-    for gen in range(1, max_depth):
-        prev = frozenset(fam)
-        fam, done = _close_once(u, fam, family_cap)
-        if not done:
-            capped = True
-            break
-        rungs.append((frozenset(fam), True, prev, gen + 1))
-        rungs.append((frozenset(fam), True, None, gen + 1))
+    rungs, capped = _rungs(u, base, max_depth, family_cap)
 
     depth_seen = 1
     for fam_masks, elem, anchors, depth in rungs:
@@ -586,7 +504,7 @@ def check_row(
             witness = _try_pool(u, pool, fam_masks, expr, w_cls, s_cls)
         else:
             witness = _try_pool_active(
-                u, fam_masks, anchors, bases, expr, w_cls, s_cls, ctx
+                u, fam_masks, elem, anchors, bases, expr, w_cls, s_cls, ctx
             )
         if witness is not None:
             return RowCheck(index, "valid", depth, witness)
@@ -637,10 +555,7 @@ def verify(
             "target is not of the form a*alpha + b*beta - c*B with a, b, c >= 0"
         )
     if not sum_ok:
-        sums: dict = {}
-        for row in cert.rows:
-            for key, v in row.items():
-                sums[key] = sums.get(key, 0) + v
+        sums = column_sums(cert.rows)
         bad = sorted(
             key
             for key in set(sums) | set(cert.target)

@@ -28,6 +28,7 @@ from .certificate import (
     CertificateError,
     check_sum,
     format_meaning,
+    format_plane,
     load,
     serialize,
     to_latex,
@@ -380,11 +381,6 @@ def _family_from(rc: RunConfig, u):
     return fam
 
 
-def _plane_str(a, b, c) -> str:
-    left = "+".join(s for s in (a and f"{a}α", b and f"{b}β") if s) or "0"
-    return f"{left} ≥ {c}"
-
-
 def _slug(q: Fraction) -> str:
     return str(q).replace("/", "_")
 
@@ -491,12 +487,17 @@ def cmd_region(rc: RunConfig) -> int:
     if not planes:
         _fail("no region source (use --builtin-eq1, --cutset, --cert, or --dir)")
 
+    # a proved plane with c = 0 (such as 1β ≥ 0B) holds on the whole
+    # quadrant, so it bounds nothing
+    planes = [p for p in planes if p[2] != 0]
+    if not planes:
+        _fail("every plane holds on the whole quadrant, so no region is cut out")
     try:
         region = from_halfplanes(planes)
     except ValueError as e:
         _fail(str(e))
     for h in region.halfplanes:
-        print(f"plane: {_plane_str(h.a, h.b, h.c)}")
+        print(f"plane: {format_plane(h.a, h.b, h.c)}")
     for x, y in region.vertices:
         print(f"vertex: ({x}, {y})")
     if rc.csv:
@@ -516,7 +517,7 @@ def cmd_cutset(rc: RunConfig) -> int:
     except ValueError as e:
         _fail(str(e))
     for j, w in cs.facets:
-        print(f"facet: {_plane_str(int(j), int(w), 1)}")
+        print(f"facet: {format_plane(int(j), int(w), 1)}")
     region = from_halfplanes([(j, w, 1) for j, w in cs.facets])
     for x, y in region.vertices:
         print(f"vertex: ({x}, {y})")

@@ -10,7 +10,7 @@ never mentions two names for one entropy value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .universe import EntropyClass, Universe
@@ -71,54 +71,43 @@ class LinExpr:
         return f"LinExpr({' + '.join(parts) or '0'} >= 0)"
 
 
-@dataclass
-class ConstraintSet:
-    rows: list = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
+def _key(u: Universe, closed_mask: int):
+    """Descriptor key of a closed mask: BIGB when it spans, otherwise its
+    canonical class mask (0 for the empty set)."""
+    return BIGB if closed_mask == u.full_mask else u.canon_mask(closed_mask)
 
 
-def _col_of(u: Universe, closed_mask: int, cache: dict):
-    """Column for the entropy of a closed mask: None for the empty set,
-    BIGB when it spans, otherwise its canonical class."""
-    if closed_mask == 0:
-        return None
-    if closed_mask == u.full_mask:
-        return BIGB
-    cm = u.canon_mask(closed_mask)
-    cls = cache.get(cm)
-    if cls is None:
-        cls = EntropyClass(u.n, u.k, cm)
-        cache[cls.mask] = cls
-    return cls
+def instance_row(u: Universe, desc, cols: dict, kind: str | None = None) -> LinExpr:
+    """The row H(ka) + H(kb) - H(ku) - H(ki) >= 0 of a descriptor.
 
-
-def _make_row(u: Universe, pairs, kind: str, cache: dict) -> LinExpr:
+    Keys 0 drop out and BIGB stays the spanning column; ``cols`` caches
+    one EntropyClass per class mask.  The kind defaults to monotonicity
+    when kb is 0, else submodularity.
+    """
     coeffs: dict = {}
-    for mask, c in pairs:
-        col = _col_of(u, mask, cache)
-        if col is None:
+    for key, sign in zip(desc, (1, 1, -1, -1)):
+        if key == 0:
             continue
-        coeffs[col] = coeffs.get(col, 0) + c
+        if key != BIGB:
+            col = cols.get(key)
+            if col is None:
+                col = cols[key] = EntropyClass(u.n, u.k, key)
+            key = col
+        coeffs[key] = coeffs.get(key, 0) + sign
+    if kind is None:
+        kind = "monotonicity" if desc[1] == 0 else "submodularity"
     return LinExpr({c: Fraction(v) for c, v in coeffs.items() if v}, kind)
 
 
-def storage_and_bandwidth_caps(u: Universe) -> ConstraintSet:
+def storage_and_bandwidth_caps(u: Universe) -> list[LinExpr]:
     """The two symmetry-reduced capacity rows: ALPHA bounds a node's
     content, BETA bounds one repair message."""
-    cache: dict = {}
-    w1 = _col_of(u, u.closure_mask(u.mask_of_tokens(["W1"])), cache)
-    s12 = _col_of(u, u.closure_mask(u.mask_of_tokens(["S1->2"])), cache)
-    return ConstraintSet(
-        [
-            LinExpr({ALPHA: Fraction(1), w1: Fraction(-1)}, "storage-cap"),
-            LinExpr({BETA: Fraction(1), s12: Fraction(-1)}, "bandwidth-cap"),
-        ]
-    )
+    w1 = u.canon_class(u.mask_of_tokens(["W1"]))
+    s12 = u.canon_class(u.mask_of_tokens(["S1->2"]))
+    return [
+        LinExpr({ALPHA: Fraction(1), w1: Fraction(-1)}, "storage-cap"),
+        LinExpr({BETA: Fraction(1), s12: Fraction(-1)}, "bandwidth-cap"),
+    ]
 
 
 def _require_closed(u: Universe, mask: int):
@@ -131,13 +120,8 @@ def submodularity(u: Universe, a, b) -> LinExpr:
     ma, mb = u.mask_of(a), u.mask_of(b)
     _require_closed(u, ma)
     _require_closed(u, mb)
-    cache: dict = {}
-    return _make_row(
-        u,
-        [(ma, 1), (mb, 1), (u.closure_mask(ma | mb), -1), (ma & mb, -1)],
-        "submodularity",
-        cache,
-    )
+    desc = tuple(_key(u, m) for m in (ma, mb, u.closure_mask(ma | mb), ma & mb))
+    return instance_row(u, desc, {}, "submodularity")
 
 
 def monotonicity(u: Universe, a, b) -> LinExpr:
@@ -147,9 +131,65 @@ def monotonicity(u: Universe, a, b) -> LinExpr:
     _require_closed(u, mb)
     if ma & ~mb:
         raise ValueError("monotonicity needs a subseteq b")
-    cache: dict = {}
     kind = "spanning-value" if mb == u.full_mask else "monotonicity"
-    return _make_row(u, [(mb, 1), (ma, -1)], kind, cache)
+    return instance_row(u, (_key(u, mb), 0, _key(u, ma), 0), {}, kind)
+
+
+def instances(u: Universe, fam_masks, anchors=None, bases=()):
+    """Descriptors (ka, kb, ku, ki) of the Shannon instances over a family
+    of canonical class masks.
+
+    Each asserts H(ka) + H(kb) - H(ku) - H(ki) >= 0, a key being a
+    canonical class mask, BIGB for a spanning argument, or 0 for an empty
+    one; monotonicity has kb = ki = 0.  In order: submodularity over every
+    (representative, orbit member) pair, each followed by the aligned
+    monotonicity when the pair is nested; then, for each base C in the
+    order given, the elemental instances H(C+x) + H(C+y) >= H(C+x+y) + H(C)
+    over variables x, y outside C.  Instances with an argument outside the
+    family (other than empty or spanning) are skipped.  anchors, when
+    given, keeps only the pairs touching that mask set.  Descriptors may
+    repeat.
+    """
+    full = u.full_mask
+    allowed = set(fam_masks) | {0, BIGB}
+    fam = sorted(fam_masks, reverse=True)
+    for ai, ra in enumerate(fam):
+        for rb in fam[ai:]:
+            if anchors is not None and ra not in anchors and rb not in anchors:
+                continue
+            for m in u.orbit_masks(rb):
+                if m == ra:
+                    continue
+                inter = ra & m
+                ki = u.canon_mask(inter)
+                if ki not in allowed:
+                    continue
+                ku = _key(u, u.closure_mask(ra | m))
+                if ku not in allowed:
+                    continue
+                yield (ra, rb, ku, ki)
+                if inter == m:
+                    yield (ra, 0, rb, 0)
+                elif inter == ra:
+                    yield (rb, 0, ra, 0)
+
+    nv = u.num_vars
+    for c_mask in bases:
+        outside = [v for v in range(nv) if not c_mask >> (nv - 1 - v) & 1]
+        for xi, x in enumerate(outside):
+            bx = u.var_bit(x)
+            kx = _key(u, u.closure_mask(c_mask | bx))
+            if kx not in allowed:
+                continue
+            for y in outside[xi + 1:]:
+                by = u.var_bit(y)
+                ky = _key(u, u.closure_mask(c_mask | by))
+                if ky not in allowed:
+                    continue
+                kxy = _key(u, u.closure_mask(c_mask | bx | by))
+                if kxy not in allowed:
+                    continue
+                yield (kx, ky, kxy, c_mask)
 
 
 def enumerate_rows(
@@ -162,93 +202,42 @@ def enumerate_rows(
 ) -> list[LinExpr]:
     """Deterministic, deduplicated constraint pool over a class family.
 
-    Emits the two caps, H(A) >= 0 and BIGB - H(A) >= 0 per class, aligned
-    monotonicity between nested orbit members, and submodularity over
-    every (representative, orbit member) pair.  With include_elementals,
-    also the single-variable-growth instances H(C+x) + H(C+y) >= H(C+x+y)
-    + H(C) for each base C and variables x, y outside it (bases default
-    to the whole family plus the empty set; elemental_bases narrows
-    them).  Rows whose canonical arguments fall outside the family
-    (other than empty or spanning) are dropped, so the pool never
-    references a class it was not given.
+    Emits the two caps, H(A) >= 0 and BIGB - H(A) >= 0 per class, and the
+    rows of every descriptor that ``instances`` generates over the
+    family.  Elementals are included only with include_elementals; their
+    bases default to the whole family plus the empty set, and
+    elemental_bases narrows them.  The pool never references a class it
+    was not given.
 
     anchor_masks, when given, restricts submodularity to pairs touching
     that mask set: a cheap middle rung for verification ladders where
     the family grew by a closure round but witnesses still involve at
     least one original class.
     """
-    cache: dict = {}
     fam_masks = sorted({cls.mask for cls in classes}, reverse=True)
     for m in fam_masks:
         if m == 0 or m == u.full_mask:
             raise ValueError("family must hold proper nonempty classes")
         if u.canon_mask(m) != m:
             raise ValueError("family members must be canonical classes")
-    allowed = set(fam_masks) | {0, u.full_mask}
     anchors = None if anchor_masks is None else set(anchor_masks)
-
-    rows: list[LinExpr] = []
-    if include_caps:
-        rows.extend(storage_and_bandwidth_caps(u))
-    for m in fam_masks:
-        rows.append(_make_row(u, [(m, 1)], "monotonicity", cache))
-        rows.append(_make_row(u, [(u.full_mask, 1), (m, -1)], "spanning-value", cache))
-
-    full = u.full_mask
-    for ai, ra in enumerate(fam_masks):
-        for rb in fam_masks[ai:]:
-            if anchors is not None and ra not in anchors and rb not in anchors:
-                continue
-            for m in u.orbit_masks(rb):
-                if m == ra:
-                    continue
-                inter = ra & m
-                if u.canon_mask(inter) not in allowed:
-                    continue
-                union = u.closure_mask(ra | m)
-                if union != full and u.canon_mask(union) not in allowed:
-                    continue
-                rows.append(
-                    _make_row(
-                        u, [(ra, 1), (m, 1), (union, -1), (inter, -1)],
-                        "submodularity", cache,
-                    )
-                )
-                if inter == m:
-                    rows.append(_make_row(u, [(ra, 1), (m, -1)], "monotonicity", cache))
-                elif inter == ra:
-                    rows.append(_make_row(u, [(m, 1), (ra, -1)], "monotonicity", cache))
-
+    bases = ()
     if include_elementals:
-        nv = u.num_vars
         if elemental_bases is None:
             bases = [0] + fam_masks
         else:
             bases = sorted(set(elemental_bases), reverse=True)
-            for c in bases:
-                if c and c not in allowed:
-                    raise ValueError("elemental bases must come from the family")
-        for c_mask in bases:
-            outside = [v for v in range(nv) if not c_mask >> (nv - 1 - v) & 1]
-            for xi, x in enumerate(outside):
-                bx = u.var_bit(x)
-                cx = u.closure_mask(c_mask | bx)
-                if cx != full and u.canon_mask(cx) not in allowed:
-                    continue
-                for y in outside[xi + 1:]:
-                    by = u.var_bit(y)
-                    cy = u.closure_mask(c_mask | by)
-                    if cy != full and u.canon_mask(cy) not in allowed:
-                        continue
-                    cxy = u.closure_mask(c_mask | bx | by)
-                    if cxy != full and u.canon_mask(cxy) not in allowed:
-                        continue
-                    rows.append(
-                        _make_row(
-                            u, [(cx, 1), (cy, 1), (cxy, -1), (c_mask, -1)],
-                            "submodularity", cache,
-                        )
-                    )
+            allowed = set(fam_masks) | {0, u.full_mask}
+            if any(c not in allowed for c in bases):
+                raise ValueError("elemental bases must come from the family")
+
+    cols: dict = {}
+    rows: list[LinExpr] = storage_and_bandwidth_caps(u) if include_caps else []
+    for m in fam_masks:
+        rows.append(instance_row(u, (m, 0, 0, 0), cols, "monotonicity"))
+        rows.append(instance_row(u, (BIGB, 0, m, 0), cols, "spanning-value"))
+    for desc in dict.fromkeys(instances(u, fam_masks, anchors, bases)):
+        rows.append(instance_row(u, desc, cols))
 
     seen: dict = {}
     for row in rows:

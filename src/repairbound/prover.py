@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .certificate import Certificate, CertificateError, _close_once, verify
+from .certificate import Certificate, CertificateError, check_sum, verify
 from .instance import ALPHA, BETA, BIGB, column_key, enumerate_rows
 from .ratlp import LPError, LPProblem, LPRow, solve
-from .universe import EntropyClass, Universe, index_for_token
+from .universe import EntropyClass, Universe, closure_round, index_for_token
 
 DEFAULT_FAMILY_CAP = 20000
 
@@ -140,7 +140,7 @@ def default_family(
 
     masks = {cls.mask for cls in tags}
     for round_no in range(1, depth + 1):
-        grown, completed = _close_once(u, masks, cap)
+        grown, completed = closure_round(u, masks, cap)
         if not completed:
             raise FamilyError(f"family size cap exceeded in closure round {round_no}")
         for m in sorted(grown - masks, reverse=True):
@@ -157,24 +157,18 @@ def _check_direction(direction) -> tuple:
     return ca, cb
 
 
-def _constraint_rows(u: Universe, fam: SubsetFamily):
-    """Full restricted pool plus its spanning-normalized LP form."""
-    if not fam.classes:
-        raise FamilyError("empty family")
-    exprs = enumerate_rows(u, fam.sorted_classes())
-    lprows = []
-    for e in exprs:
-        coeffs = {c: v for c, v in e.coeffs.items() if c != BIGB}
-        lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, Fraction(0)), ">="))
-    return exprs, lprows
-
-
 def build_lp(u: Universe, fam: SubsetFamily, direction) -> LPProblem:
     """The family-restricted bound LP with the spanning value fixed at
     one: minimize the direction over alpha, beta and the family's class
-    entropies subject to every pooled constraint."""
+    entropies subject to every pooled constraint.  Each pool row becomes
+    one LP row, in pool order, with its BIGB coefficient as the constant."""
     ca, cb = _check_direction(direction)
-    _, lprows = _constraint_rows(u, fam)
+    if not fam.classes:
+        raise FamilyError("empty family")
+    lprows = []
+    for e in enumerate_rows(u, fam.sorted_classes()):
+        coeffs = {c: v for c, v in e.coeffs.items() if c != BIGB}
+        lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, Fraction(0)), ">="))
     columns = [ALPHA, BETA] + fam.sorted_classes()
     return LPProblem(columns, {ALPHA: ca, BETA: cb}, lprows, set(columns))
 
@@ -195,10 +189,8 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
     optimum left out of play become one trailing all-positive row.  The
     result is re-verified before return.
     """
-    ca, cb = _check_direction(direction)
-    exprs, lprows = _constraint_rows(u, fam)
-    columns = [ALPHA, BETA] + fam.sorted_classes()
-    lp = LPProblem(columns, {ALPHA: ca, BETA: cb}, lprows, set(columns))
+    lp = build_lp(u, fam, direction)
+    ca, cb = lp.objective[ALPHA], lp.objective[BETA]
     sol = solve(lp)
     if sol.status != "optimal":
         raise LPError(f"bound LP came back {sol.status}")
@@ -222,11 +214,12 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
     g = g or 1
 
     out_rows = []
-    for mult, expr in zip(mults, exprs):
+    for mult, row in zip(mults, lp.rows):
         if mult:
-            out_rows.append(
-                {c: mult // g * int(v) for c, v in expr.coeffs.items()}
-            )
+            coeffs = dict(row.coeffs)
+            if row.const:
+                coeffs[BIGB] = row.const
+            out_rows.append({c: mult // g * int(v) for c, v in coeffs.items()})
     if smults:
         out_rows.append({c: s // g for c, s in smults.items()})
 
@@ -264,11 +257,7 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
         },
     )
 
-    sums: dict = {}
-    for row in rows_json:
-        for key, v in row.items():
-            sums[key] = sums.get(key, 0) + v
-    if {k: v for k, v in sums.items() if v} != target:
+    if not check_sum(cert)[0]:
         raise CertificateError("extracted rows do not sum to the target")
     report = verify(u, cert, max_depth=max_depth)
     if report.overall != "VALID":
@@ -276,30 +265,3 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
             f"emitted certificate failed re-verification: {report.overall}"
         )
     return ProvedBound((ca, cb), value, cert)
-
-
-def sweep(u: Universe, fam: SubsetFamily, directions, max_depth: int = 2) -> list:
-    if not directions:
-        raise ValueError("need at least one direction")
-    return [prove(u, fam, d, max_depth=max_depth) for d in directions]
-
-
-def distinct_lines(bounds) -> list:
-    """Deduplicate proportional (c_a, c_b, value) support lines,
-    keeping first occurrences in order."""
-    seen = set()
-    out = []
-    for b in bounds:
-        ca, cb = b.direction
-        lcm = ca.denominator * cb.denominator // math.gcd(
-            ca.denominator, cb.denominator
-        )
-        v = b.value
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        ints = (int(ca * lcm), int(cb * lcm), int(v * lcm))
-        g = math.gcd(math.gcd(ints[0], ints[1]), ints[2]) or 1
-        key = tuple(x // g for x in ints)
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    return out

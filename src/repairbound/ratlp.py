@@ -269,7 +269,9 @@ class _Simplex:
                     break
 
 
-def _solve_primal(lp: LPProblem) -> LPSolution:
+def _phase1(lp: LPProblem):
+    """Standard form of lp at a feasible basis with the artificials
+    driven out, and the phase-2 cost vector; None when lp is infeasible."""
     sx = _Simplex(lp)
     cost1 = [Fraction(1) if sx.is_art[j] else ZERO for j in range(len(sx.svars))]
     if any(sx.is_art[j] for j in sx.basis) and sx.objective_value(cost1) != 0:
@@ -277,7 +279,7 @@ def _solve_primal(lp: LPProblem) -> LPSolution:
         if status != "optimal":  # phase 1 is bounded below by zero
             raise LPError("phase-1 anomaly")
         if sx.objective_value(cost1) != 0:
-            return LPSolution("infeasible", None, {}, [])
+            return None
     sx.drive_out_artificials()
     cost2 = [ZERO] * len(sx.svars)
     for j, (kind, payload, sgn) in enumerate(sx.svars):
@@ -285,6 +287,14 @@ def _solve_primal(lp: LPProblem) -> LPSolution:
             c = Fraction(lp.objective.get(payload, 0))
             if c:
                 cost2[j] = sgn * c
+    return sx, cost2
+
+
+def _solve_primal(lp: LPProblem) -> LPSolution:
+    started = _phase1(lp)
+    if started is None:
+        return LPSolution("infeasible", None, {}, [])
+    sx, cost2 = started
     status = sx.run(cost2, ban_art=True)
     if status == "unbounded":
         return LPSolution("unbounded", None, {}, [])
@@ -344,21 +354,10 @@ class IncrementalDualSolver:
         self._plp = LPProblem(list(columns), dict(objective), list(rows), set(nonneg))
         _validate(self._plp)
         self._colpos = {col: p for p, col in enumerate(self._plp.columns)}
-        sx = _Simplex(dualize(self._plp))
-        cost1 = [Fraction(1) if sx.is_art[j] else ZERO for j in range(len(sx.svars))]
-        if any(sx.is_art[j] for j in sx.basis) and sx.objective_value(cost1) != 0:
-            if sx.run(cost1, ban_art=False) != "optimal":
-                raise LPError("phase-1 anomaly")
-            if sx.objective_value(cost1) != 0:
-                raise LPError("unbounded stage in incremental solver")
-        sx.drive_out_artificials()
-        self._cost = [ZERO] * len(sx.svars)
-        for j, (kind, payload, sgn) in enumerate(sx.svars):
-            if kind == "col":
-                c = Fraction(self._plp.rows[payload[1]].const)
-                if c:
-                    self._cost[j] = sgn * c
-        self._sx = sx
+        started = _phase1(dualize(self._plp))
+        if started is None:
+            raise LPError("unbounded stage in incremental solver")
+        self._sx, self._cost = started
 
     def add_rows(self, rows):
         sx = self._sx
@@ -402,11 +401,8 @@ class IncrementalDualSolver:
 def solve(
     lp: LPProblem,
     orientation: str = "auto",
-    pivot: str = "bland",
     known_feasible: bool = False,
 ) -> LPSolution:
-    if pivot != "bland":
-        raise LPError(f"unknown pivot rule {pivot!r}")
     _validate(lp)
     if orientation == "auto":
         orientation = (

@@ -74,9 +74,6 @@ class EntropyClass:
     def tokens(self) -> list[str]:
         return sorted(token_for_index(self.n, v) for v in self.indices())
 
-    def sort_key(self) -> tuple:
-        return (self.n, self.k, self.size, self.indices())
-
     def __repr__(self) -> str:
         return f"EntropyClass[{','.join(self.tokens())}]"
 
@@ -149,9 +146,6 @@ class Universe:
         nv = self.num_vars
         return tuple(v for v in range(nv) if mask >> (nv - 1 - v) & 1)
 
-    def tokens_of(self, mask: int) -> list[str]:
-        return sorted(token_for_index(self.n, v) for v in self.indices_of(mask))
-
     # -- closure ---------------------------------------------------------
 
     def closure_mask(self, mask: int) -> int:
@@ -175,9 +169,6 @@ class Universe:
             a = self.full_mask
         self._closure_cache[mask] = a
         return a
-
-    def is_spanning_mask(self, mask: int) -> bool:
-        return self.closure_mask(mask) == self.full_mask
 
     # -- node relabeling -------------------------------------------------
 
@@ -260,14 +251,23 @@ def build_universe(n: int, k: int, d: int | None = None) -> Universe:
     return Universe(n, k)
 
 
-def closure(u: Universe, a) -> frozenset[int]:
-    """Dependency closure of a set of variable indices."""
-    return frozenset(u.indices_of(u.closure_mask(u.mask_of(a))))
-
-
-def canon(u: Universe, a) -> EntropyClass:
-    return u.canon_class(u.mask_of(a))
-
-
-def is_spanning(u: Universe, a) -> bool:
-    return u.is_spanning_mask(u.mask_of(a))
+def closure_round(u: Universe, masks, cap: int):
+    """One union/intersection closure round over (representative, orbit
+    member) pairs of a set of canonical class masks.  Returns (new mask
+    set, completed flag); the round stops early once the set holds more
+    than cap masks."""
+    fam = sorted(masks, reverse=True)
+    out = set(masks)
+    full = u.full_mask
+    for i, ra in enumerate(fam):
+        for rb in fam[i:]:
+            for m in u.orbit_masks(rb):
+                un = u.closure_mask(ra | m)
+                if un != full:
+                    out.add(u.canon_mask(un))
+                inter = ra & m
+                if inter:
+                    out.add(u.canon_mask(inter))
+                if len(out) > cap:
+                    return out, False
+    return out, True

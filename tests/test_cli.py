@@ -135,6 +135,34 @@ def test_region_from_certificates(capsys):
     assert vertices[1] == "vertex: (4/15, 1/5)"  # proved facets replace (2/7, 1/7)
 
 
+def test_region_skips_planes_that_hold_everywhere(capsys, tmp_path, monkeypatch):
+    # Tian's (4,3,3) region: the five depth-1 facet directions plus the
+    # cut-set; direction 0,1 proves only 1β ≥ 0B, which cuts nothing
+    monkeypatch.chdir(tmp_path)
+    dirs = ["1,0", "2,1", "4,6", "1,3", "0,1"]
+    argv = ["solve", "--n", "4", "--k", "3", "--depth", "1"]
+    for d in dirs:
+        argv += ["--dir", d]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "bound: 1β ≥ 0B" in out.splitlines()
+    argv = ["region", "--n", "4", "--k", "3", "--cutset"]
+    for d in dirs:
+        argv += ["--cert", f"bound-n4-k3-d3-{d.replace(',', '-')}.cert.json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "plane: 3α ≥ 1",
+        "plane: 2α+1β ≥ 1",
+        "plane: 4α+6β ≥ 3",
+        "plane: 6β ≥ 1",
+        "vertex: (1/3, 1/3)",
+        "vertex: (3/8, 1/4)",
+        "vertex: (1/2, 1/6)",
+    ]
+    code, _, err = run(capsys, "region", "--cert", "bound-n4-k3-d3-0-1.cert.json")
+    assert code == 3 and "whole quadrant" in err
+
+
 def test_region_rejects_mismatched_certificate(capsys):
     code, _, err = run(capsys, "region", "--n", "4", "--k", "3", "--cert", PROP1)
     assert code == 3 and "certificate is for (5,4)" in err

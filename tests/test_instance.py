@@ -1,8 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from repairbound.certificate import load, term_columns
 from repairbound.instance import (
     ALPHA,
     BETA,
@@ -10,11 +13,21 @@ from repairbound.instance import (
     LinExpr,
     column_key,
     enumerate_rows,
+    instance_row,
+    instances,
     monotonicity,
     storage_and_bandwidth_caps,
     submodularity,
 )
-from repairbound.universe import build_universe, index_for_token
+from repairbound.prover import default_family, load_seed_terms
+from repairbound.universe import (
+    EntropyClass,
+    build_universe,
+    closure_round,
+    index_for_token,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def toks(u, *tokens):
@@ -172,3 +185,78 @@ def test_random_submodularity_instances_sound():
         b = u.closure_mask(u.mask_of_tokens(rng.sample(toks_all, rng.randrange(0, 6))))
         row = submodularity(u, u.indices_of(a), u.indices_of(b))
         assert replication_value(row) >= 0
+
+
+def pool_digest(rows) -> str:
+    return hashlib.sha256(
+        repr([(r.kind, r.signature()) for r in rows]).encode()
+    ).hexdigest()
+
+
+def test_pools_are_pinned():
+    # digests of pools that the prover and the verifier build; a change
+    # in any row, kind, order or dedup winner changes them
+    u54 = build_universe(5, 4)
+    seeds = load_seed_terms(DATA / "prop1.terms.json") + load_seed_terms(
+        DATA / "prop2.terms.json"
+    )
+    rows = enumerate_rows(u54, default_family(u54, seeds=seeds).sorted_classes())
+    assert len(rows) == 3614
+    assert pool_digest(rows) == (
+        "b1c393f4ff3479dfc1d32a3717ad8c725d9c84e086f0992f7d44766c3b8a3f9e"
+    )
+
+    u43 = build_universe(4, 3)
+    rows = enumerate_rows(u43, default_family(u43, depth=1).sorted_classes())
+    assert len(rows) == 851
+    assert pool_digest(rows) == (
+        "11a83b7235abfb2a204071a3119059a3da785be0b2b96e7a30ece74d9b2e1eda"
+    )
+
+    # the anchored depth-2 rung, elementals included, of prop2 row 12
+    cert = load(DATA / "prop2.cert.json")
+    term_cols = term_columns(u54, cert)
+    base = {
+        u54.canon_mask(u54.var_bit(0)),
+        u54.canon_mask(u54.var_bit(index_for_token(5, "S1->2"))),
+    } | {
+        term_cols[key].mask
+        for key in cert.rows[12]
+        if isinstance(term_cols.get(key), EntropyClass)
+    }
+    fam, done = closure_round(u54, base, 5000)
+    assert done and len(fam) == 20
+    bases = [0] + sorted(base, reverse=True)
+    rows = enumerate_rows(
+        u54,
+        [EntropyClass(5, 4, m) for m in fam],
+        include_elementals=True,
+        include_caps=False,
+        anchor_masks=base,
+        elemental_bases=bases,
+    )
+    assert len(rows) == 282
+    assert pool_digest(rows) == (
+        "65588221f3626115ea36d8331aafc82ca3420a62c40211cbb0e2d88e8eb34e3f"
+    )
+
+    # the same rung from the generator: the pool minus its per-class rows
+    # (some instances collapse to a per-class row, such as an elemental
+    # whose two single-variable growths both span; the per-class row
+    # comes first in the pool and wins the dedup)
+    cols: dict = {}
+    per_class = set()
+    for m in fam:
+        mono = instance_row(u54, (m, 0, 0, 0), cols, "monotonicity")
+        span = instance_row(u54, (BIGB, 0, m, 0), cols, "spanning-value")
+        per_class |= {mono.signature(), span.signature()}
+    generated: dict = {}
+    for desc in instances(u54, fam, base, sorted(bases, reverse=True)):
+        row = instance_row(u54, desc, cols)
+        if not row.is_zero():
+            generated.setdefault(row.signature(), row)
+    assert sorted(
+        (r.kind, sig) for sig, r in generated.items() if sig not in per_class
+    ) == sorted(
+        (r.kind, r.signature()) for r in rows if r.signature() not in per_class
+    )

@@ -77,8 +77,6 @@ def test_validation_errors():
         solve(LPProblem(["x"], {"z": F(1)}, [], set()))
     with pytest.raises(LPError):
         solve(LPProblem(["x"], {}, [LPRow({"x": F(1)}, F(0), "<=")], set()))
-    with pytest.raises(LPError):
-        solve(lp_min_x_above_one(), pivot="dantzig")
 
 
 def test_forced_dual_orientation_matches_primal():

@@ -7,10 +7,8 @@ from repairbound.universe import (
     EntropyClass,
     UnsupportedConfiguration,
     build_universe,
-    canon,
-    closure,
+    closure_round,
     index_for_token,
-    is_spanning,
     token_for_index,
 )
 
@@ -42,6 +40,11 @@ def naive_closure(n, k, toks):
     if sum(1 for i in range(1, n + 1) if f"W{i}" in s) >= k:
         return set(all_tokens(n))
     return s
+
+
+def closure_tokens(u, toks):
+    closed = u.closure_mask(u.mask_of_tokens(toks))
+    return {token_for_index(u.n, v) for v in u.indices_of(closed)}
 
 
 def random_token_set(rng, n):
@@ -82,17 +85,15 @@ def test_token_round_trip():
 
 def test_closure_of_single_node():
     u = build_universe(5, 4)
-    got = closure(u, u.indices_of(u.mask_of_tokens(["W1"])))
     want = {"W1", "S1->2", "S1->3", "S1->4", "S1->5"}
-    assert {token_for_index(5, v) for v in got} == want
+    assert closure_tokens(u, ["W1"]) == want
 
 
 def test_closure_completes_repaired_node():
     u = build_universe(5, 4)
     start = ["S1->5", "S2->5", "S3->5", "S4->5"]
-    got = {token_for_index(5, v) for v in closure(u, u.indices_of(u.mask_of_tokens(start)))}
     want = set(start) | {"W5"} | {f"S5->{j}" for j in (1, 2, 3, 4)}
-    assert got == want
+    assert closure_tokens(u, start) == want
 
 
 def test_closure_of_k_nodes_spans():
@@ -107,10 +108,7 @@ def test_closure_axioms_match_naive_oracle():
         u = build_universe(n, k)
         for _ in range(60):
             toks = random_token_set(rng, n)
-            cl = {
-                token_for_index(n, v)
-                for v in closure(u, (index_for_token(n, t) for t in toks))
-            }
+            cl = closure_tokens(u, toks)
             assert cl == naive_closure(n, k, toks)
             assert toks <= cl
             m = u.mask_of_tokens(cl)
@@ -122,7 +120,7 @@ def test_closure_axioms_match_naive_oracle():
 
 def test_canon_merges_relabeled_sets():
     u = build_universe(5, 4)
-    c = lambda toks: canon(u, (index_for_token(5, t) for t in toks))
+    c = lambda toks: u.canon_class(u.mask_of_tokens(toks))
     assert c(["W2"]) == c(["W1"])
     assert c(["S5->2", "W2"]) == c(["S1->3", "W3"])
     assert c(["W1"]) != c(["S1->2"])
@@ -176,7 +174,7 @@ def test_orbit_masks_lists_whole_orbit():
 
 def test_is_spanning():
     u = build_universe(5, 4)
-    t = lambda toks: is_spanning(u, (index_for_token(5, x) for x in toks))
+    t = lambda toks: u.closure_mask(u.mask_of_tokens(toks)) == u.full_mask
     assert t(["W1", "W2", "W3", "W4"])
     assert not t(["W1", "W2", "W3"])
     assert t(["W1", "W2", "W3", "S5->4"])
@@ -189,13 +187,28 @@ def test_spanning_monotone():
     for _ in range(50):
         a = random_token_set(rng, 5)
         b = a | random_token_set(rng, 5)
-        if is_spanning(u, (index_for_token(5, t) for t in a)):
-            assert is_spanning(u, (index_for_token(5, t) for t in b))
+        if u.closure_mask(u.mask_of_tokens(a)) == u.full_mask:
+            assert u.closure_mask(u.mask_of_tokens(b)) == u.full_mask
 
 
 def test_entropy_class_tokens_sorted():
     u = build_universe(5, 4)
-    cls = canon(u, [index_for_token(5, "W3")])
+    cls = u.canon_class(u.mask_of_tokens(["W3"]))
     assert cls.tokens() == sorted(cls.tokens())
     assert isinstance(cls, EntropyClass)
     assert cls.size == 5
+
+
+def test_closure_round_adds_unions_and_intersections():
+    u = build_universe(4, 3)
+    w1 = u.canon_mask(u.mask_of_tokens(["W1"]))
+    s12 = u.canon_mask(u.mask_of_tokens(["S1->2"]))
+    grown, done = closure_round(u, {w1, s12}, 100)
+    assert done and {w1, s12} <= grown
+    # W1 joined with the orbit member W2 of its own class
+    assert u.canon_mask(u.mask_of_tokens(["W1", "W2"])) in grown
+    assert all(u.canon_mask(m) == m and m != u.full_mask for m in grown)
+    again, _ = closure_round(u, {w1, s12}, 100)
+    assert again == grown
+    _, done = closure_round(u, {w1, s12}, 2)
+    assert not done

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,11 +6,17 @@ import pytest
 from repairbound.certificate import (
     Certificate,
     CertificateError,
+    _pool,
+    _row_expr,
+    _rungs,
+    _try_pool,
+    _try_pool_active,
     check_row,
     load,
+    term_columns,
     verify,
 )
-from repairbound.universe import build_universe
+from repairbound.universe import EntropyClass, build_universe, index_for_token
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -125,3 +132,53 @@ def test_shipped_certificates_row_depths():
     assert report.overall == "VALID"
     depths = {rc.depth for rc in report.row_status}
     assert depths <= {1, 2} and 2 in depths  # one row needs a closure round
+
+
+def recombined(witness) -> dict:
+    total: dict = {}
+    for lam, row in witness:
+        for col, v in row.coeffs.items():
+            total[col] = total.get(col, 0) + lam * v
+    return {col: v for col, v in total.items() if v}
+
+
+def test_full_pool_and_active_set_rungs_agree():
+    # both row-search paths stay (the family size picks one); on every
+    # small-family rung of randomly picked shipped rows they must find a
+    # witness together or fail together, and each witness must add up to
+    # the row exactly
+    rng = random.Random(606)
+    u = build_universe(5, 4)
+    w_cls = u.canon_class(u.var_bit(0))
+    s_cls = u.canon_class(u.var_bit(index_for_token(5, "S1->2")))
+    outcomes = set()
+    for name in ("prop1", "prop2"):
+        cert = load(DATA / f"{name}.cert.json")
+        term_cols = term_columns(u, cert)
+        for index in rng.sample(range(len(cert.rows)), 10):
+            row = cert.rows[index]
+            expr = _row_expr(row, term_cols)
+            base = {w_cls.mask, s_cls.mask} | {
+                term_cols[key].mask
+                for key in row
+                if isinstance(term_cols.get(key), EntropyClass)
+            }
+            bases = [0] + sorted(base, reverse=True)
+            rungs, _ = _rungs(u, base, 2, 5000)
+            ctx = {"pool": {}}
+            for fam, elem, anchors, depth in rungs:
+                if len(fam) > 24:
+                    continue
+                pool = _pool(u, fam, elem, anchors, bases, ctx["pool"])
+                full = _try_pool(u, pool, fam, expr, w_cls, s_cls)
+                active = _try_pool_active(
+                    u, fam, elem, anchors, bases, expr, w_cls, s_cls, ctx
+                )
+                assert (full is None) == (active is None), (name, index, depth)
+                for witness in (full, active):
+                    if witness is not None:
+                        assert recombined(witness) == expr.coeffs
+                outcomes.add((full is None, depth))
+    # the sample covers rungs that fail, rungs that succeed, and a small
+    # depth-2 family
+    assert {(True, 1), (False, 1), (False, 2)} <= outcomes
