@@ -37,6 +37,7 @@ from .instance import (
     enumerate_rows,
     instance_row,
     instances,
+    storage_and_bandwidth_caps,
 )
 from .ratlp import IncrementalDualSolver, LPProblem, LPRow, solve
 from .universe import EntropyClass, Universe, closure_round, index_for_token
@@ -244,14 +245,15 @@ class RowCheck:
     detail: str = ""
 
 
+def _term_column(u: Universe, toks):
+    m = u.closure_mask(u.mask_of_tokens(toks))
+    return BIGB if m == u.full_mask else u.canon_class(m)
+
+
 def term_columns(u: Universe, cert: Certificate) -> dict:
     """Map each term id to its canonical closed class, or to the total
     information column when the term's closure spans the universe."""
-    cols = {}
-    for tid, toks in cert.terms.items():
-        m = u.closure_mask(u.mask_of_tokens(toks))
-        cols[tid] = BIGB if m == u.full_mask else u.canon_class(m)
-    return cols
+    return {tid: _term_column(u, toks) for tid, toks in cert.terms.items()}
 
 
 def _row_expr(row: dict, term_cols: dict) -> LinExpr:
@@ -265,40 +267,6 @@ def _row_expr(row: dict, term_cols: dict) -> LinExpr:
     return LinExpr({c: Fraction(v) for c, v in coeffs.items() if v}, "certificate-row")
 
 
-def _pool(u: Universe, fam_masks, elem: bool, anchors, bases, cache):
-    key = (
-        frozenset(fam_masks),
-        elem,
-        None if anchors is None else frozenset(anchors),
-        frozenset(bases),
-    )
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    classes = [EntropyClass(u.n, u.k, m) for m in sorted(fam_masks, reverse=True)]
-    rows = enumerate_rows(
-        u,
-        classes,
-        include_elementals=elem,
-        include_caps=False,
-        anchor_masks=anchors,
-        elemental_bases=bases if elem else None,
-    )
-    cache[key] = rows
-    return rows
-
-
-def _anchor_rows(w_cls, s_cls):
-    # caps pinned to equality: sound for tabulated bounds, whose targets
-    # carry nonnegative alpha and beta weight, so slack in either cap
-    # only loosens the bound; rows are free to spend cap slack against
-    # entropy terms (some shipped rows carry negative cap coefficients)
-    return [
-        LinExpr({ALPHA: Fraction(1), w_cls: Fraction(-1)}, "storage-anchor"),
-        LinExpr({BETA: Fraction(1), s_cls: Fraction(-1)}, "bandwidth-anchor"),
-    ]
-
-
 def _columns(u: Universe, fam_masks) -> list:
     return [ALPHA, BETA, BIGB] + sorted(
         (EntropyClass(u.n, u.k, m) for m in fam_masks), key=column_key
@@ -306,15 +274,19 @@ def _columns(u: Universe, fam_masks) -> list:
 
 
 def _lp_row(row: LinExpr) -> LPRow:
-    # anchors are equalities, every other pool row is >= 0
-    rel = "=" if row.kind.endswith("anchor") else ">="
+    # The two capacity rows are pinned to equality, every other row is
+    # >= 0.  Pinning is sound for tabulated bounds, whose targets carry
+    # nonnegative alpha and beta weight, so slack in either cap only
+    # loosens the bound; rows are free to spend cap slack against entropy
+    # terms (some shipped rows carry negative cap coefficients).
+    rel = "=" if row.kind.endswith("-cap") else ">="
     return LPRow(dict(row.coeffs), Fraction(0), rel)
 
 
-def _try_pool(u: Universe, pool, fam_masks, expr: LinExpr, w_cls, s_cls):
-    """Minimize the row over the cone cut out by the pool and the
-    anchors.  Returns a witness list when the minimum is zero, else None."""
-    all_rows = list(pool) + _anchor_rows(w_cls, s_cls)
+def _try_pool(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
+    """Minimize the row over the cone cut out by the rung's pool and the
+    pinned caps.  Returns a witness list when the minimum is zero, else None."""
+    all_rows = enumerate_rows(u, fam_masks, anchors, bases) + storage_and_bandwidth_caps(u)
     columns = _columns(u, fam_masks)
     lp = LPProblem(
         columns=columns,
@@ -332,17 +304,7 @@ def _try_pool(u: Universe, pool, fam_masks, expr: LinExpr, w_cls, s_cls):
     )
 
 
-def _try_pool_active(
-    u: Universe,
-    fam_masks,
-    elem: bool,
-    anchors,
-    bases,
-    expr: LinExpr,
-    w_cls,
-    s_cls,
-    ctx,
-):
+def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     """Active-set variant of _try_pool for large families: solve a boxed
     relaxation over a small working row set, separate violated instances
     at the optimum, repeat with a warm basis.  Exactly the same answer
@@ -351,27 +313,17 @@ def _try_pool_active(
 
     At a boxed optimum of zero the box multipliers vanish (their sum is
     the optimum itself), so the boxed duals restricted to pool rows and
-    anchors already form the cone witness.
+    caps already form the cone witness.
     """
-    cand_key = (
-        frozenset(fam_masks),
-        elem,
-        None if anchors is None else frozenset(anchors),
-        tuple(bases),
-    )
-    cands = ctx.setdefault("cands", {})
-    if cand_key not in cands:
-        cands[cand_key] = list(
-            dict.fromkeys(instances(u, fam_masks, anchors, bases if elem else ()))
-        )
-    descriptors = cands[cand_key]
+    descriptors = list(dict.fromkeys(instances(u, fam_masks, anchors, bases)))
 
-    base = frozenset(b for b in bases if b)
-    active = list(_pool(u, base, elem, None, bases, ctx.setdefault("pool", {})))
+    # start from the pool over the elemental bases, one spanning row per
+    # class and the pinned caps
+    active = enumerate_rows(u, [b for b in bases if b], bases=bases)
     cols: dict = {}
     for m in sorted(fam_masks, reverse=True):
         active.append(instance_row(u, (BIGB, 0, m, 0), cols, "spanning-value"))
-    active += _anchor_rows(w_cls, s_cls)
+    active += storage_and_bandwidth_caps(u)
     sigs = {r.signature() for r in active}
 
     # Monotonicity instances are cheap (two nonzeros) and prune most of the
@@ -406,9 +358,7 @@ def _try_pool_active(
                 if lam != 0 and i >= n_box
             )
 
-        den = 1
-        for v in sol.primal.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
+        den = math.lcm(*(v.denominator for v in sol.primal.values()))
         val = {0: 0, BIGB: int(sol.primal[BIGB] * den)}
         for col, v in sol.primal.items():
             if isinstance(col, EntropyClass):
@@ -442,18 +392,20 @@ def _try_pool_active(
 
 
 def _rungs(u: Universe, base, max_depth: int, family_cap: int):
-    """The ladder over a row's base classes: (family, elementals, pair
-    anchors, reported depth) per rung, and whether a closure round hit
-    the family cap."""
-    rungs = [(frozenset(base), False, None, 1), (frozenset(base), True, None, 1)]
+    """The ladder over a row's base classes: (family, elemental bases,
+    pair anchors, reported depth) per rung, and whether a closure round
+    hit the family cap.  Every rung but the first takes the elementals
+    grown from the empty set and from each base class."""
+    bases = (0, *sorted(base, reverse=True))
+    rungs = [(frozenset(base), (), None, 1), (frozenset(base), bases, None, 1)]
     fam = set(base)
     for gen in range(1, max_depth):
         prev = frozenset(fam)
         fam, done = closure_round(u, fam, family_cap)
         if not done:
             return rungs, True
-        rungs.append((frozenset(fam), True, prev, gen + 1))
-        rungs.append((frozenset(fam), True, None, gen + 1))
+        rungs.append((frozenset(fam), bases, prev, gen + 1))
+        rungs.append((frozenset(fam), bases, None, gen + 1))
     return rungs, False
 
 
@@ -463,13 +415,12 @@ def check_row(
     index: int,
     max_depth: int = DEFAULT_MAX_DEPTH,
     family_cap: int = FAMILY_CAP,
-    _ctx: dict | None = None,
 ) -> RowCheck:
     """Verify one coefficient row as an information inequality.
 
     The search family starts from the row's own term classes plus the
-    canonical single-node and single-message classes, then grows by
-    closure rounds up to max_depth generations.  Valid rows report the
+    classes of the two capacity rows (one node, one message), then grows
+    by closure rounds up to max_depth generations.  Valid rows report the
     generation that certified them and a rational witness; rows that
     exhaust the ladder come back unverified (never invalid).
     """
@@ -477,35 +428,23 @@ def check_row(
         raise CertificateError(f"row index {index} out of range")
     if max_depth < 1:
         raise CertificateError("max_depth must be at least 1")
-    ctx = _ctx if _ctx is not None else {}
-    if "term_cols" not in ctx:
-        ctx["term_cols"] = term_columns(u, cert)
-        ctx["pool"] = {}
-    term_cols = ctx["term_cols"]
 
     row = cert.rows[index]
+    term_cols = {
+        key: _term_column(u, cert.terms[key]) for key in row if key not in RESERVED_COLUMNS
+    }
     expr = _row_expr(row, term_cols)
-    w_cls = u.canon_class(u.closure_mask(u.var_bit(0)))
-    s_cls = u.canon_class(u.closure_mask(u.var_bit(index_for_token(u.n, "S1->2"))))
-
-    base = {w_cls.mask, s_cls.mask}
-    for key in row:
-        col = term_cols.get(key)
-        if isinstance(col, EntropyClass):
-            base.add(col.mask)
-    bases = [0] + sorted(base, reverse=True)
+    cols = list(term_cols.values())
+    for cap in storage_and_bandwidth_caps(u):
+        cols += cap.coeffs
+    base = {col.mask for col in cols if isinstance(col, EntropyClass)}
     rungs, capped = _rungs(u, base, max_depth, family_cap)
 
     depth_seen = 1
-    for fam_masks, elem, anchors, depth in rungs:
+    for fam_masks, bases, anchors, depth in rungs:
         depth_seen = depth
-        if len(fam_masks) <= 24:
-            pool = _pool(u, fam_masks, elem, anchors, bases, ctx["pool"])
-            witness = _try_pool(u, pool, fam_masks, expr, w_cls, s_cls)
-        else:
-            witness = _try_pool_active(
-                u, fam_masks, elem, anchors, bases, expr, w_cls, s_cls, ctx
-            )
+        search = _try_pool if len(fam_masks) <= 24 else _try_pool_active
+        witness = search(u, fam_masks, anchors, bases, expr)
         if witness is not None:
             return RowCheck(index, "valid", depth, witness)
     detail = "family size cap exceeded" if capped else "pool exhausted"
@@ -565,9 +504,8 @@ def verify(
     if not sum_ok or meaning is None:
         return VerifyReport("INVALID", sum_ok, meaning, [], diagnostics)
 
-    ctx: dict = {}
     row_status = [
-        check_row(u, cert, i, max_depth=max_depth, family_cap=family_cap, _ctx=ctx)
+        check_row(u, cert, i, max_depth=max_depth, family_cap=family_cap)
         for i in range(len(cert.rows))
     ]
     bad_rows = [rc.index for rc in row_status if rc.status != "valid"]

@@ -19,13 +19,8 @@ ALPHA = "alpha"
 BETA = "beta"
 BIGB = "B"
 
-KIND_ORDER = {
-    "storage-cap": 0,
-    "bandwidth-cap": 1,
-    "spanning-value": 2,
-    "monotonicity": 3,
-    "submodularity": 4,
-}
+# pool order: per-class spanning rows, then monotonicity, then submodularity
+KIND_ORDER = {"spanning-value": 0, "monotonicity": 1, "submodularity": 2}
 
 
 def column_key(col) -> tuple:
@@ -59,10 +54,6 @@ class LinExpr:
             (c * values.get(col, Fraction(0)) for col, c in self.coeffs.items()),
             Fraction(0),
         )
-
-    def scaled(self, factor) -> "LinExpr":
-        f = Fraction(factor)
-        return LinExpr({c: v * f for c, v in self.coeffs.items() if v * f != 0}, self.kind)
 
     def __repr__(self) -> str:
         parts = []
@@ -108,31 +99,6 @@ def storage_and_bandwidth_caps(u: Universe) -> list[LinExpr]:
         LinExpr({ALPHA: Fraction(1), w1: Fraction(-1)}, "storage-cap"),
         LinExpr({BETA: Fraction(1), s12: Fraction(-1)}, "bandwidth-cap"),
     ]
-
-
-def _require_closed(u: Universe, mask: int):
-    if u.closure_mask(mask) != mask:
-        raise ValueError("argument set is not dependency-closed")
-
-
-def submodularity(u: Universe, a, b) -> LinExpr:
-    """H(a) + H(b) - H(a|b union) - H(a&b) >= 0 for closed a, b."""
-    ma, mb = u.mask_of(a), u.mask_of(b)
-    _require_closed(u, ma)
-    _require_closed(u, mb)
-    desc = tuple(_key(u, m) for m in (ma, mb, u.closure_mask(ma | mb), ma & mb))
-    return instance_row(u, desc, {}, "submodularity")
-
-
-def monotonicity(u: Universe, a, b) -> LinExpr:
-    """H(b) - H(a) >= 0 for closed a subseteq b."""
-    ma, mb = u.mask_of(a), u.mask_of(b)
-    _require_closed(u, ma)
-    _require_closed(u, mb)
-    if ma & ~mb:
-        raise ValueError("monotonicity needs a subseteq b")
-    kind = "spanning-value" if mb == u.full_mask else "monotonicity"
-    return instance_row(u, (_key(u, mb), 0, _key(u, ma), 0), {}, kind)
 
 
 def instances(u: Universe, fam_masks, anchors=None, bases=()):
@@ -192,47 +158,36 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
                 yield (kx, ky, kxy, c_mask)
 
 
-def enumerate_rows(
-    u: Universe,
-    classes,
-    include_elementals: bool = False,
-    include_caps: bool = True,
-    anchor_masks=None,
-    elemental_bases=None,
-) -> list[LinExpr]:
-    """Deterministic, deduplicated constraint pool over a class family.
+def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinExpr]:
+    """Deterministic, deduplicated constraint pool over a family of
+    canonical class masks (EntropyClass members are read by their mask).
 
-    Emits the two caps, H(A) >= 0 and BIGB - H(A) >= 0 per class, and the
-    rows of every descriptor that ``instances`` generates over the
-    family.  Elementals are included only with include_elementals; their
-    bases default to the whole family plus the empty set, and
-    elemental_bases narrows them.  The pool never references a class it
-    was not given.
+    Emits H(A) >= 0 and BIGB - H(A) >= 0 per class and the rows of every
+    descriptor that ``instances`` generates over the family, with the
+    elementals of the given bases only; the capacity rows are not
+    included.  The pool never references a class it was not given.
 
-    anchor_masks, when given, restricts submodularity to pairs touching
-    that mask set: a cheap middle rung for verification ladders where
-    the family grew by a closure round but witnesses still involve at
-    least one original class.
+    anchors, when given, restricts submodularity to pairs touching that
+    mask set: a cheap middle rung for verification ladders where the
+    family grew by a closure round but witnesses still involve at least
+    one original class.
     """
-    fam_masks = sorted({cls.mask for cls in classes}, reverse=True)
+    fam_masks = sorted(
+        {m.mask if isinstance(m, EntropyClass) else m for m in fam_masks}, reverse=True
+    )
     for m in fam_masks:
         if m == 0 or m == u.full_mask:
             raise ValueError("family must hold proper nonempty classes")
         if u.canon_mask(m) != m:
             raise ValueError("family members must be canonical classes")
-    anchors = None if anchor_masks is None else set(anchor_masks)
-    bases = ()
-    if include_elementals:
-        if elemental_bases is None:
-            bases = [0] + fam_masks
-        else:
-            bases = sorted(set(elemental_bases), reverse=True)
-            allowed = set(fam_masks) | {0, u.full_mask}
-            if any(c not in allowed for c in bases):
-                raise ValueError("elemental bases must come from the family")
+    bases = sorted(set(bases), reverse=True)
+    allowed = set(fam_masks) | {0, u.full_mask}
+    if any(c not in allowed for c in bases):
+        raise ValueError("elemental bases must come from the family")
+    anchors = None if anchors is None else set(anchors)
 
     cols: dict = {}
-    rows: list[LinExpr] = storage_and_bandwidth_caps(u) if include_caps else []
+    rows: list[LinExpr] = []
     for m in fam_masks:
         rows.append(instance_row(u, (m, 0, 0, 0), cols, "monotonicity"))
         rows.append(instance_row(u, (BIGB, 0, m, 0), cols, "spanning-value"))
@@ -247,5 +202,5 @@ def enumerate_rows(
         if sig not in seen:
             seen[sig] = row
     out = list(seen.values())
-    out.sort(key=lambda r: (KIND_ORDER.get(r.kind, 9), r.signature()))
+    out.sort(key=lambda r: (KIND_ORDER[r.kind], r.signature()))
     return out

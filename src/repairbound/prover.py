@@ -20,7 +20,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .certificate import Certificate, CertificateError, check_sum, verify
-from .instance import ALPHA, BETA, BIGB, column_key, enumerate_rows
+from .instance import (
+    ALPHA,
+    BETA,
+    BIGB,
+    column_key,
+    enumerate_rows,
+    storage_and_bandwidth_caps,
+)
 from .ratlp import LPError, LPProblem, LPRow, solve
 from .universe import EntropyClass, Universe, closure_round, index_for_token
 
@@ -33,14 +40,13 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """A set of canonical entropy classes with provenance tags.
+    """A set of canonical entropy classes.
 
     Spanning sets are never stored; they are represented by the
     reserved spanning column wherever a constraint touches one.
     """
 
     classes: frozenset
-    provenance: dict
 
     def sorted_classes(self) -> list:
         return sorted(self.classes, key=column_key)
@@ -97,18 +103,15 @@ def default_family(
     """
     if depth < 0:
         raise FamilyError("depth must be nonnegative")
-    tags: dict = {}
+    masks: set = set()
 
-    def add(mask: int, tag: str) -> None:
+    def add(mask: int) -> None:
         closed = u.closure_mask(mask)
-        if closed == u.full_mask:
-            return
-        cls = u.canon_class(closed)
-        if cls not in tags:
-            tags[cls] = tag
+        if closed != u.full_mask:
+            masks.add(u.canon_mask(closed))
 
     for v in range(u.num_vars):
-        add(u.var_bit(v), "singleton")
+        add(u.var_bit(v))
 
     node_sets = []
     for bits in range(1, 1 << u.n):
@@ -117,7 +120,7 @@ def default_family(
             if bits >> i & 1:
                 mask |= u.var_bit(i)
         node_sets.append((bits, mask))
-        add(mask, "node-subsets")
+        add(mask)
 
     for bits, mask in node_sets:
         for j in range(u.n):
@@ -125,29 +128,24 @@ def default_family(
                 continue
             for i in range(u.n):
                 if i != j and not bits >> i & 1:
-                    add(mask | u.var_bit(u.n + i * (u.n - 1) + (j if j < i else j - 1)), "helper-augmented")
+                    add(mask | u.var_bit(u.n + i * (u.n - 1) + (j if j < i else j - 1)))
 
     for vars_ in seeds:
         add(
             u.mask_of(
                 index_for_token(u.n, t) if isinstance(t, str) else t for t in vars_
-            ),
-            "seed",
+            )
         )
 
-    if len(tags) > cap:
-        raise FamilyError(f"family size cap exceeded by {len(tags)} base classes")
+    if len(masks) > cap:
+        raise FamilyError(f"family size cap exceeded by {len(masks)} base classes")
 
-    masks = {cls.mask for cls in tags}
     for round_no in range(1, depth + 1):
-        grown, completed = closure_round(u, masks, cap)
+        masks, completed = closure_round(u, masks, cap)
         if not completed:
             raise FamilyError(f"family size cap exceeded in closure round {round_no}")
-        for m in sorted(grown - masks, reverse=True):
-            tags[u.canon_class(m)] = f"closure-depth-{round_no}"
-        masks = grown
 
-    return SubsetFamily(frozenset(tags), tags)
+    return SubsetFamily(frozenset(EntropyClass(u.n, u.k, m) for m in masks))
 
 
 def _check_direction(direction) -> tuple:
@@ -166,7 +164,7 @@ def build_lp(u: Universe, fam: SubsetFamily, direction) -> LPProblem:
     if not fam.classes:
         raise FamilyError("empty family")
     lprows = []
-    for e in enumerate_rows(u, fam.sorted_classes()):
+    for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam.sorted_classes()):
         coeffs = {c: v for c, v in e.coeffs.items() if c != BIGB}
         lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, Fraction(0)), ">="))
     columns = [ALPHA, BETA] + fam.sorted_classes()
@@ -203,9 +201,7 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
                 reduced[col] = reduced.get(col, Fraction(0)) - lam * cv
     slack = {col: rc for col, rc in reduced.items() if rc}
 
-    lcm = 1
-    for q in (*sol.duals, *slack.values()):
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
+    lcm = math.lcm(*(q.denominator for q in (*sol.duals, *slack.values())))
     mults = [int(lam * lcm) for lam in sol.duals]
     smults = {col: int(rc * lcm) for col, rc in slack.items()}
     g = 0

@@ -164,18 +164,6 @@ class _Simplex:
         self.basis_set.add(enter)
         self.basis[leave] = enter
 
-    def _price_bland(self, cost, y, ban_art):
-        for j in range(len(self.svars)):
-            if j in self.basis_set or (ban_art and self.is_art[j]):
-                continue
-            rc = cost[j]
-            for i, v in self.cols[j]:
-                if y[i]:
-                    rc -= y[i] * v
-            if rc < 0:
-                return j
-        return -1
-
     def _price_partial(self, cost, y, ban_art, start, batch):
         """Most negative reduced cost among the first `batch` eligible
         negatives met on a cyclic scan from `start`; ties to lowest index."""
@@ -213,8 +201,8 @@ class _Simplex:
         bland = False
         while True:
             y = self._duals(cost)
-            if bland:
-                enter = self._price_bland(cost, y, ban_art)
+            if bland:  # Bland's rule: the lowest-index improving column
+                enter = self._price_partial(cost, y, ban_art, 0, 1)
             else:
                 enter = self._price_partial(cost, y, ban_art, start, batch)
             if enter < 0:
@@ -337,6 +325,23 @@ def dualize(lp: LPProblem) -> LPProblem:
     return LPProblem(cols, objective, rows, nonneg)
 
 
+def _dual_answer(lp: LPProblem, sx: _Simplex, cost) -> LPSolution:
+    """The answer to lp read off an optimal basis of dualize(lp): the
+    dual's primal values are lp's duals and its duals are lp's primal.
+    Certified against lp itself before return."""
+    duals = [ZERO] * len(lp.rows)
+    for r in range(sx.m):
+        kind, payload, sgn = sx.svars[sx.basis[r]]
+        if kind == "col":
+            duals[payload[1]] += sgn * sx.xb[r]
+    y = sx._duals(cost)
+    primal = {col: y[p] * sx.rsign[p] for p, col in enumerate(lp.columns)}
+    sol = LPSolution("optimal", -sx.objective_value(cost), primal, duals)
+    if not check_duals(lp, sol):
+        raise LPError("dual-orientation certificate check failed")
+    return sol
+
+
 class IncrementalDualSolver:
     """Row generation with a warm basis: minimize a fixed objective over
     an append-only set of rows.
@@ -383,19 +388,7 @@ class IncrementalDualSolver:
         sx = self._sx
         if sx.run(self._cost, ban_art=True) != "optimal":
             raise LPError("infeasible stage in incremental solver")
-        dval = sx.objective_value(self._cost)
-        ydual = {}
-        for r in range(sx.m):
-            kind, payload, sgn = sx.svars[sx.basis[r]]
-            if kind == "col":
-                ydual[payload[1]] = ydual.get(payload[1], ZERO) + sgn * sx.xb[r]
-        duals = [ydual.get(i, ZERO) for i in range(len(self._plp.rows))]
-        y = sx._duals(self._cost)
-        primal = {col: y[p] * sx.rsign[p] for p, col in enumerate(self._plp.columns)}
-        sol = LPSolution("optimal", -dval, primal, duals)
-        if not check_duals(self._plp, sol):
-            raise LPError("incremental certificate check failed")
-        return sol
+        return _dual_answer(self._plp, sx, self._cost)
 
 
 def solve(
@@ -414,15 +407,12 @@ def solve(
         return _solve_primal(lp)
     if orientation != "dual":
         raise LPError(f"unknown orientation {orientation!r}")
-    ds = _solve_primal(dualize(lp))
-    if ds.status == "optimal":
-        duals = [ds.primal[("y", i)] for i in range(len(lp.rows))]
-        primal = {col: ds.duals[j] for j, col in enumerate(lp.columns)}
-        sol = LPSolution("optimal", -ds.value, primal, duals)
-        if not check_duals(lp, sol):
-            raise LPError("dual-orientation certificate check failed")
-        return sol
-    if ds.status == "unbounded":
+    started = _phase1(dualize(lp))
+    if started is not None:
+        sx, cost = started
+        if sx.run(cost, ban_art=True) == "optimal":
+            return _dual_answer(lp, sx, cost)
+        # dual unbounded: the original is infeasible
         return LPSolution("infeasible", None, {}, [])
     # dual infeasible: original is unbounded if feasible at all
     if known_feasible:

@@ -30,9 +30,7 @@ class HalfPlane:
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         if a == 0 and b == 0:
             raise ValueError("degenerate half-plane (0, 0)")
-        lcm = 1
-        for q in (a, b, c):
-            lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
+        lcm = math.lcm(a.denominator, b.denominator, c.denominator)
         ia, ib, ic = int(a * lcm), int(b * lcm), int(c * lcm)
         g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic))
         ia, ib, ic = ia // g, ib // g, ic // g

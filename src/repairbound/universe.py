@@ -25,6 +25,9 @@ class UnsupportedConfiguration(ValueError):
     """Parameter combination outside the modeled (n, k, n-1) family."""
 
 
+# largest supported node count; see build_universe
+MAX_N = 6
+
 _TOKEN_RE = re.compile(r"^(?:W([1-9]\d*)|S([1-9]\d*)->([1-9]\d*))$")
 
 
@@ -244,6 +247,10 @@ def build_universe(n: int, k: int, d: int | None = None) -> Universe:
         raise UnsupportedConfiguration("n and k must be integers")
     if n < 3:
         raise UnsupportedConfiguration(f"n must be >= 3, got {n}")
+    if n > MAX_N:
+        # canonicalization tables grow as n!: n = 6 takes 36 MB, n = 9
+        # about a billion entries
+        raise UnsupportedConfiguration(f"n must be <= {MAX_N}, got {n}")
     if not 2 <= k <= n - 1:
         raise UnsupportedConfiguration(f"k must satisfy 2 <= k <= n-1, got {k}")
     if d is not None and d != n - 1:

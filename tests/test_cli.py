@@ -1,8 +1,9 @@
 import json
 from pathlib import Path
 
-from repairbound.certificate import load, parse, serialize
+from repairbound.certificate import Certificate, load, parse, serialize
 from repairbound.cli import main
+from repairbound.universe import Universe
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PROP1 = str(DATA / "prop1.cert.json")
@@ -48,6 +49,27 @@ def test_verify_report_file(capsys, tmp_path):
     assert payload["meaning"] == [15, 10, 6]
     assert len(payload["rows"]) == 13
     assert any(line.startswith("tool=repairbound") for line in payload["run-config"])
+
+
+def test_oversize_problem_exits_3_before_building_a_universe(capsys, tmp_path, monkeypatch):
+    # canonicalization tables grow as n!, so a 1 KB certificate declaring
+    # n = 9 would ask for about 1e9 entries; the guard fails the test
+    # instead of building one if the size check is ever missing
+    init = Universe.__init__
+
+    def guarded(self, n, k):
+        if n > 6:
+            raise AssertionError(f"Universe built for n={n}")
+        init(self, n, k)
+
+    monkeypatch.setattr(Universe, "__init__", guarded)
+    cert = Certificate(9, 8, 8, {"T1": ("W1",)}, [{"alpha": 1, "T1": -1}], {"alpha": 1, "T1": -1})
+    path = tmp_path / "n9.cert.json"
+    path.write_bytes(serialize(cert))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3 and out == "" and "n must be <= 6, got 9" in err
+    code, out, err = run(capsys, "solve", "--n", "7", "--k", "6", "--dir", "1,0")
+    assert code == 3 and out == "" and "n must be <= 6, got 7" in err
 
 
 def test_verify_io_errors(capsys, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repairbound.ratlp import (
+    IncrementalDualSolver,
     LPError,
     LPProblem,
     LPRow,
@@ -227,3 +228,35 @@ def test_dualize_round_trip_value():
         ds = solve(dualize(lp), orientation="primal")
         assert ds.status == "optimal"
         assert ds.value == -sol.value
+
+
+def test_incremental_solver_matches_cold_dual_solve():
+    # verifier-shaped problems: the box 0 <= x <= 1 plus random homogeneous
+    # rows, appended in batches; every stage's answer is certified against
+    # the rows given so far, and the last one matches a cold solve
+    rng = random.Random(4711)
+    zero_optimum = set()
+    for _ in range(40):
+        cols = [f"c{i}" for i in range(rng.randrange(2, 7))]
+        objective = {c: F(rng.randrange(-4, 5)) for c in cols}
+        box = [LPRow({c: F(-1)}, F(1)) for c in cols]
+        rows = [
+            LPRow({c: F(rng.randrange(-3, 4)) for c in cols if rng.random() < 0.6})
+            for _ in range(rng.randrange(1, 16))
+        ]
+        done = rng.randrange(0, len(rows) + 1)
+        solver = IncrementalDualSolver(cols, objective, box + rows[:done], set(cols))
+        while True:
+            sol = solver.solve()
+            assert check_duals(LPProblem(cols, objective, box + rows[:done], set(cols)), sol)
+            if done == len(rows):
+                break
+            step = rng.randrange(1, 5)
+            solver.add_rows(rows[done : done + step])
+            done = min(done + step, len(rows))
+        cold = solve(LPProblem(cols, objective, box + rows, set(cols)), orientation="dual")
+        assert (sol.status, sol.value) == (cold.status, cold.value)
+        zero_optimum.add(sol.value == 0)
+    # x = 0 is always feasible: the sample holds both a zero optimum (a
+    # cone witness exists) and a negative one
+    assert zero_optimum == {True, False}

@@ -68,6 +68,8 @@ def test_build_universe_rejects_bad_parameters():
         build_universe(5, 5)
     with pytest.raises(UnsupportedConfiguration):
         build_universe(5, 4, d=3)
+    with pytest.raises(UnsupportedConfiguration, match="n must be <= 6"):
+        build_universe(7, 6)
     build_universe(5, 4, d=4)
 
 

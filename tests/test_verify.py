@@ -6,7 +6,6 @@ import pytest
 from repairbound.certificate import (
     Certificate,
     CertificateError,
-    _pool,
     _row_expr,
     _rungs,
     _try_pool,
@@ -163,17 +162,12 @@ def test_full_pool_and_active_set_rungs_agree():
                 for key in row
                 if isinstance(term_cols.get(key), EntropyClass)
             }
-            bases = [0] + sorted(base, reverse=True)
             rungs, _ = _rungs(u, base, 2, 5000)
-            ctx = {"pool": {}}
-            for fam, elem, anchors, depth in rungs:
+            for fam, bases, anchors, depth in rungs:
                 if len(fam) > 24:
                     continue
-                pool = _pool(u, fam, elem, anchors, bases, ctx["pool"])
-                full = _try_pool(u, pool, fam, expr, w_cls, s_cls)
-                active = _try_pool_active(
-                    u, fam, elem, anchors, bases, expr, w_cls, s_cls, ctx
-                )
+                full = _try_pool(u, fam, anchors, bases, expr)
+                active = _try_pool_active(u, fam, anchors, bases, expr)
                 assert (full is None) == (active is None), (name, index, depth)
                 for witness in (full, active):
                     if witness is not None:
