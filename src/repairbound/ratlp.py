@@ -2,24 +2,35 @@
 
 Minimizes a sparse rational objective over rows of the form
 ``coeffs . x + const >= 0`` (or ``= 0``) with a declared set of
-nonnegative columns.  Everything runs on fractions.Fraction; an optimal
-answer is accepted only after an exact certificate check (primal
-feasibility, dual feasibility, equal objective values), so a returned
-"optimal" is a proof, not an estimate.
+nonnegative columns.  An optimal answer is accepted only after an exact
+certificate check in fractions.Fraction (primal feasibility, dual
+feasibility, equal objective values), so a returned "optimal" is a
+proof, not an estimate.
 
-The solver is a two-phase revised simplex with a dense basis inverse.
-Bland's rule (lowest eligible index enters, ratio ties broken by lowest
-basic index) keeps runs deterministic and cycle-free.  Problems with far
-more rows than columns are solved through their explicit dual, whose
-simplex basis stays small; the mapping back is exact either way.
+The solver is a two-phase revised simplex over Python integers.  Each
+standard-form row is scaled once by the lcm of its denominators, and the
+basis inverse is kept fraction-free (Edmonds 1967; Bareiss 1968) as the
+integer matrix ``M = D·B⁻¹`` over one common denominator
+``D = |det B|``, updated by exact integer division at every pivot.
+Pricing and ratio tests compare integers, so each pivot is the one exact
+rational arithmetic would choose; fractions appear only where an answer
+is read back.  Partial most-negative pricing with a Bland interlude
+(lowest eligible index enters, ratio ties broken by lowest basic index)
+keeps runs deterministic and cycle-free.  Problems with far more rows
+than columns are solved through their explicit dual, whose simplex basis
+stays small; the mapping back is exact either way.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 ZERO = Fraction(0)
+
+log = logging.getLogger("repairbound.ratlp")
 
 
 class LPError(ValueError):
@@ -68,108 +79,157 @@ def _validate(lp: LPProblem):
 
 
 class _Simplex:
-    """Standard-form carrier: columns split/slacked/artificialized,
-    right-hand sides normalized nonnegative."""
+    """Standard form of an LPProblem and a simplex basis over it, in
+    integers.
+
+    Columns are split (free), slacked (``>=`` rows) and artificialized.
+    Row i is signed by ``rsign[i]`` so its right-hand side is nonnegative
+    and scaled by ``rscale[i] > 0`` so its entries are integers.  The
+    basis is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both integer, with
+    ``D = |det B|``.  ``cost`` is the phase-2 cost times ``cscale``, in
+    integers; it stays None when the problem is infeasible.
+    """
 
     def __init__(self, lp: LPProblem):
-        self.lp = lp
         m = len(lp.rows)
         self.m = m
         self.svars = []  # (kind, payload, sign); kind: col | slack | art
-        self.col_map = {}
+        col_map = {}
         for col in lp.columns:
             if col in lp.nonneg:
-                self.col_map[col] = [(len(self.svars), 1)]
+                col_map[col] = [(len(self.svars), 1)]
                 self.svars.append(("col", col, 1))
             else:
-                self.col_map[col] = [(len(self.svars), 1), (len(self.svars) + 1, -1)]
+                col_map[col] = [(len(self.svars), 1), (len(self.svars) + 1, -1)]
                 self.svars.append(("col", col, 1))
                 self.svars.append(("col", col, -1))
-        b0 = [-Fraction(r.const) for r in lp.rows]
-        self.rsign = [1 if v >= 0 else -1 for v in b0]
-        self.b = [v if v >= 0 else -v for v in b0]
         cols = [[] for _ in self.svars]
+        self.rsign, self.rscale, b = [], [], []
         for i, r in enumerate(lp.rows):
-            s = self.rsign[i]
-            for col, v in r.coeffs.items():
-                fv = Fraction(v)
-                if not fv:
-                    continue
-                for j, sgn in self.col_map[col]:
-                    cols[j].append((i, fv * s * sgn))
+            rhs = -Fraction(r.const)
+            coeffs = {col: Fraction(v) for col, v in r.coeffs.items()}
+            s = 1 if rhs >= 0 else -1
+            scale = math.lcm(rhs.denominator, *(fv.denominator for fv in coeffs.values()))
+            self.rsign.append(s)
+            self.rscale.append(scale)
+            b.append(int(rhs * s * scale))
+            for col, fv in coeffs.items():
+                if fv:
+                    iv = int(fv * s * scale)
+                    for j, sgn in col_map[col]:
+                        cols[j].append((i, iv * sgn))
         slack_coeff = {}
         for i, r in enumerate(lp.rows):
             if r.rel == ">=":
                 j = len(self.svars)
-                slack_coeff[i] = (j, Fraction(-self.rsign[i]))
+                slack_coeff[i] = (j, -self.rsign[i] * self.rscale[i])
                 self.svars.append(("slack", i, 1))
-                cols.append([(i, Fraction(-self.rsign[i]))])
+                cols.append([(i, slack_coeff[i][1])])
+        # the starting basis is diagonal: M is its adjugate up to sign
+        self.D = math.prod(self.rscale)
         self.basis = [-1] * m
-        self.Binv = [[ZERO] * m for _ in range(m)]
-        self.xb = list(self.b)
+        self.M = [[0] * m for _ in range(m)]
+        self.xb = [0] * m
         for i in range(m):
             sc = slack_coeff.get(i)
-            if sc is not None and (sc[1] > 0 or self.b[i] == 0):
+            if sc is not None and (sc[1] > 0 or b[i] == 0):
                 j, coeff = sc
-                self.basis[i] = j
-                self.Binv[i][i] = Fraction(1) / coeff
-                self.xb[i] = self.b[i] / coeff
             else:
-                j = len(self.svars)
+                j, coeff = len(self.svars), self.rscale[i]
                 self.svars.append(("art", i, 1))
-                cols.append([(i, Fraction(1))])
-                self.basis[i] = j
-                self.Binv[i][i] = Fraction(1)
+                cols.append([(i, coeff)])
+            self.basis[i] = j
+            self.M[i][i] = self.D // coeff
+            self.xb[i] = self.D // coeff * b[i]
         self.cols = cols
         self.is_art = [v[0] == "art" for v in self.svars]
         self.basis_set = set(self.basis)
+        self.cost = None
+        self.cscale = 1
+        self.reset_counts()
+
+    def reset_counts(self):
+        """Start the deterministic counters: pivots, degenerate pivots,
+        switches to Bland's rule, and the largest bit length of D."""
+        self.pivots = self.degenerate = self.bland_switches = 0
+        self.det_bits = self.D.bit_length()
 
     def _duals(self, cost):
-        m = self.m
-        y = [ZERO] * m
-        for r in range(m):
-            cb = cost[self.basis[r]]
+        """cost_B·M, an integer vector."""
+        y = [0] * self.m
+        for j, row in zip(self.basis, self.M):
+            cb = cost[j]
             if cb:
-                row = self.Binv[r]
-                for i in range(m):
-                    if row[i]:
-                        y[i] += cb * row[i]
+                for i, w in enumerate(row):
+                    if w:
+                        y[i] += cb * w
         return y
 
     def _column_in_basis_frame(self, j):
-        u = [ZERO] * self.m
+        """M·a_j, an integer vector."""
+        u = [0] * self.m
         for i, v in self.cols[j]:
-            for r in range(self.m):
-                w = self.Binv[r][i]
+            for r, row in enumerate(self.M):
+                w = row[i]
                 if w:
                     u[r] += w * v
         return u
 
     def _pivot(self, leave, enter, u):
-        piv = u[leave]
-        row = self.Binv[leave]
-        self.Binv[leave] = [v / piv for v in row]
-        self.xb[leave] = self.xb[leave] / piv
-        newrow = self.Binv[leave]
-        newx = self.xb[leave]
-        for i in range(self.m):
+        """Bareiss step on p = u[leave]: row `leave` keeps its integers,
+        every other row i becomes (p·M[i] − u[i]·M[leave]) / D, exactly,
+        and D becomes p; all three flip sign when p < 0."""
+        M, xb, d = self.M, self.xb, self.D
+        lrow, lx = M[leave], xb[leave]
+        p = u[leave]
+        if p < 0:
+            p = -p
+            u = [-f for f in u]
+            M[leave] = [-a for a in lrow]
+            xb[leave] = -lx
+        for i, f in enumerate(u):
             if i == leave:
                 continue
-            f = u[i]
             if f:
-                cur = self.Binv[i]
-                self.Binv[i] = [a - f * bb for a, bb in zip(cur, newrow)]
-                self.xb[i] -= f * newx
+                M[i] = [(p * a - f * c) // d for a, c in zip(M[i], lrow)]
+                xb[i] = (p * xb[i] - f * lx) // d
+            elif p != d:
+                M[i] = [p * a // d for a in M[i]]
+                xb[i] = p * xb[i] // d
+        self.D = p
+        self.pivots += 1
+        if not lx:
+            self.degenerate += 1
+        self.det_bits = max(self.det_bits, p.bit_length())
         self.basis_set.discard(self.basis[leave])
         self.basis_set.add(enter)
         self.basis[leave] = enter
 
+    def scale_row(self, p, t):
+        """Multiply standard-form row p by the integer t > 0.  B⁻¹ loses
+        the factor t on its column p and D = |det B| gains it, so M gains
+        t on every other column and xb gains t."""
+        for col in self.cols:
+            for k, (i, v) in enumerate(col):
+                if i == p:
+                    col[k] = (i, v * t)
+        for row in self.M:
+            keep = row[p]
+            row[:] = [a * t for a in row]
+            row[p] = keep
+        self.xb[:] = [x * t for x in self.xb]
+        self.D *= t
+        self.rscale[p] *= t
+        self.det_bits = max(self.det_bits, self.D.bit_length())
+
     def _price_partial(self, cost, y, ban_art, start, batch):
         """Most negative reduced cost among the first `batch` eligible
-        negatives met on a cyclic scan from `start`; ties to lowest index."""
+        negatives met on a cyclic scan from `start`; ties to lowest index.
+        Reduced costs are compared as cost_j·D − y·a_j."""
         nv = len(self.svars)
+        d = self.D
         enter = -1
-        best = ZERO
+        best = 0
         seen = 0
         for off in range(nv):
             j = start + off
@@ -177,7 +237,7 @@ class _Simplex:
                 j -= nv
             if j in self.basis_set or (ban_art and self.is_art[j]):
                 continue
-            rc = cost[j]
+            rc = cost[j] * d
             for i, v in self.cols[j]:
                 if y[i]:
                     rc -= y[i] * v
@@ -199,6 +259,7 @@ class _Simplex:
         start = 0
         stall = 0
         bland = False
+        xb, basis = self.xb, self.basis
         while True:
             y = self._duals(cost)
             if bland:  # Bland's rule: the lowest-index improving column
@@ -209,95 +270,122 @@ class _Simplex:
                 return "optimal"
             start = enter + 1
             u = self._column_in_basis_frame(enter)
+            # the least ratio xb[r]/u[r] over u[r] > 0, by cross products
             leave = -1
-            best = None
-            for r in range(self.m):
-                if u[r] > 0:
-                    ratio = self.xb[r] / u[r]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leave])
-                    ):
-                        best = ratio
+            for r, ur in enumerate(u):
+                if ur > 0:
+                    if leave < 0:
+                        leave = r
+                        continue
+                    lhs, rhs = xb[r] * u[leave], xb[leave] * ur
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                         leave = r
             if leave < 0:
                 return "unbounded"
+            degenerate = not xb[leave]
             self._pivot(leave, enter, u)
-            if best == 0:
+            if degenerate:
                 stall += 1
-                if stall > stall_limit:
+                if stall > stall_limit and not bland:
                     bland = True
+                    self.bland_switches += 1
             else:
                 stall = 0
                 bland = False
 
-    def objective_value(self, cost):
-        return sum(
-            (cost[self.basis[r]] * self.xb[r] for r in range(self.m)), ZERO
-        )
+    def artificial_positive(self):
+        """True when some artificial is basic at a nonzero value."""
+        return any(x for j, x in zip(self.basis, self.xb) if self.is_art[j])
 
     def drive_out_artificials(self):
         for r in range(self.m):
             if not self.is_art[self.basis[r]]:
                 continue
-            basis_set = set(self.basis)
-            row = self.Binv[r]
+            row = self.M[r]
             for j in range(len(self.svars)):
-                if j in basis_set or self.is_art[j]:
+                if j in self.basis_set or self.is_art[j]:
                     continue
-                ur = ZERO
-                for i, v in self.cols[j]:
-                    if row[i]:
-                        ur += row[i] * v
-                if ur != 0:
+                if sum(row[i] * v for i, v in self.cols[j]):
                     # degenerate pivot: the artificial sits at zero, so
                     # the basic solution is unchanged
                     self._pivot(r, j, self._column_in_basis_frame(j))
                     break
 
+    # -- answers, read back in fractions ----------------------------------
 
-def _phase1(lp: LPProblem):
+    def value(self):
+        """The phase-2 objective at the current basis."""
+        num = sum(self.cost[j] * x for j, x in zip(self.basis, self.xb))
+        return Fraction(num, self.D * self.cscale)
+
+    def basic_columns(self):
+        """(payload, signed value) of every basic structural column."""
+        for j, x in zip(self.basis, self.xb):
+            kind, payload, sgn = self.svars[j]
+            if kind == "col":
+                yield payload, Fraction(sgn * x, self.D)
+
+    def duals(self):
+        """The phase-2 simplex multipliers, one per row of the problem,
+        in the units of its sign-normalized rows."""
+        den = self.D * self.cscale
+        return [Fraction(z * s, den) for z, s in zip(self._duals(self.cost), self.rscale)]
+
+
+def _phase1(lp: LPProblem) -> _Simplex:
     """Standard form of lp at a feasible basis with the artificials
-    driven out, and the phase-2 cost vector; None when lp is infeasible."""
+    driven out and the phase-2 cost set; the cost stays None when lp is
+    infeasible."""
     sx = _Simplex(lp)
-    cost1 = [Fraction(1) if sx.is_art[j] else ZERO for j in range(len(sx.svars))]
-    if any(sx.is_art[j] for j in sx.basis) and sx.objective_value(cost1) != 0:
-        status = sx.run(cost1, ban_art=False)
+    if sx.artificial_positive():
+        status = sx.run([int(a) for a in sx.is_art], ban_art=False)
         if status != "optimal":  # phase 1 is bounded below by zero
             raise LPError("phase-1 anomaly")
-        if sx.objective_value(cost1) != 0:
-            return None
+        if sx.artificial_positive():
+            return sx
     sx.drive_out_artificials()
-    cost2 = [ZERO] * len(sx.svars)
+    cost = [ZERO] * len(sx.svars)
     for j, (kind, payload, sgn) in enumerate(sx.svars):
         if kind == "col":
             c = Fraction(lp.objective.get(payload, 0))
             if c:
-                cost2[j] = sgn * c
-    return sx, cost2
+                cost[j] = sgn * c
+    sx.cscale = math.lcm(*(c.denominator for c in cost))
+    sx.cost = [int(c * sx.cscale) for c in cost]
+    return sx
 
 
-def _solve_primal(lp: LPProblem) -> LPSolution:
-    started = _phase1(lp)
-    if started is None:
-        return LPSolution("infeasible", None, {}, [])
-    sx, cost2 = started
-    status = sx.run(cost2, ban_art=True)
-    if status == "unbounded":
-        return LPSolution("unbounded", None, {}, [])
-    value = sx.objective_value(cost2)
+def _log_counts(what: str, lp: LPProblem, runs):
+    """One DEBUG line with the counters of the simplex runs behind an answer."""
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "%s: %d rows, %d columns, %d pivots (%d degenerate), "
+            "%d Bland switches, determinant bits %d",
+            what,
+            len(lp.rows),
+            len(lp.columns),
+            sum(sx.pivots for sx in runs),
+            sum(sx.degenerate for sx in runs),
+            sum(sx.bland_switches for sx in runs),
+            max(sx.det_bits for sx in runs),
+        )
+
+
+def _solve_primal(lp: LPProblem):
+    """lp's answer and the simplex that found it."""
+    sx = _phase1(lp)
+    if sx.cost is None:
+        return LPSolution("infeasible", None, {}, []), sx
+    if sx.run(sx.cost, ban_art=True) == "unbounded":
+        return LPSolution("unbounded", None, {}, []), sx
     primal = {col: ZERO for col in lp.columns}
-    for r in range(sx.m):
-        kind, payload, sgn = sx.svars[sx.basis[r]]
-        if kind == "col":
-            primal[payload] += sgn * sx.xb[r]
-    y = sx._duals(cost2)
-    duals = [y[i] * sx.rsign[i] for i in range(sx.m)]
-    sol = LPSolution("optimal", value, primal, duals)
+    for col, v in sx.basic_columns():
+        primal[col] += v
+    duals = [y * s for y, s in zip(sx.duals(), sx.rsign)]
+    sol = LPSolution("optimal", sx.value(), primal, duals)
     if not check_duals(lp, sol):
         raise LPError("internal certificate check failed")
-    return sol
+    return sol, sx
 
 
 def dualize(lp: LPProblem) -> LPProblem:
@@ -325,18 +413,16 @@ def dualize(lp: LPProblem) -> LPProblem:
     return LPProblem(cols, objective, rows, nonneg)
 
 
-def _dual_answer(lp: LPProblem, sx: _Simplex, cost) -> LPSolution:
+def _dual_answer(lp: LPProblem, sx: _Simplex) -> LPSolution:
     """The answer to lp read off an optimal basis of dualize(lp): the
     dual's primal values are lp's duals and its duals are lp's primal.
     Certified against lp itself before return."""
     duals = [ZERO] * len(lp.rows)
-    for r in range(sx.m):
-        kind, payload, sgn = sx.svars[sx.basis[r]]
-        if kind == "col":
-            duals[payload[1]] += sgn * sx.xb[r]
-    y = sx._duals(cost)
+    for (_, i), v in sx.basic_columns():
+        duals[i] += v
+    y = sx.duals()
     primal = {col: y[p] * sx.rsign[p] for p, col in enumerate(lp.columns)}
-    sol = LPSolution("optimal", -sx.objective_value(cost), primal, duals)
+    sol = LPSolution("optimal", -sx.value(), primal, duals)
     if not check_duals(lp, sol):
         raise LPError("dual-orientation certificate check failed")
     return sol
@@ -359,10 +445,9 @@ class IncrementalDualSolver:
         self._plp = LPProblem(list(columns), dict(objective), list(rows), set(nonneg))
         _validate(self._plp)
         self._colpos = {col: p for p, col in enumerate(self._plp.columns)}
-        started = _phase1(dualize(self._plp))
-        if started is None:
+        self._sx = _phase1(dualize(self._plp))
+        if self._sx.cost is None:
             raise LPError("unbounded stage in incremental solver")
-        self._sx, self._cost = started
 
     def add_rows(self, rows):
         sx = self._sx
@@ -376,19 +461,25 @@ class IncrementalDualSolver:
                     p = self._colpos.get(col)
                     if p is None:
                         raise LPError(f"appended row references unknown column {col!r}")
-                    entries.append((p, -fv * sx.rsign[p]))
+                    e = -fv * sx.rsign[p] * sx.rscale[p]
+                    if e.denominator != 1:  # dual row p needs a larger scale
+                        sx.scale_row(p, e.denominator)
+                        e *= e.denominator
+                    entries.append((p, int(e)))
             i = len(self._plp.rows)
             self._plp.rows.append(r)
             sx.svars.append(("col", ("y", i), 1))
             sx.cols.append(entries)
             sx.is_art.append(False)
-            self._cost.append(ZERO)
+            sx.cost.append(0)
 
     def solve(self) -> LPSolution:
         sx = self._sx
-        if sx.run(self._cost, ban_art=True) != "optimal":
+        sx.reset_counts()
+        if sx.run(sx.cost, ban_art=True) != "optimal":
             raise LPError("infeasible stage in incremental solver")
-        return _dual_answer(self._plp, sx, self._cost)
+        _log_counts("incremental solve (dual)", self._plp, [sx])
+        return _dual_answer(self._plp, sx)
 
 
 def solve(
@@ -404,28 +495,33 @@ def solve(
             else "primal"
         )
     if orientation == "primal":
-        return _solve_primal(lp)
-    if orientation != "dual":
+        sol, sx = _solve_primal(lp)
+        runs = [sx]
+    elif orientation == "dual":
+        sx = _phase1(dualize(lp))
+        runs = [sx]
+        if sx.cost is not None:
+            if sx.run(sx.cost, ban_art=True) == "optimal":
+                sol = _dual_answer(lp, sx)
+            else:  # dual unbounded: the original is infeasible
+                sol = LPSolution("infeasible", None, {}, [])
+        elif known_feasible:  # dual infeasible: original is unbounded
+            sol = LPSolution("unbounded", None, {}, [])
+        else:  # ... if it is feasible at all
+            probe, psx = _solve_primal(LPProblem(lp.columns, {}, lp.rows, lp.nonneg))
+            runs.append(psx)
+            status = "unbounded" if probe.status == "optimal" else "infeasible"
+            sol = LPSolution(status, None, {}, [])
+    else:
         raise LPError(f"unknown orientation {orientation!r}")
-    started = _phase1(dualize(lp))
-    if started is not None:
-        sx, cost = started
-        if sx.run(cost, ban_art=True) == "optimal":
-            return _dual_answer(lp, sx, cost)
-        # dual unbounded: the original is infeasible
-        return LPSolution("infeasible", None, {}, [])
-    # dual infeasible: original is unbounded if feasible at all
-    if known_feasible:
-        return LPSolution("unbounded", None, {}, [])
-    probe = _solve_primal(LPProblem(lp.columns, {}, lp.rows, lp.nonneg))
-    if probe.status == "optimal":
-        return LPSolution("unbounded", None, {}, [])
-    return LPSolution("infeasible", None, {}, [])
+    _log_counts(f"solve ({orientation})", lp, runs)
+    return sol
 
 
 def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     """Exact and independent: primal feasibility, dual sign and
-    column-wise domination of the objective, and equal objective values."""
+    column-wise domination of the objective, and equal objective values,
+    all in one pass over the rows."""
     if sol.status != "optimal" or sol.value is None:
         return False
     if len(sol.duals) != len(lp.rows):
@@ -434,6 +530,8 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     for c in lp.nonneg:
         if x[c] < 0:
             return False
+    rc = {c: Fraction(lp.objective.get(c, 0)) for c in lp.columns}
+    dval = ZERO
     for r, lam in zip(lp.rows, sol.duals):
         v = sum((Fraction(cv) * x[c] for c, cv in r.coeffs.items()), Fraction(r.const))
         if r.rel == ">=":
@@ -441,20 +539,12 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
                 return False
         elif v != 0:
             return False
-    for col in lp.columns:
-        rc = Fraction(lp.objective.get(col, 0))
-        for r, lam in zip(lp.rows, sol.duals):
-            if lam:
-                cv = r.coeffs.get(col)
-                if cv:
-                    rc -= lam * Fraction(cv)
-        if col in lp.nonneg:
-            if rc < 0:
-                return False
-        elif rc != 0:
+        if lam:
+            dval -= lam * Fraction(r.const)
+            for c, cv in r.coeffs.items():
+                rc[c] -= lam * Fraction(cv)
+    for c, v in rc.items():
+        if v < 0 if c in lp.nonneg else v != 0:
             return False
     pval = sum((Fraction(v) * x[c] for c, v in lp.objective.items()), ZERO)
-    dval = sum(
-        (-lam * Fraction(r.const) for r, lam in zip(lp.rows, sol.duals) if lam), ZERO
-    )
     return pval == dval == sol.value

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
+from repairbound import ratlp
 from repairbound.ratlp import (
     IncrementalDualSolver,
     LPError,
@@ -71,6 +74,19 @@ def test_check_duals_rejects_tampering():
     assert not check_duals(lp, wrong_value)
 
 
+def test_check_duals_rejects_a_free_column_imbalance():
+    # min x  s.t.  x >= 1, -y >= 0, y free: raising the second multiplier
+    # keeps every row, sign and the objective balance intact, and leaves
+    # y with reduced cost +1, which only a free column rejects
+    rows = [LPRow({"x": F(1)}, F(-1)), LPRow({"y": F(-1)})]
+    lp = LPProblem(["x", "y"], {"x": F(1)}, rows, {"x"})
+    sol = solve(lp)
+    assert check_duals(lp, sol) and sol.duals == [1, 0]
+    tampered = LPSolution(sol.status, sol.value, sol.primal, [F(1), F(1)])
+    assert not check_duals(lp, tampered)
+    assert check_duals(LPProblem(["x", "y"], {"x": F(1)}, rows, {"x", "y"}), tampered)
+
+
 def test_validation_errors():
     with pytest.raises(LPError):
         solve(LPProblem(["x", "x"], {}, [], set()))
@@ -111,22 +127,28 @@ def test_determinism_bytes():
 # -- randomized cross-checks ----------------------------------------------
 
 
-def random_lp(rng, max_cols=8, max_rows=12):
+def random_value(rng, lo, hi, dens=None):
+    """An integer in [lo, hi), over a denominator drawn from dens if given."""
+    v = F(rng.randrange(lo, hi))
+    return v if dens is None else v / rng.choice(dens)
+
+
+def random_lp(rng, max_cols=8, max_rows=12, dens=None):
     ncols = rng.randrange(1, max_cols + 1)
     nrows = rng.randrange(0, max_rows + 1)
     cols = [f"c{i}" for i in range(ncols)]
     nonneg = {c for c in cols if rng.random() < 0.8}
     objective = {
-        c: F(rng.randrange(-4, 5)) for c in cols if rng.random() < 0.8
+        c: random_value(rng, -4, 5, dens) for c in cols if rng.random() < 0.8
     }
     rows = []
     for _ in range(nrows):
         coeffs = {
-            c: F(rng.randrange(-4, 5)) for c in cols if rng.random() < 0.7
+            c: random_value(rng, -4, 5, dens) for c in cols if rng.random() < 0.7
         }
         coeffs = {c: v for c, v in coeffs.items() if v}
         rel = "=" if rng.random() < 0.25 else ">="
-        rows.append(LPRow(coeffs, F(rng.randrange(-4, 5)), rel))
+        rows.append(LPRow(coeffs, random_value(rng, -4, 5, dens), rel))
     return LPProblem(cols, objective, rows, nonneg)
 
 
@@ -200,22 +222,56 @@ def test_random_lps_pass_certification():
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
-def test_random_lps_match_vertex_oracle():
-    rng = random.Random(987)
-    checked = 0
-    for _ in range(40):
-        lp = random_lp(rng, max_cols=4, max_rows=6)
-        sol = solve(lp)
-        small = brute_force_box_min(lp, 10**3)
-        big = brute_force_box_min(lp, 10**9)
+def assert_matches_vertex_oracle(lp, *sols):
+    """Every answer agrees with vertex enumeration; True when optimal."""
+    small = brute_force_box_min(lp, 10**3)
+    big = brute_force_box_min(lp, 10**9)
+    for sol in sols:
         if sol.status == "infeasible":
             assert big is None
         elif sol.status == "unbounded":
             assert big is not None and big < small
         else:
             assert big == sol.value
-            checked += 1
+    return sols[0].status == "optimal"
+
+
+def test_random_lps_match_vertex_oracle():
+    rng = random.Random(987)
+    checked = 0
+    for _ in range(40):
+        lp = random_lp(rng, max_cols=4, max_rows=6)
+        checked += assert_matches_vertex_oracle(lp, solve(lp))
     assert checked >= 5
+
+
+def test_fractional_lps_match_vertex_oracle():
+    # rows are scaled to integers once, by the lcm of their denominators
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(40):
+        lp = random_lp(rng, max_cols=4, max_rows=6, dens=(1, 2, 3, 4, 6))
+        sols = [solve(lp, orientation=o) for o in ("primal", "dual")]
+        for sol in sols:
+            assert sol.status != "optimal" or check_duals(lp, sol)
+        checked += assert_matches_vertex_oracle(lp, *sols)
+    assert checked >= 5
+
+
+def test_answers_are_pinned():
+    # sha256 over the repr of every answer, in both orientations; pinned
+    # from the kernel that kept its basis inverse in fractions.Fraction,
+    # so the integer kernel must choose the same pivots and read back the
+    # same rationals
+    rng = random.Random(20260418)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        lp = random_lp(rng)
+        for orientation in ("primal", "dual"):
+            digest.update(repr(solve(lp, orientation=orientation)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "a4888f7e2a7393a83876df36b2ebedcda64b281381b91bc886fb103ba6eeb50f"
+    )
 
 
 def test_dualize_round_trip_value():
@@ -230,18 +286,17 @@ def test_dualize_round_trip_value():
         assert ds.value == -sol.value
 
 
-def test_incremental_solver_matches_cold_dual_solve():
-    # verifier-shaped problems: the box 0 <= x <= 1 plus random homogeneous
-    # rows, appended in batches; every stage's answer is certified against
-    # the rows given so far, and the last one matches a cold solve
-    rng = random.Random(4711)
-    zero_optimum = set()
-    for _ in range(40):
+def incremental_runs(rng, count, dens=None):
+    """Verifier-shaped problems: the box 0 <= x <= 1 plus random
+    homogeneous rows, appended in batches.  Every stage's answer is
+    certified against the rows given so far; yields the last answer and
+    a cold dual solve of the whole problem."""
+    for _ in range(count):
         cols = [f"c{i}" for i in range(rng.randrange(2, 7))]
-        objective = {c: F(rng.randrange(-4, 5)) for c in cols}
+        objective = {c: random_value(rng, -4, 5, dens) for c in cols}
         box = [LPRow({c: F(-1)}, F(1)) for c in cols]
         rows = [
-            LPRow({c: F(rng.randrange(-3, 4)) for c in cols if rng.random() < 0.6})
+            LPRow({c: random_value(rng, -3, 4, dens) for c in cols if rng.random() < 0.6})
             for _ in range(rng.randrange(1, 16))
         ]
         done = rng.randrange(0, len(rows) + 1)
@@ -254,9 +309,124 @@ def test_incremental_solver_matches_cold_dual_solve():
             step = rng.randrange(1, 5)
             solver.add_rows(rows[done : done + step])
             done = min(done + step, len(rows))
-        cold = solve(LPProblem(cols, objective, box + rows, set(cols)), orientation="dual")
+        yield sol, solve(LPProblem(cols, objective, box + rows, set(cols)), orientation="dual")
+
+
+def test_incremental_solver_matches_cold_dual_solve():
+    zero_optimum = set()
+    for sol, cold in incremental_runs(random.Random(4711), 40):
         assert (sol.status, sol.value) == (cold.status, cold.value)
         zero_optimum.add(sol.value == 0)
     # x = 0 is always feasible: the sample holds both a zero optimum (a
     # cone witness exists) and a negative one
     assert zero_optimum == {True, False}
+
+
+def test_incremental_solver_with_fractional_rows(monkeypatch):
+    # an appended row can need a larger scale on a dual row than the
+    # rows before it did; the warm basis is rescaled in place
+    factors = []
+    scale_row = ratlp._Simplex.scale_row
+
+    def recording_scale_row(sx, p, t):
+        factors.append(t)
+        scale_row(sx, p, t)
+
+    monkeypatch.setattr(ratlp._Simplex, "scale_row", recording_scale_row)
+    for sol, cold in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
+        assert (sol.status, sol.value) == (cold.status, cold.value)
+    assert factors and min(factors) > 1
+
+
+# -- the fraction-free basis ----------------------------------------------
+
+
+def fraction_det(mat):
+    """Determinant by Gaussian elimination in fractions."""
+    a = [[F(v) for v in row] for row in mat]
+    det = F(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def assert_fraction_free(sx):
+    """M·B == D·I and B·xb == D·b exactly, D == |det B|, all integers."""
+    m = sx.m
+    basis_cols = [[0] * m for _ in range(m)]  # B, column by column
+    for c, j in enumerate(sx.basis):
+        for i, v in sx.cols[j]:
+            basis_cols[c][i] = v
+    assert all(type(v) is int for row in sx.M for v in row)
+    assert all(type(x) is int for x in sx.xb)
+    for r in range(m):
+        for c in range(m):
+            got = sum(a * b for a, b in zip(sx.M[r], basis_cols[c]))
+            assert got == (sx.D if r == c else 0)
+    for i in range(m):
+        got = sum(basis_cols[c][i] * sx.xb[c] for c in range(m))
+        assert got == sx.D * sx.rsign[i] * sx.rscale[i] * sx.rhs[i]
+    assert sx.D == abs(fraction_det(basis_cols))
+
+
+def test_fraction_free_basis_invariant(monkeypatch):
+    # checked at the start and after every pivot and row rescale, on
+    # integer and fractional data, in both orientations and incrementally
+    seen = {"start": 0, "pivot": 0, "negative pivot": 0, "rescale": 0}
+    init, pivot, scale_row = ratlp._Simplex.__init__, ratlp._Simplex._pivot, ratlp._Simplex.scale_row
+
+    def checked_init(sx, lp):
+        init(sx, lp)
+        sx.rhs = [-F(r.const) for r in lp.rows]
+        assert_fraction_free(sx)
+        seen["start"] += 1
+
+    def checked_pivot(sx, leave, enter, u):
+        seen["negative pivot"] += u[leave] < 0
+        pivot(sx, leave, enter, u)
+        assert_fraction_free(sx)
+        seen["pivot"] += 1
+
+    def checked_scale_row(sx, p, t):
+        scale_row(sx, p, t)
+        assert_fraction_free(sx)
+        seen["rescale"] += 1
+
+    monkeypatch.setattr(ratlp._Simplex, "__init__", checked_init)
+    monkeypatch.setattr(ratlp._Simplex, "_pivot", checked_pivot)
+    monkeypatch.setattr(ratlp._Simplex, "scale_row", checked_scale_row)
+    # driving the artificial of -x + y = 0 out of the basis pivots on -1
+    drive_out = LPRow({"x": F(-1), "y": F(1)}, F(0), "=")
+    solve(LPProblem(["x", "y"], {"x": F(1)}, [drive_out], {"x", "y"}))
+    rng = random.Random(1968)
+    for dens in (None, (1, 2, 3, 4)):
+        for _ in range(30):
+            lp = random_lp(rng, max_cols=6, max_rows=8, dens=dens)
+            for orientation in ("primal", "dual"):
+                solve(lp, orientation=orientation)
+    for _ in incremental_runs(rng, 8, dens=(1, 2, 3)):
+        pass
+    assert min(seen.values()) > 0, seen
+
+
+def test_solve_logs_deterministic_counters(caplog):
+    lp = lp_min_x_above_one()
+    with caplog.at_level(logging.DEBUG, logger="repairbound.ratlp"):
+        solve(lp)
+        solver = IncrementalDualSolver(["x"], {"x": F(1)}, lp.rows, {"x"})
+        solver.solve()
+    assert [r.getMessage() for r in caplog.records] == [
+        "solve (primal): 1 rows, 1 columns, 1 pivots (0 degenerate), "
+        "0 Bland switches, determinant bits 1",
+        "incremental solve (dual): 1 rows, 1 columns, 1 pivots (0 degenerate), "
+        "0 Bland switches, determinant bits 1",
+    ]
