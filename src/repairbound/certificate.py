@@ -250,12 +250,6 @@ def _term_column(u: Universe, toks):
     return BIGB if m == u.full_mask else u.canon_class(m)
 
 
-def term_columns(u: Universe, cert: Certificate) -> dict:
-    """Map each term id to its canonical closed class, or to the total
-    information column when the term's closure spans the universe."""
-    return {tid: _term_column(u, toks) for tid, toks in cert.terms.items()}
-
-
 def _row_expr(row: dict, term_cols: dict) -> LinExpr:
     coeffs: dict = {}
     for key, v in row.items():

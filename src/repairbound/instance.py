@@ -10,10 +10,14 @@ never mentions two names for one entropy value.
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .universe import EntropyClass, Universe
+
+log = logging.getLogger("repairbound.instance")
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -41,31 +45,17 @@ class LinExpr:
     kind: str = ""
 
     def signature(self) -> tuple:
-        return tuple(
-            (column_key(c), self.coeffs[c])
-            for c in sorted(self.coeffs, key=column_key)
-        )
+        # column keys are distinct, so the coefficients never decide the order
+        return tuple(sorted((column_key(c), v) for c, v in self.coeffs.items()))
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def evaluate(self, values) -> Fraction:
-        return sum(
-            (c * values.get(col, Fraction(0)) for col, c in self.coeffs.items()),
-            Fraction(0),
-        )
 
     def __repr__(self) -> str:
         parts = []
         for col in sorted(self.coeffs, key=column_key):
             parts.append(f"{self.coeffs[col]}*{col}")
         return f"LinExpr({' + '.join(parts) or '0'} >= 0)"
-
-
-def _key(u: Universe, closed_mask: int):
-    """Descriptor key of a closed mask: BIGB when it spans, otherwise its
-    canonical class mask (0 for the empty set)."""
-    return BIGB if closed_mask == u.full_mask else u.canon_mask(closed_mask)
 
 
 def instance_row(u: Universe, desc, cols: dict, kind: str | None = None) -> LinExpr:
@@ -115,23 +105,30 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
     family (other than empty or spanning) are skipped.  anchors, when
     given, keeps only the pairs touching that mask set.  Descriptors may
     repeat.
+
+    Keys are read from a map of every orbit member of the family to its
+    class, so a closed mask outside the family is skipped without ever
+    being canonicalized.
     """
-    full = u.full_mask
-    allowed = set(fam_masks) | {0, BIGB}
     fam = sorted(fam_masks, reverse=True)
+    orbits = {r: u.orbit_masks(r) for r in fam}
+    key = {m: r for r, orbit in orbits.items() for m in orbit}
+    key[0] = 0
+    key[u.full_mask] = BIGB
+    closure = u.closure_mask
     for ai, ra in enumerate(fam):
         for rb in fam[ai:]:
             if anchors is not None and ra not in anchors and rb not in anchors:
                 continue
-            for m in u.orbit_masks(rb):
+            for m in orbits[rb]:
                 if m == ra:
                     continue
                 inter = ra & m
-                ki = u.canon_mask(inter)
-                if ki not in allowed:
+                ki = key.get(closure(inter))
+                if ki is None:
                     continue
-                ku = _key(u, u.closure_mask(ra | m))
-                if ku not in allowed:
+                ku = key.get(closure(ra | m))
+                if ku is None:
                     continue
                 yield (ra, rb, ku, ki)
                 if inter == m:
@@ -144,16 +141,16 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
         outside = [v for v in range(nv) if not c_mask >> (nv - 1 - v) & 1]
         for xi, x in enumerate(outside):
             bx = u.var_bit(x)
-            kx = _key(u, u.closure_mask(c_mask | bx))
-            if kx not in allowed:
+            kx = key.get(closure(c_mask | bx))
+            if kx is None:
                 continue
             for y in outside[xi + 1:]:
                 by = u.var_bit(y)
-                ky = _key(u, u.closure_mask(c_mask | by))
-                if ky not in allowed:
+                ky = key.get(closure(c_mask | by))
+                if ky is None:
                     continue
-                kxy = _key(u, u.closure_mask(c_mask | bx | by))
-                if kxy not in allowed:
+                kxy = key.get(closure(c_mask | bx | by))
+                if kxy is None:
                     continue
                 yield (kx, ky, kxy, c_mask)
 
@@ -191,16 +188,23 @@ def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinEx
     for m in fam_masks:
         rows.append(instance_row(u, (m, 0, 0, 0), cols, "monotonicity"))
         rows.append(instance_row(u, (BIGB, 0, m, 0), cols, "spanning-value"))
-    for desc in dict.fromkeys(instances(u, fam_masks, anchors, bases)):
+    descs = Counter(instances(u, fam_masks, anchors, bases))
+    for desc in descs:
         rows.append(instance_row(u, desc, cols))
 
     seen: dict = {}
     for row in rows:
-        if row.is_zero():
-            continue
-        sig = row.signature()
-        if sig not in seen:
-            seen[sig] = row
-    out = list(seen.values())
-    out.sort(key=lambda r: (KIND_ORDER[r.kind], r.signature()))
+        if not row.is_zero():
+            seen.setdefault(row.signature(), row)
+    order = sorted(seen, key=lambda sig: (KIND_ORDER[seen[sig].kind], sig))
+    out = [seen[sig] for sig in order]
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "pool: %d classes, %d orbit members, %d descriptors (%d distinct), %d rows",
+            len(fam_masks),
+            sum(len(u.orbit_masks(m)) for m in fam_masks),
+            descs.total(),
+            len(descs),
+            len(out),
+        )
     return out

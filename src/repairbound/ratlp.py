@@ -446,6 +446,7 @@ class IncrementalDualSolver:
         _validate(self._plp)
         self._colpos = {col: p for p, col in enumerate(self._plp.columns)}
         self._sx = _phase1(dualize(self._plp))
+        _log_counts("incremental phase 1 (dual)", self._plp, [self._sx])
         if self._sx.cost is None:
             raise LPError("unbounded stage in incremental solver")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class UnsupportedConfiguration(ValueError):
@@ -70,9 +71,14 @@ class EntropyClass:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def indices(self) -> tuple[int, ...]:
+    @cached_property
+    def _indices(self) -> tuple[int, ...]:
+        # the sort key of every row column; computed once per object
         nv = self.n * self.n
         return tuple(v for v in range(nv) if self.mask >> (nv - 1 - v) & 1)
+
+    def indices(self) -> tuple[int, ...]:
+        return self._indices
 
     def tokens(self) -> list[str]:
         return sorted(token_for_index(self.n, v) for v in self.indices())

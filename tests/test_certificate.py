@@ -6,13 +6,13 @@ import pytest
 from repairbound.certificate import (
     Certificate,
     CertificateError,
+    _term_column,
     check_sum,
     format_meaning,
     load,
     load_bundled,
     parse,
     serialize,
-    term_columns,
     to_latex,
 )
 from repairbound.instance import BIGB
@@ -152,7 +152,7 @@ def test_term_columns_spanning_maps_to_total_information():
         [],
         {},
     )
-    cols = term_columns(u, cert)
+    cols = {tid: _term_column(u, toks) for tid, toks in cert.terms.items()}
     assert cols["T1"] == BIGB
     assert cols["T2"].size == 5  # closure of one node: its fan-out too
 

@@ -1,11 +1,12 @@
 import hashlib
+import logging
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from repairbound.certificate import load, term_columns
+from repairbound.certificate import _term_column, load
 from repairbound.instance import (
     ALPHA,
     BETA,
@@ -48,6 +49,14 @@ def monotonicity(u, a, b):
     ma, mb = u.mask_of(a), u.mask_of(b)
     kind = "spanning-value" if mb == u.full_mask else "monotonicity"
     return instance_row(u, (key(u, mb), 0, key(u, ma), 0), {}, kind)
+
+
+def evaluate(row, values):
+    # the row's left-hand side at a point given as column -> value
+    return sum(
+        (c * values.get(col, Fraction(0)) for col, c in row.coeffs.items()),
+        Fraction(0),
+    )
 
 
 def replication_value(row, b0=Fraction(7)):
@@ -109,7 +118,7 @@ def test_rows_nonnegative_on_replication_and_zero_vectors():
     assert rows
     for row in rows:
         assert replication_value(row) >= 0
-        assert row.evaluate({}) == 0
+        assert evaluate(row, {}) == 0
 
 
 def test_rows_reference_only_family_classes():
@@ -171,7 +180,7 @@ def test_column_key_orders_reserved_before_classes():
 
 def test_linexpr_helpers():
     row = LinExpr({ALPHA: Fraction(2), BETA: Fraction(-1)}, "storage-cap")
-    assert row.evaluate({ALPHA: Fraction(1), BETA: Fraction(1)}) == 1
+    assert evaluate(row, {ALPHA: Fraction(1), BETA: Fraction(1)}) == 1
     assert not row.is_zero()
 
 
@@ -219,7 +228,7 @@ def test_pools_are_pinned():
 
     # the anchored depth-2 rung, elementals included, of prop2 row 12
     cert = load(DATA / "prop2.cert.json")
-    term_cols = term_columns(u54, cert)
+    term_cols = {tid: _term_column(u54, toks) for tid, toks in cert.terms.items()}
     base = {
         u54.canon_mask(u54.var_bit(0)),
         u54.canon_mask(u54.var_bit(index_for_token(5, "S1->2"))),
@@ -257,3 +266,94 @@ def test_pools_are_pinned():
     ) == sorted(
         (r.kind, r.signature()) for r in rows if r.signature() not in per_class
     )
+
+
+def reference_instances(u, fam_masks, anchors=None, bases=()):
+    # the slow path: canonicalize every argument, then test membership
+    allowed = set(fam_masks) | {0, BIGB}
+    fam = sorted(fam_masks, reverse=True)
+    for ai, ra in enumerate(fam):
+        for rb in fam[ai:]:
+            if anchors is not None and ra not in anchors and rb not in anchors:
+                continue
+            for m in u.orbit_masks(rb):
+                if m == ra:
+                    continue
+                inter = ra & m
+                ki = u.canon_mask(inter)
+                if ki not in allowed:
+                    continue
+                ku = key(u, u.closure_mask(ra | m))
+                if ku not in allowed:
+                    continue
+                yield (ra, rb, ku, ki)
+                if inter == m:
+                    yield (ra, 0, rb, 0)
+                elif inter == ra:
+                    yield (rb, 0, ra, 0)
+    nv = u.num_vars
+    for c_mask in bases:
+        outside = [v for v in range(nv) if not c_mask >> (nv - 1 - v) & 1]
+        for xi, x in enumerate(outside):
+            kx = key(u, u.closure_mask(c_mask | u.var_bit(x)))
+            if kx not in allowed:
+                continue
+            for y in outside[xi + 1:]:
+                ky = key(u, u.closure_mask(c_mask | u.var_bit(y)))
+                if ky not in allowed:
+                    continue
+                kxy = key(u, u.closure_mask(c_mask | u.var_bit(x) | u.var_bit(y)))
+                if kxy not in allowed:
+                    continue
+                yield (kx, ky, kxy, c_mask)
+
+
+def random_family(u, rng, size):
+    # canonical masks of random closed sets: each stands for its whole orbit
+    fam = set()
+    while len(fam) < size:
+        picked = rng.sample(range(u.num_vars), rng.randrange(1, u.n + 2))
+        m = u.canon_mask(u.mask_of(picked))
+        if m != u.full_mask:
+            fam.add(m)
+    return fam
+
+
+def test_instances_match_canonicalizing_reference():
+    rng = random.Random(515)
+    for n, k, size in ((4, 3, 9), (5, 4, 6)):
+        for trial in range(8):
+            u = build_universe(n, k)
+            fam = random_family(u, rng, size)
+            anchors = set(rng.sample(sorted(fam), 2)) if trial % 2 else None
+            bases = []
+            if trial % 4 >= 2:
+                bases = sorted(rng.sample(sorted(fam | {0}), 3), reverse=True)
+            got = list(instances(u, fam, anchors, bases))
+            want = list(reference_instances(build_universe(n, k), fam, anchors, bases))
+            assert got, (n, k, trial)
+            assert got == want, (n, k, trial)
+
+
+def test_instances_canonicalize_no_mask_outside_the_family():
+    u = build_universe(5, 4)
+    fam = random_family(u, random.Random(9), 6)
+    orbits_before = dict(u._orbit_cache)
+    descs = list(instances(u, fam, bases=[0, max(fam)]))
+    assert descs
+    assert u._orbit_cache == orbits_before
+    # the slow path does canonicalize masks outside the family
+    assert list(reference_instances(u, fam, bases=[0, max(fam)])) == descs
+    assert len(u._orbit_cache) > len(orbits_before)
+
+
+def test_enumerate_rows_logs_pool_counts(caplog):
+    u = build_universe(4, 3)
+    masks = [c.mask for c in default_family(u, depth=1).classes]
+    with caplog.at_level(logging.DEBUG, logger="repairbound.instance"):
+        enumerate_rows(u, masks)
+        enumerate_rows(u, masks)
+    lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.instance"]
+    assert lines == [
+        "pool: 20 classes, 304 orbit members, 2411 descriptors (954 distinct), 849 rows"
+    ] * 2

@@ -424,9 +424,19 @@ def test_solve_logs_deterministic_counters(caplog):
         solve(lp)
         solver = IncrementalDualSolver(["x"], {"x": F(1)}, lp.rows, {"x"})
         solver.solve()
+        # a free column makes an equality dual row, so phase 1 pivots
+        rows = [LPRow({"x": F(1)}, F(-1)), LPRow({"x": F(1), "y": F(1)}, F(-3))]
+        solver = IncrementalDualSolver(["x", "y"], {"x": F(1), "y": F(2)}, rows, {"y"})
+        solver.solve()
     assert [r.getMessage() for r in caplog.records] == [
         "solve (primal): 1 rows, 1 columns, 1 pivots (0 degenerate), "
         "0 Bland switches, determinant bits 1",
+        "incremental phase 1 (dual): 1 rows, 1 columns, 0 pivots (0 degenerate), "
+        "0 Bland switches, determinant bits 1",
         "incremental solve (dual): 1 rows, 1 columns, 1 pivots (0 degenerate), "
+        "0 Bland switches, determinant bits 1",
+        "incremental phase 1 (dual): 2 rows, 2 columns, 1 pivots (0 degenerate), "
+        "0 Bland switches, determinant bits 1",
+        "incremental solve (dual): 2 rows, 2 columns, 1 pivots (0 degenerate), "
         "0 Bland switches, determinant bits 1",
     ]

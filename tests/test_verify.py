@@ -8,11 +8,11 @@ from repairbound.certificate import (
     CertificateError,
     _row_expr,
     _rungs,
+    _term_column,
     _try_pool,
     _try_pool_active,
     check_row,
     load,
-    term_columns,
     verify,
 )
 from repairbound.universe import EntropyClass, build_universe, index_for_token
@@ -153,7 +153,7 @@ def test_full_pool_and_active_set_rungs_agree():
     outcomes = set()
     for name in ("prop1", "prop2"):
         cert = load(DATA / f"{name}.cert.json")
-        term_cols = term_columns(u, cert)
+        term_cols = {tid: _term_column(u, toks) for tid, toks in cert.terms.items()}
         for index in rng.sample(range(len(cert.rows)), 10):
             row = cert.rows[index]
             expr = _row_expr(row, term_cols)
