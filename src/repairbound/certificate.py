@@ -288,7 +288,7 @@ def _try_pool(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
         rows=[_lp_row(r) for r in all_rows],
         nonneg=set(columns),
     )
-    sol = solve(lp, orientation="dual", known_feasible=True)
+    sol = solve(lp)
     if sol.status == "unbounded":
         return None
     if sol.status != "optimal" or sol.value != 0:

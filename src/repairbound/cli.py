@@ -30,6 +30,7 @@ from .certificate import (
     format_meaning,
     format_plane,
     load,
+    load_bundled,
     serialize,
     to_latex,
     verify,
@@ -52,11 +53,6 @@ EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_UNVERIFIED = 2
 EXIT_USAGE = 3
-
-# the five proved facets of the (5,4,4) region, as (a, b, c) with
-# a*alpha + b*beta >= c under B = 1
-BUILTIN_PLANES_5_4_4 = ((4, 0, 1), (3, 1, 1), (15, 10, 6), (5, 10, 3), (0, 10, 1))
-
 
 def _fail(msg: str):
     print(f"error: {msg}", file=sys.stderr)
@@ -255,7 +251,7 @@ def _build_parser() -> _Parser:
         "--builtin-eq1",
         action="store_true",
         dest="builtin_eq1",
-        help="use the five built-in proved facets of the (5,4,4) region",
+        help="use the (5,4,4) cut-set facets and the two bundled certificates",
     )
     p.add_argument(
         "--cutset", action="store_true", help="include the cut-set facets for n,k,d"
@@ -453,10 +449,12 @@ def cmd_solve(rc: RunConfig) -> int:
 
 def cmd_region(rc: RunConfig) -> int:
     planes = []
+    certs = []  # (source, certificate); each plane is used only once verified
     if rc.builtin:
         if (rc.n, rc.k) not in ((None, None), (5, 4)) or rc.d not in (None, 4):
             _fail("the built-in region is for n=5, k=4, d=4")
-        planes += list(BUILTIN_PLANES_5_4_4)
+        planes += [(j, w, 1) for j, w in facets(5, 4, 4).facets]
+        certs += [(f"bundled {name}", load_bundled(name)) for name in ("prop1", "prop2")]
     if rc.cutset_source:
         if rc.n is None or rc.k is None:
             _fail("--cutset needs --n and --k")
@@ -469,11 +467,23 @@ def cmd_region(rc: RunConfig) -> int:
         cert = _load_cert(path)
         if (rc.n, rc.k) != (None, None) and (cert.n, cert.k) != (rc.n, rc.k):
             _fail(f"{path}: certificate is for ({cert.n},{cert.k}), not ({rc.n},{rc.k})")
-        sum_ok, meaning = check_sum(cert)
-        if not sum_ok or meaning is None:
-            print(f"INVALID: {path}: rows do not sum to a bound line")
+        certs.append((path, cert))
+    universes = {}  # one per problem, shared by its certificates
+    for source, cert in certs:
+        if cert.problem not in universes:
+            try:
+                universes[cert.problem] = build_universe(*cert.problem)
+            except ValueError as e:
+                _fail(f"{source}: {e}")
+        report = verify(universes[cert.problem], cert, max_depth=rc.max_depth)
+        if report.overall == "INVALID":
+            print(f"INVALID: {source}: {'; '.join(report.diagnostics)}")
             return EXIT_INVALID
-        planes.append(meaning)
+        if report.overall == "UNVERIFIED":
+            bad = [r.index for r in report.row_status if r.status != "valid"]
+            print(f"UNVERIFIED: {source}: rows {bad} not certified within depth {rc.max_depth}")
+            return EXIT_UNVERIFIED
+        planes.append(report.meaning)
     if rc.directions:
         u = _universe_from(rc)
         fam = _family_from(rc, u)

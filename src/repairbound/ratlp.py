@@ -16,9 +16,10 @@ Pricing and ratio tests compare integers, so each pivot is the one exact
 rational arithmetic would choose; fractions appear only where an answer
 is read back.  Partial most-negative pricing with a Bland interlude
 (lowest eligible index enters, ratio ties broken by lowest basic index)
-keeps runs deterministic and cycle-free.  Problems with far more rows
-than columns are solved through their explicit dual, whose simplex basis
-stays small; the mapping back is exact either way.
+keeps runs deterministic and cycle-free.  Every problem is solved
+through its explicit dual, whose simplex basis has one row per column of
+the problem and so stays small on the tall bound LPs; the answer is
+mapped back exactly and certified against the problem itself.
 """
 
 from __future__ import annotations
@@ -205,23 +206,6 @@ class _Simplex:
         self.basis_set.add(enter)
         self.basis[leave] = enter
 
-    def scale_row(self, p, t):
-        """Multiply standard-form row p by the integer t > 0.  B⁻¹ loses
-        the factor t on its column p and D = |det B| gains it, so M gains
-        t on every other column and xb gains t."""
-        for col in self.cols:
-            for k, (i, v) in enumerate(col):
-                if i == p:
-                    col[k] = (i, v * t)
-        for row in self.M:
-            keep = row[p]
-            row[:] = [a * t for a in row]
-            row[p] = keep
-        self.xb[:] = [x * t for x in self.xb]
-        self.D *= t
-        self.rscale[p] *= t
-        self.det_bits = max(self.det_bits, self.D.bit_length())
-
     def _price_partial(self, cost, y, ban_art, start, batch):
         """Most negative reduced cost among the first `batch` eligible
         negatives met on a cyclic scan from `start`; ties to lowest index.
@@ -371,23 +355,6 @@ def _log_counts(what: str, lp: LPProblem, runs):
         )
 
 
-def _solve_primal(lp: LPProblem):
-    """lp's answer and the simplex that found it."""
-    sx = _phase1(lp)
-    if sx.cost is None:
-        return LPSolution("infeasible", None, {}, []), sx
-    if sx.run(sx.cost, ban_art=True) == "unbounded":
-        return LPSolution("unbounded", None, {}, []), sx
-    primal = {col: ZERO for col in lp.columns}
-    for col, v in sx.basic_columns():
-        primal[col] += v
-    duals = [y * s for y, s in zip(sx.duals(), sx.rsign)]
-    sol = LPSolution("optimal", sx.value(), primal, duals)
-    if not check_duals(lp, sol):
-        raise LPError("internal certificate check failed")
-    return sol, sx
-
-
 def dualize(lp: LPProblem) -> LPProblem:
     """Explicit dual, again as a minimization: optimal value negates,
     its primal is the original duals and vice versa."""
@@ -424,7 +391,7 @@ def _dual_answer(lp: LPProblem, sx: _Simplex) -> LPSolution:
     primal = {col: y[p] * sx.rsign[p] for p, col in enumerate(lp.columns)}
     sol = LPSolution("optimal", -sx.value(), primal, duals)
     if not check_duals(lp, sol):
-        raise LPError("dual-orientation certificate check failed")
+        raise LPError("internal certificate check failed")
     return sol
 
 
@@ -438,7 +405,9 @@ class IncrementalDualSolver:
     from scratch.  The row set must keep the problem feasible and
     bounded at every stage (e.g. a cone intersected with a box); a stage
     that is not raises LPError.  Appended rows must be inequalities with
-    zero constant.  Every solve() is certified exactly before return.
+    zero constant whose entries stay integral at the scale of their dual
+    rows, as integer coefficients always do; add_rows raises LPError on
+    any other row.  Every solve() is certified exactly before return.
     """
 
     def __init__(self, columns, objective, rows, nonneg):
@@ -463,9 +432,11 @@ class IncrementalDualSolver:
                     if p is None:
                         raise LPError(f"appended row references unknown column {col!r}")
                     e = -fv * sx.rsign[p] * sx.rscale[p]
-                    if e.denominator != 1:  # dual row p needs a larger scale
-                        sx.scale_row(p, e.denominator)
-                        e *= e.denominator
+                    if e.denominator != 1:
+                        raise LPError(
+                            f"appended row entry {fv} for column {col!r} is not "
+                            "integral at the scale of its dual row"
+                        )
                     entries.append((p, int(e)))
             i = len(self._plp.rows)
             self._plp.rows.append(r)
@@ -483,39 +454,26 @@ class IncrementalDualSolver:
         return _dual_answer(self._plp, sx)
 
 
-def solve(
-    lp: LPProblem,
-    orientation: str = "auto",
-    known_feasible: bool = False,
-) -> LPSolution:
+def solve(lp: LPProblem) -> LPSolution:
+    """Minimize lp through its explicit dual; an optimal answer is
+    certified by check_duals before return."""
     _validate(lp)
-    if orientation == "auto":
-        orientation = (
-            "dual"
-            if len(lp.rows) > max(3 * len(lp.columns), 200)
-            else "primal"
-        )
-    if orientation == "primal":
-        sol, sx = _solve_primal(lp)
-        runs = [sx]
-    elif orientation == "dual":
-        sx = _phase1(dualize(lp))
-        runs = [sx]
-        if sx.cost is not None:
-            if sx.run(sx.cost, ban_art=True) == "optimal":
-                sol = _dual_answer(lp, sx)
-            else:  # dual unbounded: the original is infeasible
-                sol = LPSolution("infeasible", None, {}, [])
-        elif known_feasible:  # dual infeasible: original is unbounded
-            sol = LPSolution("unbounded", None, {}, [])
-        else:  # ... if it is feasible at all
-            probe, psx = _solve_primal(LPProblem(lp.columns, {}, lp.rows, lp.nonneg))
-            runs.append(psx)
-            status = "unbounded" if probe.status == "optimal" else "infeasible"
-            sol = LPSolution(status, None, {}, [])
+    sx = _phase1(dualize(lp))
+    runs = [sx]
+    if sx.cost is not None:
+        if sx.run(sx.cost, ban_art=True) == "optimal":
+            sol = _dual_answer(lp, sx)
+        else:  # dual unbounded: lp is infeasible
+            sol = LPSolution("infeasible", None, {}, [])
     else:
-        raise LPError(f"unknown orientation {orientation!r}")
-    _log_counts(f"solve ({orientation})", lp, runs)
+        # dual infeasible: lp is unbounded if it is feasible at all.  The
+        # dual of lp's zero-objective form is feasible at y = 0 and is
+        # bounded exactly when lp is feasible.
+        probe = _phase1(dualize(LPProblem(lp.columns, {}, lp.rows, lp.nonneg)))
+        runs.append(probe)
+        bounded = probe.run(probe.cost, ban_art=True) == "optimal"
+        sol = LPSolution("unbounded" if bounded else "infeasible", None, {}, [])
+    _log_counts("solve (dual)", lp, runs)
     return sol
 
 

@@ -1,5 +1,5 @@
 """Exact 2D geometry for storage-bandwidth regions: half-plane
-intersection, corner enumeration, comparison, and CSV/SVG emission.
+intersection, corner enumeration, and CSV/SVG emission.
 
 Regions here are intersections of half-planes a*alpha + b*beta >= c
 with a, b >= 0 and c > 0, so they are closed under increasing either
@@ -49,7 +49,8 @@ class HalfPlane:
 class Region2D:
     """Non-redundant half-planes in boundary order (steepest first) and
     the corner points sorted by increasing alpha.  Recession is always
-    the two positive axes."""
+    the two positive axes.  Both orders are canonical, so two regions
+    built by from_halfplanes are equal sets exactly when they are ==."""
 
     halfplanes: tuple
     vertices: tuple
@@ -124,12 +125,6 @@ def from_halfplanes(planes) -> Region2D:
     # steepest wall first: verticals, then by descending a/b
     kept.sort(key=lambda h: (h.b != 0, -Fraction(h.a, h.b) if h.b else 0))
     return Region2D(tuple(kept), _vertices(kept))
-
-
-def equals(r1: Region2D, r2: Region2D) -> bool:
-    return (
-        set(r1.halfplanes) == set(r2.halfplanes) and r1.vertices == r2.vertices
-    )
 
 
 def _dec(x, places: int = 6) -> str:

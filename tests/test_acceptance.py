@@ -15,7 +15,7 @@ from repairbound.cutset import facets, feasible
 from repairbound.instance import enumerate_rows
 from repairbound.prover import default_family, load_seed_terms, prove
 from repairbound.ratlp import check_duals, solve
-from repairbound.region import emit, equals, from_halfplanes
+from repairbound.region import emit, from_halfplanes
 from repairbound.universe import build_universe
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -127,7 +127,7 @@ def test_criterion_6_region_assembly():
         [(j, w, 1) for j, w in cs.facets] + [(15, 10, 6), (5, 10, 3)]
     )
     exact = from_halfplanes(EXACT_54)
-    assert equals(assembled, exact)
+    assert assembled == exact
     assert exact.vertices == (
         (Fraction(1, 4), Fraction(1, 4)),
         (Fraction(4, 15), Fraction(1, 5)),

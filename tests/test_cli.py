@@ -3,6 +3,7 @@ from pathlib import Path
 
 from repairbound.certificate import Certificate, load, parse, serialize
 from repairbound.cli import main
+from repairbound.instance import ALPHA, BETA, BIGB
 from repairbound.universe import Universe
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -183,6 +184,25 @@ def test_region_skips_planes_that_hold_everywhere(capsys, tmp_path, monkeypatch)
     ]
     code, _, err = run(capsys, "region", "--cert", "bound-n4-k3-d3-0-1.cert.json")
     assert code == 3 and "whole quadrant" in err
+
+
+def test_region_uses_only_verified_certificates(capsys, tmp_path):
+    # one row that is its own target: the column sums match, but
+    # 15α+10β ≥ 7B is no Shannon bound (the proved one is 6B), so verify
+    # leaves it UNVERIFIED and region must not print its plane
+    target = {ALPHA: 15, BETA: 10, BIGB: -7}
+    fabricated = tmp_path / "fabricated.cert.json"
+    fabricated.write_bytes(serialize(Certificate(5, 4, 4, {}, [dict(target)], target)))
+    mutated = load(PROP1)
+    mutated.rows[3][sorted(mutated.rows[3])[0]] += 1
+    broken = tmp_path / "mutated.cert.json"
+    broken.write_bytes(serialize(mutated))
+    for path, code, status in ((fabricated, 2, "UNVERIFIED"), (broken, 1, "INVALID")):
+        assert run(capsys, "verify", str(path))[0] == code
+        argv = ["region", "--n", "5", "--k", "4", "--cutset", "--cert", str(path)]
+        got, out, _ = run(capsys, *argv)
+        assert got == code
+        assert out.startswith(f"{status}: {path}:") and "plane:" not in out
 
 
 def test_region_rejects_mismatched_certificate(capsys):

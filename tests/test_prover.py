@@ -14,7 +14,7 @@ from repairbound.prover import (
     prove,
 )
 from repairbound.ratlp import solve
-from repairbound.region import equals, from_halfplanes
+from repairbound.region import from_halfplanes
 from repairbound.universe import build_universe
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -196,4 +196,4 @@ def test_direction_grid_envelope(u54, union54):
     exact = from_halfplanes(
         [(4, 0, 1), (3, 1, 1), (15, 10, 6), (5, 10, 3), (0, 10, 1)]
     )
-    assert equals(swept, exact)
+    assert swept == exact

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -94,24 +95,6 @@ def test_validation_errors():
         solve(LPProblem(["x"], {"z": F(1)}, [], set()))
     with pytest.raises(LPError):
         solve(LPProblem(["x"], {}, [LPRow({"x": F(1)}, F(0), "<=")], set()))
-
-
-def test_forced_dual_orientation_matches_primal():
-    lp = LPProblem(
-        ["x", "y"],
-        {"x": F(2), "y": F(3)},
-        [
-            LPRow({"x": F(1), "y": F(1)}, F(-2)),
-            LPRow({"x": F(3), "y": F(1)}, F(-3)),
-            LPRow({"x": F(1)}, F(0)),
-        ],
-        {"x", "y"},
-    )
-    a = solve(lp, orientation="primal")
-    b = solve(lp, orientation="dual")
-    assert a.status == b.status == "optimal"
-    assert a.value == b.value
-    assert check_duals(lp, a) and check_duals(lp, b)
 
 
 def test_determinism_bytes():
@@ -214,11 +197,6 @@ def test_random_lps_pass_certification():
         statuses.add(sol.status)
         if sol.status == "optimal":
             assert check_duals(lp, sol)
-        # dual orientation must agree on status and value
-        alt = solve(lp, orientation="dual")
-        assert alt.status == sol.status
-        if sol.status == "optimal":
-            assert alt.value == sol.value
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
@@ -251,26 +229,22 @@ def test_fractional_lps_match_vertex_oracle():
     checked = 0
     for _ in range(40):
         lp = random_lp(rng, max_cols=4, max_rows=6, dens=(1, 2, 3, 4, 6))
-        sols = [solve(lp, orientation=o) for o in ("primal", "dual")]
-        for sol in sols:
-            assert sol.status != "optimal" or check_duals(lp, sol)
-        checked += assert_matches_vertex_oracle(lp, *sols)
+        sol = solve(lp)
+        assert sol.status != "optimal" or check_duals(lp, sol)
+        checked += assert_matches_vertex_oracle(lp, sol)
     assert checked >= 5
 
 
 def test_answers_are_pinned():
-    # sha256 over the repr of every answer, in both orientations; pinned
-    # from the kernel that kept its basis inverse in fractions.Fraction,
-    # so the integer kernel must choose the same pivots and read back the
-    # same rationals
+    # sha256 over the repr of every answer: a change of any pivot or of
+    # any rational read back moves it
     rng = random.Random(20260418)
     digest = hashlib.sha256()
     for _ in range(300):
         lp = random_lp(rng)
-        for orientation in ("primal", "dual"):
-            digest.update(repr(solve(lp, orientation=orientation)).encode() + b"\n")
+        digest.update(repr(solve(lp)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "a4888f7e2a7393a83876df36b2ebedcda64b281381b91bc886fb103ba6eeb50f"
+        "1a891db1c6e9e381becd832a208e7b44304361002291b9400961fcad7ff6bdea"
     )
 
 
@@ -278,19 +252,26 @@ def test_dualize_round_trip_value():
     rng = random.Random(55)
     for _ in range(30):
         lp = random_lp(rng, max_cols=4, max_rows=5)
-        sol = solve(lp, orientation="primal")
+        sol = solve(lp)
         if sol.status != "optimal":
             continue
-        ds = solve(dualize(lp), orientation="primal")
+        ds = solve(dualize(lp))
         assert ds.status == "optimal"
         assert ds.value == -sol.value
 
 
+def integral(row):
+    """A homogeneous row scaled by the lcm of its denominators."""
+    scale = math.lcm(*(F(v).denominator for v in row.coeffs.values()))
+    return LPRow({c: v * scale for c, v in row.coeffs.items()}, row.const, row.rel)
+
+
 def incremental_runs(rng, count, dens=None):
     """Verifier-shaped problems: the box 0 <= x <= 1 plus random
-    homogeneous rows, appended in batches.  Every stage's answer is
-    certified against the rows given so far; yields the last answer and
-    a cold dual solve of the whole problem."""
+    homogeneous rows, appended in batches.  Fractional data stays in the
+    objective and the constructor rows; appended rows are scaled to
+    integers.  Every stage's answer is certified against the rows given
+    so far; yields the last answer and a cold solve of the whole problem."""
     for _ in range(count):
         cols = [f"c{i}" for i in range(rng.randrange(2, 7))]
         objective = {c: random_value(rng, -4, 5, dens) for c in cols}
@@ -300,6 +281,7 @@ def incremental_runs(rng, count, dens=None):
             for _ in range(rng.randrange(1, 16))
         ]
         done = rng.randrange(0, len(rows) + 1)
+        rows[done:] = map(integral, rows[done:])
         solver = IncrementalDualSolver(cols, objective, box + rows[:done], set(cols))
         while True:
             sol = solver.solve()
@@ -309,7 +291,7 @@ def incremental_runs(rng, count, dens=None):
             step = rng.randrange(1, 5)
             solver.add_rows(rows[done : done + step])
             done = min(done + step, len(rows))
-        yield sol, solve(LPProblem(cols, objective, box + rows, set(cols)), orientation="dual")
+        yield sol, solve(LPProblem(cols, objective, box + rows, set(cols)))
 
 
 def test_incremental_solver_matches_cold_dual_solve():
@@ -322,20 +304,23 @@ def test_incremental_solver_matches_cold_dual_solve():
     assert zero_optimum == {True, False}
 
 
-def test_incremental_solver_with_fractional_rows(monkeypatch):
-    # an appended row can need a larger scale on a dual row than the
-    # rows before it did; the warm basis is rescaled in place
-    factors = []
-    scale_row = ratlp._Simplex.scale_row
-
-    def recording_scale_row(sx, p, t):
-        factors.append(t)
-        scale_row(sx, p, t)
-
-    monkeypatch.setattr(ratlp._Simplex, "scale_row", recording_scale_row)
+def test_incremental_solver_with_fractional_rows():
+    # an appended row becomes a column of the warm dual basis, so its
+    # entries must be integers at the scale the dual rows already have;
+    # a row that would need a larger scale is rejected and not appended
+    box = [LPRow({"x": F(-1)}, F(1)), LPRow({"y": F(-1)}, F(1))]
+    objective = {"x": F(1, 2), "y": F(-1)}
+    solver = IncrementalDualSolver(["x", "y"], objective, box, {"x", "y"})
+    assert solver.solve().value == -1
+    with pytest.raises(LPError):
+        solver.add_rows([LPRow({"x": F(1), "y": F(-1, 3)})])
+    solver.add_rows([LPRow({"x": F(1, 2), "y": F(-1)})])  # dual row x has scale 2
+    sol = solver.solve()
+    rows = box + [LPRow({"x": F(1, 2), "y": F(-1)})]
+    assert check_duals(LPProblem(["x", "y"], objective, rows, {"x", "y"}), sol)
+    assert sol.value == 0
     for sol, cold in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
         assert (sol.status, sol.value) == (cold.status, cold.value)
-    assert factors and min(factors) > 1
 
 
 # -- the fraction-free basis ----------------------------------------------
@@ -379,10 +364,10 @@ def assert_fraction_free(sx):
 
 
 def test_fraction_free_basis_invariant(monkeypatch):
-    # checked at the start and after every pivot and row rescale, on
-    # integer and fractional data, in both orientations and incrementally
-    seen = {"start": 0, "pivot": 0, "negative pivot": 0, "rescale": 0}
-    init, pivot, scale_row = ratlp._Simplex.__init__, ratlp._Simplex._pivot, ratlp._Simplex.scale_row
+    # checked at the start and after every pivot, on integer and
+    # fractional data, cold and incrementally
+    seen = {"start": 0, "pivot": 0, "negative pivot": 0}
+    init, pivot = ratlp._Simplex.__init__, ratlp._Simplex._pivot
 
     def checked_init(sx, lp):
         init(sx, lp)
@@ -396,23 +381,16 @@ def test_fraction_free_basis_invariant(monkeypatch):
         assert_fraction_free(sx)
         seen["pivot"] += 1
 
-    def checked_scale_row(sx, p, t):
-        scale_row(sx, p, t)
-        assert_fraction_free(sx)
-        seen["rescale"] += 1
-
     monkeypatch.setattr(ratlp._Simplex, "__init__", checked_init)
     monkeypatch.setattr(ratlp._Simplex, "_pivot", checked_pivot)
-    monkeypatch.setattr(ratlp._Simplex, "scale_row", checked_scale_row)
-    # driving the artificial of -x + y = 0 out of the basis pivots on -1
-    drive_out = LPRow({"x": F(-1), "y": F(1)}, F(0), "=")
-    solve(LPProblem(["x", "y"], {"x": F(1)}, [drive_out], {"x", "y"}))
+    # y is free with objective 0, so its dual row -y0 = 0 starts on an
+    # artificial at zero, and driving it out pivots on -1
+    above_one = LPRow({"x": F(1), "y": F(1)}, F(-1))
+    solve(LPProblem(["x", "y"], {"x": F(1)}, [above_one], {"x"}))
     rng = random.Random(1968)
     for dens in (None, (1, 2, 3, 4)):
         for _ in range(30):
-            lp = random_lp(rng, max_cols=6, max_rows=8, dens=dens)
-            for orientation in ("primal", "dual"):
-                solve(lp, orientation=orientation)
+            solve(random_lp(rng, max_cols=6, max_rows=8, dens=dens))
     for _ in incremental_runs(rng, 8, dens=(1, 2, 3)):
         pass
     assert min(seen.values()) > 0, seen
@@ -429,7 +407,7 @@ def test_solve_logs_deterministic_counters(caplog):
         solver = IncrementalDualSolver(["x", "y"], {"x": F(1), "y": F(2)}, rows, {"y"})
         solver.solve()
     assert [r.getMessage() for r in caplog.records] == [
-        "solve (primal): 1 rows, 1 columns, 1 pivots (0 degenerate), "
+        "solve (dual): 1 rows, 1 columns, 1 pivots (0 degenerate), "
         "0 Bland switches, determinant bits 1",
         "incremental phase 1 (dual): 1 rows, 1 columns, 0 pivots (0 degenerate), "
         "0 Bland switches, determinant bits 1",

@@ -7,7 +7,6 @@ from repairbound.region import (
     HalfPlane,
     Region2D,
     emit,
-    equals,
     from_halfplanes,
 )
 
@@ -50,7 +49,7 @@ def test_from_halfplanes_validates_region_shape():
 def test_redundant_plane_is_dropped():
     region = from_halfplanes(EXACT_54)
     padded = from_halfplanes(EXACT_54 + [(2, 3, 1)])
-    assert equals(region, padded)
+    assert region == padded
     assert len(padded.halfplanes) == 5
 
 
@@ -63,15 +62,15 @@ def test_duplicate_and_scaled_planes_collapse():
 def test_region_equality_examples():
     exact = from_halfplanes(EXACT_54)
     rebuilt = from_halfplanes(CUTSET_54 + [(15, 10, 6), (5, 10, 3)])
-    assert equals(exact, rebuilt)
-    assert not equals(exact, from_halfplanes(CUTSET_54))
-    assert equals(exact, exact)
+    assert exact == rebuilt
+    assert exact != from_halfplanes(CUTSET_54)
+    assert exact == exact
 
 
 def test_idempotent_reconstruction():
     region = from_halfplanes(EXACT_54)
     again = from_halfplanes(region.halfplanes)
-    assert equals(region, again)
+    assert region == again
 
 
 def test_contains_and_separation_witness():
