@@ -25,7 +25,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
 from .instance import (
@@ -258,7 +257,7 @@ def _row_expr(row: dict, term_cols: dict) -> LinExpr:
         else:
             col = term_cols[key]
         coeffs[col] = coeffs.get(col, 0) + v
-    return LinExpr({c: Fraction(v) for c, v in coeffs.items() if v}, "certificate-row")
+    return LinExpr({c: v for c, v in coeffs.items() if v}, "certificate-row")
 
 
 def _columns(u: Universe, fam_masks) -> list:
@@ -274,7 +273,7 @@ def _lp_row(row: LinExpr) -> LPRow:
     # loosens the bound; rows are free to spend cap slack against entropy
     # terms (some shipped rows carry negative cap coefficients).
     rel = "=" if row.kind.endswith("-cap") else ">="
-    return LPRow(dict(row.coeffs), Fraction(0), rel)
+    return LPRow(dict(row.coeffs), 0, rel)
 
 
 def _try_pool(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
@@ -294,7 +293,7 @@ def _try_pool(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     if sol.status != "optimal" or sol.value != 0:
         raise CertificateError(f"row LP reported {sol.status}: solver invariant broken")
     return tuple(
-        (lam, all_rows[i]) for i, lam in enumerate(sol.duals) if lam != 0
+        (lam, all_rows[i]) for i, lam in enumerate(sol.duals) if lam
     )
 
 
@@ -336,7 +335,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     descriptors = submod_descriptors
 
     columns = _columns(u, fam_masks)
-    box = [LPRow({c: Fraction(-1)}, Fraction(1), ">=") for c in columns]
+    box = [LPRow({c: -1}, 1, ">=") for c in columns]
     n_box = len(box)
     solver = IncrementalDualSolver(
         columns, dict(expr.coeffs), box + [_lp_row(r) for r in active], set(columns)
@@ -349,7 +348,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
             return tuple(
                 (lam, active[i - n_box])
                 for i, lam in enumerate(sol.duals)
-                if lam != 0 and i >= n_box
+                if lam and i >= n_box
             )
 
         den = math.lcm(*(v.denominator for v in sol.primal.values()))
@@ -378,7 +377,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
             if sig not in sigs:
                 sigs.add(sig)
                 active.append(row)
-                fresh.append(LPRow(dict(row.coeffs), Fraction(0), ">="))
+                fresh.append(LPRow(dict(row.coeffs), 0, ">="))
         if not fresh:
             raise CertificateError("separation produced only duplicate rows")
         solver.add_rows(fresh)

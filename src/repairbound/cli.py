@@ -558,14 +558,34 @@ COMMANDS = {
 }
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to whatever sys.stderr is when it is emitted,
+    so an in-process caller that swaps or closes its stderr between calls
+    never leaves the handler on a dead stream."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+def _configure_logging():
+    """Give the package logger its one stderr handler, and take its level
+    from REPAIRBOUND_LOG on every call; a name that is not a level means
+    WARNING."""
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+    level = getattr(logging, os.environ.get("REPAIRBOUND_LOG", "WARNING").upper(), None)
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("REPAIRBOUND_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-        force=True,
-    )
+    _configure_logging()
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)

@@ -1,6 +1,6 @@
 """Shannon-cone constraint rows over canonical entropy classes.
 
-A row is a sparse rational expression over the columns ALPHA, BETA, BIGB
+A row is a sparse integer expression over the columns ALPHA, BETA, BIGB
 and EntropyClass objects, read as  sum(coeff * column) >= 0.  Spanning
 arguments collapse to the single BIGB column (every spanning set carries
 the whole stored data), empty arguments contribute nothing, and
@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .universe import EntropyClass, Universe
 
@@ -77,7 +76,7 @@ def instance_row(u: Universe, desc, cols: dict, kind: str | None = None) -> LinE
         coeffs[key] = coeffs.get(key, 0) + sign
     if kind is None:
         kind = "monotonicity" if desc[1] == 0 else "submodularity"
-    return LinExpr({c: Fraction(v) for c, v in coeffs.items() if v}, kind)
+    return LinExpr({c: v for c, v in coeffs.items() if v}, kind)
 
 
 def storage_and_bandwidth_caps(u: Universe) -> list[LinExpr]:
@@ -86,8 +85,8 @@ def storage_and_bandwidth_caps(u: Universe) -> list[LinExpr]:
     w1 = u.canon_class(u.mask_of_tokens(["W1"]))
     s12 = u.canon_class(u.mask_of_tokens(["S1->2"]))
     return [
-        LinExpr({ALPHA: Fraction(1), w1: Fraction(-1)}, "storage-cap"),
-        LinExpr({BETA: Fraction(1), s12: Fraction(-1)}, "bandwidth-cap"),
+        LinExpr({ALPHA: 1, w1: -1}, "storage-cap"),
+        LinExpr({BETA: 1, s12: -1}, "bandwidth-cap"),
     ]
 
 

@@ -166,7 +166,7 @@ def build_lp(u: Universe, fam: SubsetFamily, direction) -> LPProblem:
     lprows = []
     for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam.sorted_classes()):
         coeffs = {c: v for c, v in e.coeffs.items() if c != BIGB}
-        lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, Fraction(0)), ">="))
+        lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, 0), ">="))
     columns = [ALPHA, BETA] + fam.sorted_classes()
     return LPProblem(columns, {ALPHA: ca, BETA: cb}, lprows, set(columns))
 
@@ -198,7 +198,7 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
     for lam, row in zip(sol.duals, lp.rows):
         if lam:
             for col, cv in row.coeffs.items():
-                reduced[col] = reduced.get(col, Fraction(0)) - lam * cv
+                reduced[col] = reduced.get(col, 0) - lam * cv
     slack = {col: rc for col, rc in reduced.items() if rc}
 
     lcm = math.lcm(*(q.denominator for q in (*sol.duals, *slack.values())))
@@ -215,7 +215,7 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
             coeffs = dict(row.coeffs)
             if row.const:
                 coeffs[BIGB] = row.const
-            out_rows.append({c: mult // g * int(v) for c, v in coeffs.items()})
+            out_rows.append({c: mult // g * v for c, v in coeffs.items()})
     if smults:
         out_rows.append({c: s // g for c, s in smults.items()})
 

@@ -2,9 +2,12 @@
 
 Minimizes a sparse rational objective over rows of the form
 ``coeffs . x + const >= 0`` (or ``= 0``) with a declared set of
-nonnegative columns.  An optimal answer is accepted only after an exact
-certificate check in fractions.Fraction (primal feasibility, dual
-feasibility, equal objective values), so a returned "optimal" is a
+nonnegative columns.  Every objective value, coefficient and constant is
+an int or a fractions.Fraction, read through ``.numerator`` and
+``.denominator`` and never re-wrapped; the package's own rows are all
+integers.  An optimal answer is accepted only after an exact certificate
+check (primal feasibility, dual feasibility, equal objective values),
+made in integers over common denominators, so a returned "optimal" is a
 proof, not an estimate.
 
 The solver is a two-phase revised simplex over Python integers.  Each
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 ZERO = Fraction(0)
+RATIONAL = (int, Fraction)
 
 log = logging.getLogger("repairbound.ratlp")
 
@@ -41,7 +45,7 @@ class LPError(ValueError):
 @dataclass
 class LPRow:
     coeffs: dict
-    const: Fraction = ZERO
+    const: int | Fraction = 0
     rel: str = ">="
 
 
@@ -65,18 +69,24 @@ def _validate(lp: LPProblem):
     colset = set(lp.columns)
     if len(colset) != len(lp.columns):
         raise LPError("duplicate column ids")
-    for c in lp.objective:
+    for c, v in lp.objective.items():
         if c not in colset:
             raise LPError(f"objective references unknown column {c!r}")
+        if not isinstance(v, RATIONAL):
+            raise LPError(f"objective value {v!r} of column {c!r} is not rational")
     for c in lp.nonneg:
         if c not in colset:
             raise LPError(f"nonneg references unknown column {c!r}")
     for i, r in enumerate(lp.rows):
         if r.rel not in (">=", "="):
             raise LPError(f"row {i} has unknown relation {r.rel!r}")
-        for c in r.coeffs:
+        if not isinstance(r.const, RATIONAL):
+            raise LPError(f"row {i} constant {r.const!r} is not rational")
+        for c, v in r.coeffs.items():
             if c not in colset:
                 raise LPError(f"row {i} references unknown column {c!r}")
+            if not isinstance(v, RATIONAL):
+                raise LPError(f"row {i} coefficient {v!r} of column {c!r} is not rational")
 
 
 class _Simplex:
@@ -107,16 +117,16 @@ class _Simplex:
         cols = [[] for _ in self.svars]
         self.rsign, self.rscale, b = [], [], []
         for i, r in enumerate(lp.rows):
-            rhs = -Fraction(r.const)
-            coeffs = {col: Fraction(v) for col, v in r.coeffs.items()}
-            s = 1 if rhs >= 0 else -1
-            scale = math.lcm(rhs.denominator, *(fv.denominator for fv in coeffs.values()))
+            const = r.const
+            s = -1 if const > 0 else 1  # the sign that makes -const >= 0
+            scale = math.lcm(const.denominator, *(v.denominator for v in r.coeffs.values()))
             self.rsign.append(s)
             self.rscale.append(scale)
-            b.append(int(rhs * s * scale))
-            for col, fv in coeffs.items():
-                if fv:
-                    iv = int(fv * s * scale)
+            b.append(-s * const.numerator * (scale // const.denominator))
+            for col, v in r.coeffs.items():
+                num = v.numerator
+                if num:
+                    iv = s * num * (scale // v.denominator)
                     for j, sgn in col_map[col]:
                         cols[j].append((i, iv * sgn))
         slack_coeff = {}
@@ -328,14 +338,14 @@ def _phase1(lp: LPProblem) -> _Simplex:
         if sx.artificial_positive():
             return sx
     sx.drive_out_artificials()
-    cost = [ZERO] * len(sx.svars)
+    cost = [0] * len(sx.svars)
     for j, (kind, payload, sgn) in enumerate(sx.svars):
         if kind == "col":
-            c = Fraction(lp.objective.get(payload, 0))
+            c = lp.objective.get(payload, 0)
             if c:
                 cost[j] = sgn * c
-    sx.cscale = math.lcm(*(c.denominator for c in cost))
-    sx.cost = [int(c * sx.cscale) for c in cost]
+    sx.cscale = scale = math.lcm(*(c.denominator for c in cost))
+    sx.cost = [c.numerator * (scale // c.denominator) for c in cost]
     return sx
 
 
@@ -364,17 +374,12 @@ def dualize(lp: LPProblem) -> LPProblem:
     rowcoeffs = {col: {} for col in lp.columns}
     for i, r in enumerate(lp.rows):
         if r.const:
-            objective[("y", i)] = Fraction(r.const)
+            objective[("y", i)] = r.const
         for col, v in r.coeffs.items():
-            fv = Fraction(v)
-            if fv:
-                rowcoeffs[col][("y", i)] = -fv
+            if v:
+                rowcoeffs[col][("y", i)] = -v
     rows = [
-        LPRow(
-            rowcoeffs[col],
-            Fraction(lp.objective.get(col, 0)),
-            ">=" if col in lp.nonneg else "=",
-        )
+        LPRow(rowcoeffs[col], lp.objective.get(col, 0), ">=" if col in lp.nonneg else "=")
         for col in lp.columns
     ]
     return LPProblem(cols, objective, rows, nonneg)
@@ -405,9 +410,9 @@ class IncrementalDualSolver:
     from scratch.  The row set must keep the problem feasible and
     bounded at every stage (e.g. a cone intersected with a box); a stage
     that is not raises LPError.  Appended rows must be inequalities with
-    zero constant whose entries stay integral at the scale of their dual
-    rows, as integer coefficients always do; add_rows raises LPError on
-    any other row.  Every solve() is certified exactly before return.
+    zero constant whose rational entries stay integral at the scale of
+    their dual rows, as integer coefficients always do; add_rows raises
+    LPError on any other row.  Every solve() is certified exactly before return.
     """
 
     def __init__(self, columns, objective, rows, nonneg):
@@ -422,22 +427,23 @@ class IncrementalDualSolver:
     def add_rows(self, rows):
         sx = self._sx
         for r in rows:
-            if r.rel != ">=" or r.const != 0:
+            if r.rel != ">=" or not isinstance(r.const, RATIONAL) or r.const:
                 raise LPError("appended rows must be homogeneous inequalities")
             entries = []
             for col, v in r.coeffs.items():
-                fv = Fraction(v)
-                if fv:
+                if not isinstance(v, RATIONAL):
+                    raise LPError(f"appended row entry {v!r} for column {col!r} is not rational")
+                if v:
                     p = self._colpos.get(col)
                     if p is None:
                         raise LPError(f"appended row references unknown column {col!r}")
-                    e = -fv * sx.rsign[p] * sx.rscale[p]
-                    if e.denominator != 1:
+                    e, rem = divmod(-v.numerator * sx.rsign[p] * sx.rscale[p], v.denominator)
+                    if rem:
                         raise LPError(
-                            f"appended row entry {fv} for column {col!r} is not "
+                            f"appended row entry {v} for column {col!r} is not "
                             "integral at the scale of its dual row"
                         )
-                    entries.append((p, int(e)))
+                    entries.append((p, e))
             i = len(self._plp.rows)
             self._plp.rows.append(r)
             sx.svars.append(("col", ("y", i), 1))
@@ -480,30 +486,53 @@ def solve(lp: LPProblem) -> LPSolution:
 def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     """Exact and independent: primal feasibility, dual sign and
     column-wise domination of the objective, and equal objective values,
-    all in one pass over the rows."""
+    all in one pass over the rows.
+
+    The arithmetic is in integers: the primal over the lcm X of its
+    denominators, each row scaled by the lcm s of its own denominators
+    (1 for an integer row), and the reduced costs over the lcm L of the
+    denominators of the multipliers λ/s, compared with the objective by
+    cross-multiplication.  Fractions appear once per row with λ != 0 and
+    once per objective value."""
     if sol.status != "optimal" or sol.value is None:
         return False
     if len(sol.duals) != len(lp.rows):
         return False
-    x = {c: Fraction(sol.primal.get(c, 0)) for c in lp.columns}
+    x = {c: sol.primal.get(c, 0) for c in lp.columns}
+    X = math.lcm(*(v.denominator for v in x.values()))
+    x = {c: v.numerator * (X // v.denominator) for c, v in x.items()}
     for c in lp.nonneg:
         if x[c] < 0:
             return False
-    rc = {c: Fraction(lp.objective.get(c, 0)) for c in lp.columns}
-    dval = ZERO
+    support = []  # (λ/s, s·const, s·coeffs) of every row with λ != 0
     for r, lam in zip(lp.rows, sol.duals):
-        v = sum((Fraction(cv) * x[c] for c, cv in r.coeffs.items()), Fraction(r.const))
+        const = r.const
+        s = math.lcm(const.denominator, *(v.denominator for v in r.coeffs.values()))
+        const = const.numerator * (s // const.denominator)
+        coeffs = [(c, v.numerator * (s // v.denominator)) for c, v in r.coeffs.items()]
+        v = const * X
+        for c, cv in coeffs:
+            v += cv * x[c]
+        sign = lam.numerator
         if r.rel == ">=":
-            if v < 0 or lam < 0:
+            if v < 0 or sign < 0:
                 return False
-        elif v != 0:
+        elif v:
             return False
-        if lam:
-            dval -= lam * Fraction(r.const)
-            for c, cv in r.coeffs.items():
-                rc[c] -= lam * Fraction(cv)
+        if sign:
+            support.append((Fraction(sign, lam.denominator * s), const, coeffs))
+    L = math.lcm(*(q.denominator for q, _, _ in support))
+    rc = dict.fromkeys(lp.columns, 0)  # L · Σ λ·row, per column
+    dval = 0  # L · Σ -λ·const
+    for q, const, coeffs in support:
+        m = q.numerator * (L // q.denominator)
+        dval -= m * const
+        for c, cv in coeffs:
+            rc[c] += m * cv
     for c, v in rc.items():
-        if v < 0 if c in lp.nonneg else v != 0:
+        o = lp.objective.get(c, 0)
+        v = o.numerator * L - v * o.denominator  # the reduced cost's sign
+        if v < 0 if c in lp.nonneg else v:
             return False
-    pval = sum((Fraction(v) * x[c] for c, v in lp.objective.items()), ZERO)
-    return pval == dval == sol.value
+    pval = Fraction(sum(v * x[c] for c, v in lp.objective.items()), X)
+    return pval == Fraction(dval, L) == sol.value

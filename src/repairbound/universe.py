@@ -17,9 +17,13 @@ Functional-dependency closure of a subset A:
 from __future__ import annotations
 
 import itertools
+import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property
+
+
+log = logging.getLogger("repairbound.universe")
 
 
 class UnsupportedConfiguration(ValueError):
@@ -268,13 +272,16 @@ def closure_round(u: Universe, masks, cap: int):
     """One union/intersection closure round over (representative, orbit
     member) pairs of a set of canonical class masks.  Returns (new mask
     set, completed flag); the round stops early once the set holds more
-    than cap masks."""
+    than cap masks.  Logs one DEBUG line of deterministic counters."""
     fam = sorted(masks, reverse=True)
     out = set(masks)
     full = u.full_mask
+    orbits_known = len(u._orbit_cache)  # a canon_mask miss adds one orbit
+    pairs = 0
     for i, ra in enumerate(fam):
         for rb in fam[i:]:
             for m in u.orbit_masks(rb):
+                pairs += 1
                 un = u.closure_mask(ra | m)
                 if un != full:
                     out.add(u.canon_mask(un))
@@ -282,5 +289,20 @@ def closure_round(u: Universe, masks, cap: int):
                 if inter:
                     out.add(u.canon_mask(inter))
                 if len(out) > cap:
+                    _log_round(u, fam, out, pairs, orbits_known, False)
                     return out, False
+    _log_round(u, fam, out, pairs, orbits_known, True)
     return out, True
+
+
+def _log_round(u: Universe, fam, out, pairs: int, orbits_known: int, done: bool):
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "closure round: %d classes in, %d classes out, %d pairs scanned, "
+            "%d canon_mask misses%s",
+            len(fam),
+            len(out),
+            pairs,
+            len(u._orbit_cache) - orbits_known,
+            "" if done else ", stopped at the cap",
+        )

@@ -1,4 +1,7 @@
+import io
 import json
+import logging
+import sys
 from pathlib import Path
 
 from repairbound.certificate import Certificate, load, parse, serialize
@@ -327,3 +330,33 @@ def test_solve_with_seeds_matches_spec_example(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out.splitlines()[0] == "bound: 15α+10β ≥ 6B"
     assert Path("bound-n5-k4-d4-15-10.cert.json").exists()
+
+
+def test_logging_follows_the_current_stderr(capsys, monkeypatch):
+    # main once ran under a stderr that is closed by now, as a pytest
+    # capture stream is after its test; later records must reach the
+    # stderr of the moment, not fail on the closed one
+    package = logging.getLogger("repairbound")
+    level = package.level
+    monkeypatch.setenv("REPAIRBOUND_LOG", "DEBUG")
+    stream = io.StringIO()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stderr", stream)
+            assert main(["cutset", "--n", "4", "--k", "3"]) == 0
+        stream.close()
+        logging.getLogger("repairbound.ratlp").debug("after main: %d", 1)
+    finally:
+        package.setLevel(level)
+    err = capsys.readouterr().err
+    assert "Logging error" not in err
+    assert "DEBUG repairbound.ratlp: after main: 1" in err
+
+
+def test_unknown_log_level_means_warning(capsys, monkeypatch):
+    # BASIC_FORMAT names a logging attribute that is not a level
+    for name in ("basic_format", "nonsense"):
+        monkeypatch.setenv("REPAIRBOUND_LOG", name)
+        code, out, _ = run(capsys, "cutset", "--n", "4", "--k", "3")
+        assert code == 0 and out
+        assert logging.getLogger("repairbound").level == logging.WARNING

@@ -199,9 +199,16 @@ def test_random_submodularity_instances_sound():
 
 
 def pool_digest(rows) -> str:
+    # coefficients enter by str, so 1 and Fraction(1) hash alike
     return hashlib.sha256(
-        repr([(r.kind, r.signature()) for r in rows]).encode()
+        repr(
+            [(r.kind, tuple((key, str(v)) for key, v in r.signature())) for r in rows]
+        ).encode()
     ).hexdigest()
+
+
+def assert_integer_rows(rows):
+    assert all(type(v) is int for r in rows for v in r.coeffs.values())
 
 
 def test_pools_are_pinned():
@@ -214,16 +221,18 @@ def test_pools_are_pinned():
     masks = [c.mask for c in default_family(u54, seeds=seeds).classes]
     rows = storage_and_bandwidth_caps(u54) + enumerate_rows(u54, masks)
     assert len(rows) == 3614
+    assert_integer_rows(rows)
     assert pool_digest(rows) == (
-        "b1c393f4ff3479dfc1d32a3717ad8c725d9c84e086f0992f7d44766c3b8a3f9e"
+        "de49515d826a5ec5480267e85155e4176575812622dfd189cdd26147f363eec0"
     )
 
     u43 = build_universe(4, 3)
     masks = [c.mask for c in default_family(u43, depth=1).classes]
     rows = storage_and_bandwidth_caps(u43) + enumerate_rows(u43, masks)
     assert len(rows) == 851
+    assert_integer_rows(rows)
     assert pool_digest(rows) == (
-        "11a83b7235abfb2a204071a3119059a3da785be0b2b96e7a30ece74d9b2e1eda"
+        "df0ff9bc8f6060b2a89e034f255a6b7238afa1c56a162e76a913f6fa387532cc"
     )
 
     # the anchored depth-2 rung, elementals included, of prop2 row 12
@@ -242,8 +251,9 @@ def test_pools_are_pinned():
     bases = [0] + sorted(base, reverse=True)
     rows = enumerate_rows(u54, fam, anchors=base, bases=bases)
     assert len(rows) == 282
+    assert_integer_rows(rows)
     assert pool_digest(rows) == (
-        "65588221f3626115ea36d8331aafc82ca3420a62c40211cbb0e2d88e8eb34e3f"
+        "5231b41ae865a20e6e46478c40f8339c9944aa442440efc3821e157d04e85a1c"
     )
 
     # the same rung from the generator: the pool minus its per-class rows

@@ -97,6 +97,26 @@ def test_validation_errors():
         solve(LPProblem(["x"], {}, [LPRow({"x": F(1)}, F(0), "<=")], set()))
 
 
+@pytest.mark.parametrize("bad", [1.5, "1"])
+def test_non_rational_input_is_rejected(bad):
+    # no float or str is silently converted: each position raises LPError
+    row = LPRow({"x": 1}, -1)
+    for lp in (
+        LPProblem(["x"], {"x": bad}, [row], {"x"}),
+        LPProblem(["x"], {"x": 1}, [LPRow({"x": bad}, -1)], {"x"}),
+        LPProblem(["x"], {"x": 1}, [LPRow({"x": 1}, bad)], {"x"}),
+    ):
+        with pytest.raises(LPError, match="not rational"):
+            solve(lp)
+        with pytest.raises(LPError, match="not rational"):
+            IncrementalDualSolver(lp.columns, lp.objective, lp.rows, lp.nonneg)
+    solver = IncrementalDualSolver(["x"], {"x": 1}, [LPRow({"x": -1}, 1)], {"x"})
+    for appended in (LPRow({"x": bad}), LPRow({"x": 1}, bad), LPRow({"x": 1}, 0.0)):
+        with pytest.raises(LPError):
+            solver.add_rows([appended])
+    assert solver.solve().value == 0
+
+
 def test_determinism_bytes():
     lp = LPProblem(
         ["x", "y"],
@@ -258,6 +278,74 @@ def test_dualize_round_trip_value():
         ds = solve(dualize(lp))
         assert ds.status == "optimal"
         assert ds.value == -sol.value
+
+
+def reference_check_duals(lp, sol):
+    # the slow path: one Fraction per coefficient, as check_duals was
+    # before it cleared denominators
+    if sol.status != "optimal" or sol.value is None:
+        return False
+    if len(sol.duals) != len(lp.rows):
+        return False
+    x = {c: F(sol.primal.get(c, 0)) for c in lp.columns}
+    for c in lp.nonneg:
+        if x[c] < 0:
+            return False
+    rc = {c: F(lp.objective.get(c, 0)) for c in lp.columns}
+    dval = F(0)
+    for r, lam in zip(lp.rows, sol.duals):
+        v = sum((F(cv) * x[c] for c, cv in r.coeffs.items()), F(r.const))
+        if r.rel == ">=":
+            if v < 0 or lam < 0:
+                return False
+        elif v != 0:
+            return False
+        if lam:
+            dval -= lam * F(r.const)
+            for c, cv in r.coeffs.items():
+                rc[c] -= lam * F(cv)
+    for c, v in rc.items():
+        if v < 0 if c in lp.nonneg else v != 0:
+            return False
+    pval = sum((F(v) * x[c] for c, v in lp.objective.items()), F(0))
+    return pval == dval == sol.value
+
+
+def test_check_duals_matches_fraction_reference():
+    # every true answer and three tampered copies of it get the same
+    # verdict from the integer check and the Fraction one
+    rng = random.Random(8128)
+    verdicts = {"true": set(), "dual": set(), "primal": set(), "free column": set()}
+    for i in range(300):
+        lp = random_lp(rng, dens=None if i % 2 else (1, 2, 3, 4, 6))
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        delta = F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+        cases = [("true", lp, sol)]
+        if sol.duals:
+            duals = list(sol.duals)
+            duals[rng.randrange(len(duals))] += delta
+            cases.append(("dual", lp, LPSolution(sol.status, sol.value, sol.primal, duals)))
+        primal = dict(sol.primal)
+        primal[rng.choice(lp.columns)] += delta
+        cases.append(("primal", lp, LPSolution(sol.status, sol.value, primal, sol.duals)))
+        # a new free column z at zero in one row with a nonzero multiplier:
+        # every row, sign and objective value still holds, and only z's
+        # reduced cost -lambda is off
+        support = [j for j, lam in enumerate(sol.duals) if lam]
+        if support:
+            j = rng.choice(support)
+            rows = list(lp.rows)
+            rows[j] = LPRow({**rows[j].coeffs, "z": delta}, rows[j].const, rows[j].rel)
+            wide = LPProblem(lp.columns + ["z"], lp.objective, rows, lp.nonneg)
+            cases.append(("free column", wide, sol))
+        for kind, problem, answer in cases:
+            verdict = check_duals(problem, answer)
+            assert verdict == reference_check_duals(problem, answer), (i, kind)
+            verdicts[kind].add(verdict)
+    assert verdicts["true"] == {True} and verdicts["free column"] == {False}
+    assert verdicts["dual"] == verdicts["primal"] == {True, False}
 
 
 def integral(row):

@@ -1,8 +1,10 @@
 import itertools
+import logging
 import random
 
 import pytest
 
+from repairbound.prover import default_family
 from repairbound.universe import (
     EntropyClass,
     UnsupportedConfiguration,
@@ -214,3 +216,20 @@ def test_closure_round_adds_unions_and_intersections():
     assert again == grown
     _, done = closure_round(u, {w1, s12}, 2)
     assert not done
+
+
+def test_closure_round_logs_family_growth(caplog):
+    # deterministic counters only: a fresh universe gives the same line
+    with caplog.at_level(logging.DEBUG, logger="repairbound.universe"):
+        for _ in range(2):
+            default_family(build_universe(4, 3), depth=1)
+        u = build_universe(4, 3)
+        base = [c.mask for c in default_family(u).classes]
+        _, done = closure_round(u, base, 6)
+    assert not done
+    lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.universe"]
+    assert lines[:2] == [
+        "closure round: 4 classes in, 20 classes out, 114 pairs scanned, "
+        "16 canon_mask misses"
+    ] * 2
+    assert len(lines) == 3 and lines[2].endswith(", stopped at the cap")
