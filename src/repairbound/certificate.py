@@ -22,6 +22,7 @@ invalid.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import re
 from dataclasses import dataclass, field
@@ -39,7 +40,9 @@ from .instance import (
     storage_and_bandwidth_caps,
 )
 from .ratlp import IncrementalDualSolver, LPProblem, LPRow, solve
-from .universe import EntropyClass, Universe, closure_round, index_for_token
+from .universe import Universe, closure_round, index_for_token
+
+log = logging.getLogger("repairbound.certificate")
 
 RESERVED_COLUMNS = (ALPHA, BETA, BIGB)
 
@@ -246,7 +249,7 @@ class RowCheck:
 
 def _term_column(u: Universe, toks):
     m = u.closure_mask(u.mask_of_tokens(toks))
-    return BIGB if m == u.full_mask else u.canon_class(m)
+    return BIGB if m == u.full_mask else u.canon_mask(m)
 
 
 def _row_expr(row: dict, term_cols: dict) -> LinExpr:
@@ -260,10 +263,8 @@ def _row_expr(row: dict, term_cols: dict) -> LinExpr:
     return LinExpr({c: v for c, v in coeffs.items() if v}, "certificate-row")
 
 
-def _columns(u: Universe, fam_masks) -> list:
-    return [ALPHA, BETA, BIGB] + sorted(
-        (EntropyClass(u.n, u.k, m) for m in fam_masks), key=column_key
-    )
+def _columns(fam_masks) -> list:
+    return [ALPHA, BETA, BIGB] + sorted(fam_masks, key=column_key)
 
 
 def _lp_row(row: LinExpr) -> LPRow:
@@ -280,7 +281,7 @@ def _try_pool(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     """Minimize the row over the cone cut out by the rung's pool and the
     pinned caps.  Returns a witness list when the minimum is zero, else None."""
     all_rows = enumerate_rows(u, fam_masks, anchors, bases) + storage_and_bandwidth_caps(u)
-    columns = _columns(u, fam_masks)
+    columns = _columns(fam_masks)
     lp = LPProblem(
         columns=columns,
         objective=dict(expr.coeffs),
@@ -313,9 +314,8 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     # start from the pool over the elemental bases, one spanning row per
     # class and the pinned caps
     active = enumerate_rows(u, [b for b in bases if b], bases=bases)
-    cols: dict = {}
     for m in sorted(fam_masks, reverse=True):
-        active.append(instance_row(u, (BIGB, 0, m, 0), cols, "spanning-value"))
+        active.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
     active += storage_and_bandwidth_caps(u)
     sigs = {r.signature() for r in active}
 
@@ -325,7 +325,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     submod_descriptors = []
     for desc in descriptors:
         if desc[1] == 0:
-            row = instance_row(u, desc, cols)
+            row = instance_row(desc)
             sig = row.signature()
             if sig not in sigs:
                 sigs.add(sig)
@@ -334,7 +334,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
             submod_descriptors.append(desc)
     descriptors = submod_descriptors
 
-    columns = _columns(u, fam_masks)
+    columns = _columns(fam_masks)
     box = [LPRow({c: -1}, 1, ">=") for c in columns]
     n_box = len(box)
     solver = IncrementalDualSolver(
@@ -352,10 +352,8 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
             )
 
         den = math.lcm(*(v.denominator for v in sol.primal.values()))
-        val = {0: 0, BIGB: int(sol.primal[BIGB] * den)}
-        for col, v in sol.primal.items():
-            if isinstance(col, EntropyClass):
-                val[col.mask] = int(v * den)
+        val = {col: int(v * den) for col, v in sol.primal.items()}
+        val[0] = 0
 
         violated = []
         for idx, (ka, kb, ku, ki) in enumerate(descriptors):
@@ -372,7 +370,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
             picks += rest[::stride][:batch]
         fresh = []
         for _, idx in picks:
-            row = instance_row(u, descriptors[idx], cols)
+            row = instance_row(descriptors[idx])
             sig = row.signature()
             if sig not in sigs:
                 sigs.add(sig)
@@ -415,7 +413,8 @@ def check_row(
     classes of the two capacity rows (one node, one message), then grows
     by closure rounds up to max_depth generations.  Valid rows report the
     generation that certified them and a rational witness; rows that
-    exhaust the ladder come back unverified (never invalid).
+    exhaust the ladder come back unverified (never invalid).  Each rung
+    tried logs one DEBUG line of its sizes and outcome.
     """
     if not 0 <= index < len(cert.rows):
         raise CertificateError(f"row index {index} out of range")
@@ -430,7 +429,7 @@ def check_row(
     cols = list(term_cols.values())
     for cap in storage_and_bandwidth_caps(u):
         cols += cap.coeffs
-    base = {col.mask for col in cols if isinstance(col, EntropyClass)}
+    base = {col for col in cols if col not in RESERVED_COLUMNS}
     rungs, capped = _rungs(u, base, max_depth, family_cap)
 
     depth_seen = 1
@@ -438,6 +437,17 @@ def check_row(
         depth_seen = depth
         search = _try_pool if len(fam_masks) <= 24 else _try_pool_active
         witness = search(u, fam_masks, anchors, bases, expr)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "row %d, depth %d: %d classes, %d elemental bases, %s, %s: %s",
+                index,
+                depth,
+                len(fam_masks),
+                len(bases),
+                "unanchored" if anchors is None else "anchored",
+                "full pool" if search is _try_pool else "active set",
+                "no witness" if witness is None else "valid",
+            )
         if witness is not None:
             return RowCheck(index, "valid", depth, witness)
     detail = "family size cap exceeded" if capped else "pool exhausted"

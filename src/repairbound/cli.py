@@ -172,11 +172,18 @@ def _resolve_flag(args, cfg, dest) -> bool:
     return value in ("true", "yes", "1")
 
 
+def _fraction(part: str, what: str, text: str) -> Fraction:
+    try:
+        return Fraction(part.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {text!r}: zero denominator") from None
+
+
 def _parse_direction(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"direction {text!r}: expected two comma-separated numbers")
-    ca, cb = (Fraction(p.strip()) for p in parts)
+    ca, cb = (_fraction(p, "direction", text) for p in parts)
     if ca < 0 or cb < 0:
         raise ValueError(f"direction {text!r}: components must be nonnegative")
     if ca == 0 and cb == 0:
@@ -185,7 +192,7 @@ def _parse_direction(text: str) -> tuple:
 
 
 def _parse_window(text: str) -> tuple:
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    parts = [_fraction(p, "window", text) for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"window {text!r}: expected lo,hi,lo,hi")
     (a0, a1, b0, b1) = parts

@@ -1,10 +1,11 @@
 """Shannon-cone constraint rows over canonical entropy classes.
 
-A row is a sparse integer expression over the columns ALPHA, BETA, BIGB
-and EntropyClass objects, read as  sum(coeff * column) >= 0.  Spanning
-arguments collapse to the single BIGB column (every spanning set carries
-the whole stored data), empty arguments contribute nothing, and
-functional dependencies disappear inside canonicalization, so a row
+A row is a sparse integer expression over the three reserved string
+columns ALPHA, BETA, BIGB and entropy classes, each class named by its
+canonical closed mask (an int), read as  sum(coeff * column) >= 0.
+Spanning arguments collapse to the single BIGB column (every spanning
+set carries the whole stored data), empty arguments contribute nothing,
+and functional dependencies disappear inside canonicalization, so a row
 never mentions two names for one entropy value.
 """
 
@@ -14,7 +15,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 
-from .universe import EntropyClass, Universe
+from .universe import Universe
 
 log = logging.getLogger("repairbound.instance")
 
@@ -25,17 +26,17 @@ BIGB = "B"
 # pool order: per-class spanning rows, then monotonicity, then submodularity
 KIND_ORDER = {"spanning-value": 0, "monotonicity": 1, "submodularity": 2}
 
+RESERVED_KEY = {ALPHA: (0,), BETA: (1,), BIGB: (2,)}
+
 
 def column_key(col) -> tuple:
     """Total order on row columns: alpha, beta, B, then classes by size
-    and index tuple.  Keeps every serialization byte-stable."""
-    if col == ALPHA:
-        return (0,)
-    if col == BETA:
-        return (1,)
-    if col == BIGB:
-        return (2,)
-    return (3, col.size, col.indices())
+    and index tuple.  Among equal-size masks the larger one has the
+    smaller index tuple, so -mask stands in for the tuple.  Keeps every
+    serialization byte-stable."""
+    if type(col) is int:
+        return (3, col.bit_count(), -col)
+    return RESERVED_KEY[col]
 
 
 @dataclass
@@ -57,23 +58,16 @@ class LinExpr:
         return f"LinExpr({' + '.join(parts) or '0'} >= 0)"
 
 
-def instance_row(u: Universe, desc, cols: dict, kind: str | None = None) -> LinExpr:
+def instance_row(desc, kind: str | None = None) -> LinExpr:
     """The row H(ka) + H(kb) - H(ku) - H(ki) >= 0 of a descriptor.
 
-    Keys 0 drop out and BIGB stays the spanning column; ``cols`` caches
-    one EntropyClass per class mask.  The kind defaults to monotonicity
-    when kb is 0, else submodularity.
+    Keys 0 drop out, and a class mask or BIGB is the row's column.  The
+    kind defaults to monotonicity when kb is 0, else submodularity.
     """
     coeffs: dict = {}
     for key, sign in zip(desc, (1, 1, -1, -1)):
-        if key == 0:
-            continue
-        if key != BIGB:
-            col = cols.get(key)
-            if col is None:
-                col = cols[key] = EntropyClass(u.n, u.k, key)
-            key = col
-        coeffs[key] = coeffs.get(key, 0) + sign
+        if key != 0:
+            coeffs[key] = coeffs.get(key, 0) + sign
     if kind is None:
         kind = "monotonicity" if desc[1] == 0 else "submodularity"
     return LinExpr({c: v for c, v in coeffs.items() if v}, kind)
@@ -82,8 +76,8 @@ def instance_row(u: Universe, desc, cols: dict, kind: str | None = None) -> LinE
 def storage_and_bandwidth_caps(u: Universe) -> list[LinExpr]:
     """The two symmetry-reduced capacity rows: ALPHA bounds a node's
     content, BETA bounds one repair message."""
-    w1 = u.canon_class(u.mask_of_tokens(["W1"]))
-    s12 = u.canon_class(u.mask_of_tokens(["S1->2"]))
+    w1 = u.canon_mask(u.mask_of_tokens(["W1"]))
+    s12 = u.canon_mask(u.mask_of_tokens(["S1->2"]))
     return [
         LinExpr({ALPHA: 1, w1: -1}, "storage-cap"),
         LinExpr({BETA: 1, s12: -1}, "bandwidth-cap"),
@@ -156,7 +150,7 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
 
 def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinExpr]:
     """Deterministic, deduplicated constraint pool over a family of
-    canonical class masks (EntropyClass members are read by their mask).
+    canonical class masks.
 
     Emits H(A) >= 0 and BIGB - H(A) >= 0 per class and the rows of every
     descriptor that ``instances`` generates over the family, with the
@@ -168,9 +162,7 @@ def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinEx
     family grew by a closure round but witnesses still involve at least
     one original class.
     """
-    fam_masks = sorted(
-        {m.mask if isinstance(m, EntropyClass) else m for m in fam_masks}, reverse=True
-    )
+    fam_masks = sorted(set(fam_masks), reverse=True)
     for m in fam_masks:
         if m == 0 or m == u.full_mask:
             raise ValueError("family must hold proper nonempty classes")
@@ -182,14 +174,13 @@ def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinEx
         raise ValueError("elemental bases must come from the family")
     anchors = None if anchors is None else set(anchors)
 
-    cols: dict = {}
     rows: list[LinExpr] = []
     for m in fam_masks:
-        rows.append(instance_row(u, (m, 0, 0, 0), cols, "monotonicity"))
-        rows.append(instance_row(u, (BIGB, 0, m, 0), cols, "spanning-value"))
+        rows.append(instance_row((m, 0, 0, 0), "monotonicity"))
+        rows.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
     descs = Counter(instances(u, fam_masks, anchors, bases))
     for desc in descs:
-        rows.append(instance_row(u, desc, cols))
+        rows.append(instance_row(desc))
 
     seen: dict = {}
     for row in rows:

@@ -29,30 +29,13 @@ from .instance import (
     storage_and_bandwidth_caps,
 )
 from .ratlp import LPError, LPProblem, LPRow, solve
-from .universe import EntropyClass, Universe, closure_round, index_for_token
+from .universe import Universe, closure_round, index_for_token, token_for_index
 
 DEFAULT_FAMILY_CAP = 20000
 
 
 class FamilyError(ValueError):
     """Family construction failed or exceeded its size cap."""
-
-
-@dataclass(frozen=True)
-class SubsetFamily:
-    """A set of canonical entropy classes.
-
-    Spanning sets are never stored; they are represented by the
-    reserved spanning column wherever a constraint touches one.
-    """
-
-    classes: frozenset
-
-    def sorted_classes(self) -> list:
-        return sorted(self.classes, key=column_key)
-
-    def __len__(self) -> int:
-        return len(self.classes)
 
 
 @dataclass(frozen=True)
@@ -91,15 +74,18 @@ def load_seed_terms(path) -> list[list[str]]:
 
 def default_family(
     u: Universe, seeds=(), depth: int = 0, cap: int = DEFAULT_FAMILY_CAP
-) -> SubsetFamily:
-    """Deterministic family heuristic.
+) -> frozenset:
+    """Deterministic family heuristic: a frozenset of canonical class
+    masks.
 
     Base classes: every singleton variable; every proper node-only
     subset; every such subset augmented by one repair message into a
     missing node; the seeds.  Then `depth` rounds of pairwise
     union/intersection closure over (representative, orbit member)
     pairs, so the family stays a union of full symmetry orbits rather
-    than depending on which member is canonical.
+    than depending on which member is canonical.  Spanning sets are
+    never stored; they are represented by the reserved spanning column
+    wherever a constraint touches one.
     """
     if depth < 0:
         raise FamilyError("depth must be nonnegative")
@@ -145,7 +131,7 @@ def default_family(
         if not completed:
             raise FamilyError(f"family size cap exceeded in closure round {round_no}")
 
-    return SubsetFamily(frozenset(EntropyClass(u.n, u.k, m) for m in masks))
+    return frozenset(masks)
 
 
 def _check_direction(direction) -> tuple:
@@ -155,30 +141,30 @@ def _check_direction(direction) -> tuple:
     return ca, cb
 
 
-def build_lp(u: Universe, fam: SubsetFamily, direction) -> LPProblem:
+def build_lp(u: Universe, fam: frozenset, direction) -> LPProblem:
     """The family-restricted bound LP with the spanning value fixed at
     one: minimize the direction over alpha, beta and the family's class
     entropies subject to every pooled constraint.  Each pool row becomes
     one LP row, in pool order, with its BIGB coefficient as the constant."""
     ca, cb = _check_direction(direction)
-    if not fam.classes:
+    if not fam:
         raise FamilyError("empty family")
     lprows = []
-    for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam.sorted_classes()):
+    for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam):
         coeffs = {c: v for c, v in e.coeffs.items() if c != BIGB}
         lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, 0), ">="))
-    columns = [ALPHA, BETA] + fam.sorted_classes()
+    columns = [ALPHA, BETA] + sorted(fam, key=column_key)
     return LPProblem(columns, {ALPHA: ca, BETA: cb}, lprows, set(columns))
 
 
 def _display_order(coeffs: dict) -> list:
     head = [c for c in (BETA, ALPHA) if c in coeffs]
-    mid = sorted((c for c in coeffs if isinstance(c, EntropyClass)), key=column_key)
+    mid = sorted((c for c in coeffs if type(c) is int), key=column_key)
     tail = [BIGB] if BIGB in coeffs else []
     return head + mid + tail
 
 
-def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> ProvedBound:
+def prove(u: Universe, fam: frozenset, direction, max_depth: int = 2) -> ProvedBound:
     """Solve the direction LP and extract a self-contained certificate.
 
     Rows with nonzero duals are scaled by the least common multiple of
@@ -224,10 +210,9 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
     for coeffs in out_rows:
         row_json = {}
         for col in _display_order(coeffs):
-            if isinstance(col, EntropyClass) and col not in term_ids:
+            if type(col) is int and col not in term_ids:
                 term_ids[col] = f"T{len(term_ids) + 1}"
-            key = term_ids[col] if isinstance(col, EntropyClass) else col
-            row_json[key] = coeffs[col]
+            row_json[term_ids.get(col, col)] = coeffs[col]
         rows_json.append(row_json)
 
     scale = Fraction(lcm, g)
@@ -243,7 +228,10 @@ def prove(u: Universe, fam: SubsetFamily, direction, max_depth: int = 2) -> Prov
         n=u.n,
         k=u.k,
         d=u.d,
-        terms={tid: cls.tokens() for cls, tid in term_ids.items()},
+        terms={
+            tid: sorted(token_for_index(u.n, v) for v in u.indices_of(m))
+            for m, tid in term_ids.items()
+        },
         rows=rows_json,
         target=target,
         meta={

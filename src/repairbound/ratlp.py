@@ -460,6 +460,11 @@ class IncrementalDualSolver:
         return _dual_answer(self._plp, sx)
 
 
+def _zero_is_feasible(lp: LPProblem) -> bool:
+    """Whether x = 0 satisfies every row, as it does on a cone."""
+    return all(r.const >= 0 if r.rel == ">=" else r.const == 0 for r in lp.rows)
+
+
 def solve(lp: LPProblem) -> LPSolution:
     """Minimize lp through its explicit dual; an optimal answer is
     certified by check_duals before return."""
@@ -471,6 +476,9 @@ def solve(lp: LPProblem) -> LPSolution:
             sol = _dual_answer(lp, sx)
         else:  # dual unbounded: lp is infeasible
             sol = LPSolution("infeasible", None, {}, [])
+    elif _zero_is_feasible(lp):
+        # dual infeasible and lp feasible: lp is unbounded
+        sol = LPSolution("unbounded", None, {}, [])
     else:
         # dual infeasible: lp is unbounded if it is feasible at all.  The
         # dual of lp's zero-objective form is feasible at y = 0 and is

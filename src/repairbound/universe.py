@@ -6,7 +6,9 @@ are plain ints used as bit masks.  Variable v sits at bit
 (num_vars - 1 - v), i.e. W_1 is the highest bit: for two distinct
 equal-size subsets the numerically larger mask is the one whose sorted
 index tuple is lexicographically smaller, so the canonical orbit
-representative is a max() over permutation images.
+representative is a max() over permutation images.  An entropy class
+(the relabeling orbit of a closed subset) is named everywhere by that
+representative, its canonical closed mask: a plain int.
 
 Functional-dependency closure of a subset A:
   (i)   W_i in A         =>  every S_{i->j} in A
@@ -19,8 +21,6 @@ from __future__ import annotations
 import itertools
 import logging
 import re
-from dataclasses import dataclass
-from functools import cached_property
 
 
 log = logging.getLogger("repairbound.universe")
@@ -57,38 +57,6 @@ def index_for_token(n: int, tok: str) -> int:
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"message index out of range in {tok!r}")
     return n + (i - 1) * (n - 1) + (j - 1 if j < i else j - 2)
-
-
-@dataclass(frozen=True)
-class EntropyClass:
-    """Canonical representative of a closed subset's relabeling orbit.
-
-    ``mask`` is the canonical closed mask in the bit layout above; two
-    subsets share a class iff their closures lie in one orbit.
-    """
-
-    n: int
-    k: int
-    mask: int
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @cached_property
-    def _indices(self) -> tuple[int, ...]:
-        # the sort key of every row column; computed once per object
-        nv = self.n * self.n
-        return tuple(v for v in range(nv) if self.mask >> (nv - 1 - v) & 1)
-
-    def indices(self) -> tuple[int, ...]:
-        return self._indices
-
-    def tokens(self) -> list[str]:
-        return sorted(token_for_index(self.n, v) for v in self.indices())
-
-    def __repr__(self) -> str:
-        return f"EntropyClass[{','.join(self.tokens())}]"
 
 
 class Universe:
@@ -247,9 +215,6 @@ class Universe:
         descending (the canonical member first)."""
         best = self.canon_mask(mask)
         return self._orbit_cache[best]
-
-    def canon_class(self, mask: int) -> EntropyClass:
-        return EntropyClass(self.n, self.k, self.canon_mask(mask))
 
 
 def build_universe(n: int, k: int, d: int | None = None) -> Universe:

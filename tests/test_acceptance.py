@@ -163,7 +163,7 @@ def test_criterion_7_property_suites():
     # the replication vector (all columns equal one unit of stored data)
     # and evaluates to zero on the all-zero vector
     fam = default_family(u)
-    for row in enumerate_rows(u, fam.sorted_classes()):
+    for row in enumerate_rows(u, fam):
         assert sum(row.coeffs.values()) >= 0
         assert evaluate(row, {}) == 0
     for name in ("prop1", "prop2"):

@@ -256,6 +256,21 @@ def test_config_file_syntax_errors(capsys, tmp_path):
     assert code == 3 and "expected key=value" in err
 
 
+def test_zero_denominator_is_a_usage_error(capsys, tmp_path):
+    # exit 1 is the INVALID verdict, so a bad fraction must not end there
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text("dir=1/0,1\n")
+    cases = (
+        ("solve", "--n", "4", "--k", "3", "--dir", "1/0,1"),
+        ("region", "--n", "4", "--k", "3", "--cutset", "--window", "0,1/0,0,1"),
+        ("solve", "--n", "4", "--k", "3", "--config", str(cfg)),
+    )
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv
+        assert err.startswith("error: ") and "zero denominator" in err, argv
+
+
 def test_no_command_is_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 3 and "command is required" in err

@@ -20,7 +20,6 @@ from repairbound.instance import (
 )
 from repairbound.prover import default_family, load_seed_terms
 from repairbound.universe import (
-    EntropyClass,
     build_universe,
     closure_round,
     index_for_token,
@@ -41,14 +40,14 @@ def submodularity(u, a, b):
     # the instance row H(a) + H(b) >= H(a|b union) + H(a&b) of closed a, b
     ma, mb = u.mask_of(a), u.mask_of(b)
     desc = tuple(key(u, m) for m in (ma, mb, u.closure_mask(ma | mb), ma & mb))
-    return instance_row(u, desc, {}, "submodularity")
+    return instance_row(desc, "submodularity")
 
 
 def monotonicity(u, a, b):
     # the instance row H(b) >= H(a) of closed a within b
     ma, mb = u.mask_of(a), u.mask_of(b)
     kind = "spanning-value" if mb == u.full_mask else "monotonicity"
-    return instance_row(u, (key(u, mb), 0, key(u, ma), 0), {}, kind)
+    return instance_row((key(u, mb), 0, key(u, ma), 0), kind)
 
 
 def evaluate(row, values):
@@ -72,9 +71,9 @@ def test_caps_shape():
     assert a.kind == "storage-cap" and a.coeffs[ALPHA] == 1
     assert b.kind == "bandwidth-cap" and b.coeffs[BETA] == 1
     (wcls,) = [c for c in a.coeffs if c != ALPHA]
-    assert a.coeffs[wcls] == -1 and wcls.size == 5
+    assert a.coeffs[wcls] == -1 and wcls.bit_count() == 5
     (scls,) = [c for c in b.coeffs if c != BETA]
-    assert b.coeffs[scls] == -1 and scls.size == 1
+    assert b.coeffs[scls] == -1 and scls.bit_count() == 1
 
 
 def test_submodularity_disjoint_pair():
@@ -131,7 +130,7 @@ def test_rows_reference_only_family_classes():
         for col in row.coeffs:
             if col in (ALPHA, BETA, BIGB):
                 continue
-            assert col.mask in fam
+            assert col in fam
 
 
 def test_generation_symmetry():
@@ -173,9 +172,30 @@ def test_enumerate_rows_rejects_bad_family():
 
 def test_column_key_orders_reserved_before_classes():
     u = build_universe(4, 3)
-    cls = u.canon_class(u.mask_of_tokens(["W1"]))
+    cls = u.canon_mask(u.mask_of_tokens(["W1"]))
     keys = sorted([column_key(cls), column_key(ALPHA), column_key(BIGB), column_key(BETA)])
     assert keys == [column_key(ALPHA), column_key(BETA), column_key(BIGB), column_key(cls)]
+
+
+def test_column_key_matches_size_and_index_tuple_order():
+    # the mask key against the slow path it replaces: every mask at n = 4,
+    # seeded samples of every size at n = 5 and n = 6
+    u4 = build_universe(4, 3)
+    cases = [(u4, list(range(1 << u4.num_vars)))]
+    rng = random.Random(808)
+    for n in (5, 6):
+        u = build_universe(n, n - 1)
+        masks = [
+            u.mask_of(rng.sample(range(u.num_vars), rng.randrange(u.num_vars + 1)))
+            for _ in range(4000)
+        ]
+        cases.append((u, masks))
+    for u, masks in cases:
+        cols = [BIGB, *masks, BETA, ALPHA]
+        rng.shuffle(cols)
+        fast = sorted(cols, key=column_key)
+        assert fast == sorted(cols, key=lambda c: indices_key(u, c))
+        assert fast[:3] == [ALPHA, BETA, BIGB]
 
 
 def test_linexpr_helpers():
@@ -198,17 +218,28 @@ def test_random_submodularity_instances_sound():
         assert replication_value(row) >= 0
 
 
-def pool_digest(rows) -> str:
-    # coefficients enter by str, so 1 and Fraction(1) hash alike
-    return hashlib.sha256(
-        repr(
-            [(r.kind, tuple((key, str(v)) for key, v in r.signature())) for r in rows]
-        ).encode()
-    ).hexdigest()
+def indices_key(u, col):
+    # the column order by (size, index tuple) that column_key stands in for
+    if col in (ALPHA, BETA, BIGB):
+        return column_key(col)
+    return (3, col.bit_count(), u.indices_of(col))
+
+
+def pool_digest(u, rows) -> str:
+    # keys by index tuple and coefficients by str, so the digest does not
+    # depend on how a class or a coefficient is represented
+    sigs = [
+        (r.kind, tuple(sorted((indices_key(u, c), str(v)) for c, v in r.coeffs.items())))
+        for r in rows
+    ]
+    return hashlib.sha256(repr(sigs).encode()).hexdigest()
 
 
 def assert_integer_rows(rows):
     assert all(type(v) is int for r in rows for v in r.coeffs.values())
+    assert all(
+        type(c) is int for r in rows for c in r.coeffs if c not in (ALPHA, BETA, BIGB)
+    )
 
 
 def test_pools_are_pinned():
@@ -218,20 +249,20 @@ def test_pools_are_pinned():
     seeds = load_seed_terms(DATA / "prop1.terms.json") + load_seed_terms(
         DATA / "prop2.terms.json"
     )
-    masks = [c.mask for c in default_family(u54, seeds=seeds).classes]
+    masks = default_family(u54, seeds=seeds)
     rows = storage_and_bandwidth_caps(u54) + enumerate_rows(u54, masks)
     assert len(rows) == 3614
     assert_integer_rows(rows)
-    assert pool_digest(rows) == (
+    assert pool_digest(u54, rows) == (
         "de49515d826a5ec5480267e85155e4176575812622dfd189cdd26147f363eec0"
     )
 
     u43 = build_universe(4, 3)
-    masks = [c.mask for c in default_family(u43, depth=1).classes]
+    masks = default_family(u43, depth=1)
     rows = storage_and_bandwidth_caps(u43) + enumerate_rows(u43, masks)
     assert len(rows) == 851
     assert_integer_rows(rows)
-    assert pool_digest(rows) == (
+    assert pool_digest(u43, rows) == (
         "df0ff9bc8f6060b2a89e034f255a6b7238afa1c56a162e76a913f6fa387532cc"
     )
 
@@ -242,9 +273,9 @@ def test_pools_are_pinned():
         u54.canon_mask(u54.var_bit(0)),
         u54.canon_mask(u54.var_bit(index_for_token(5, "S1->2"))),
     } | {
-        term_cols[key].mask
+        term_cols[key]
         for key in cert.rows[12]
-        if isinstance(term_cols.get(key), EntropyClass)
+        if isinstance(term_cols.get(key), int)
     }
     fam, done = closure_round(u54, base, 5000)
     assert done and len(fam) == 20
@@ -252,7 +283,7 @@ def test_pools_are_pinned():
     rows = enumerate_rows(u54, fam, anchors=base, bases=bases)
     assert len(rows) == 282
     assert_integer_rows(rows)
-    assert pool_digest(rows) == (
+    assert pool_digest(u54, rows) == (
         "5231b41ae865a20e6e46478c40f8339c9944aa442440efc3821e157d04e85a1c"
     )
 
@@ -260,15 +291,14 @@ def test_pools_are_pinned():
     # (some instances collapse to a per-class row, such as an elemental
     # whose two single-variable growths both span; the per-class row
     # comes first in the pool and wins the dedup)
-    cols: dict = {}
     per_class = set()
     for m in fam:
-        mono = instance_row(u54, (m, 0, 0, 0), cols, "monotonicity")
-        span = instance_row(u54, (BIGB, 0, m, 0), cols, "spanning-value")
+        mono = instance_row((m, 0, 0, 0), "monotonicity")
+        span = instance_row((BIGB, 0, m, 0), "spanning-value")
         per_class |= {mono.signature(), span.signature()}
     generated: dict = {}
     for desc in instances(u54, fam, base, sorted(bases, reverse=True)):
-        row = instance_row(u54, desc, cols)
+        row = instance_row(desc)
         if not row.is_zero():
             generated.setdefault(row.signature(), row)
     assert sorted(
@@ -359,7 +389,7 @@ def test_instances_canonicalize_no_mask_outside_the_family():
 
 def test_enumerate_rows_logs_pool_counts(caplog):
     u = build_universe(4, 3)
-    masks = [c.mask for c in default_family(u, depth=1).classes]
+    masks = default_family(u, depth=1)
     with caplog.at_level(logging.DEBUG, logger="repairbound.instance"):
         enumerate_rows(u, masks)
         enumerate_rows(u, masks)

@@ -21,7 +21,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def canon_of(u, *tokens):
-    return u.canon_class(u.closure_mask(u.mask_of_tokens(tokens)))
+    return u.canon_mask(u.closure_mask(u.mask_of_tokens(tokens)))
 
 
 @pytest.fixture(scope="module")
@@ -50,20 +50,20 @@ def union54(u54):
 def test_default_family_depth0_contents(u54, base54):
     assert len(base54) == 6
     for toks in (("S1->2",), ("W1",), ("W1", "W2"), ("W1", "W2", "W3")):
-        assert canon_of(u54, *toks) in base54.classes
+        assert canon_of(u54, *toks) in base54
     # the 4-node subset plus one more helper spans, so it is not stored
-    assert canon_of(u54, "W1") in base54.classes
+    assert canon_of(u54, "W1") in base54
 
 
 def test_default_family_skips_spanning_seed(u54, base54):
     fam = default_family(u54, seeds=[["W1", "W2", "W3", "S5->4"]])
-    assert fam.classes == base54.classes
+    assert fam == base54
 
 
 def test_default_family_accepts_token_and_index_seeds(u54):
     by_token = default_family(u54, seeds=[["W1", "S3->2"]])
     by_index = default_family(u54, seeds=[[0, 11]])  # same pair as indices
-    assert by_token.classes == by_index.classes
+    assert by_token == by_index
 
 
 def test_default_family_cap_names_the_round(u54):
@@ -129,6 +129,17 @@ def test_prove_round_trip_depth0(u54, base54):
     assert verify(u54, pb.certificate).overall == "VALID"
 
 
+def test_prove_writes_sorted_term_tokens(u54, base54):
+    pb = prove(u54, base54, (3, 1))
+    terms = pb.certificate.terms
+    assert terms
+    for toks in terms.values():
+        assert toks == sorted(toks)
+        # each term is a closed set of its class, by its tokens
+        m = u54.mask_of_tokens(toks)
+        assert u54.closure_mask(m) == m and m.bit_count() == len(toks)
+
+
 def test_prove_scale_equivariance(u54, base54):
     one = prove(u54, base54, (3, 1))
     two = prove(u54, base54, (6, 2))
@@ -147,7 +158,7 @@ def test_prove_union_family_facets(u54, union54):
 
 def test_family_growth_never_weakens(u54, base54):
     deeper = default_family(u54, depth=1)
-    assert base54.classes < deeper.classes
+    assert base54 < deeper
     for direction in ((1, 0), (3, 1), (1, 1)):
         v0 = solve(build_lp(u54, base54, direction)).value
         v1 = solve(build_lp(u54, deeper, direction)).value

@@ -506,3 +506,36 @@ def test_solve_logs_deterministic_counters(caplog):
         "incremental solve (dual): 2 rows, 2 columns, 1 pivots (0 degenerate), "
         "0 Bland switches, determinant bits 1",
     ]
+
+
+def test_zero_objective_probe_only_when_zero_is_infeasible(monkeypatch):
+    phase1_calls = []
+    phase1 = ratlp._phase1
+
+    def counted(lp):
+        phase1_calls.append(len(lp.rows))
+        return phase1(lp)
+
+    monkeypatch.setattr(ratlp, "_phase1", counted)
+
+    def status_and_phase1_runs(lp):
+        phase1_calls.clear()
+        return solve(lp).status, len(phase1_calls)
+
+    # cones hold x = 0, so an infeasible dual already means unbounded
+    cone = LPProblem(
+        ["x", "y", "z"],
+        {"x": -1, "z": 1},
+        [LPRow({"x": 1, "y": -1}), LPRow({"y": 1, "z": -1}, 0, "=")],
+        {"x", "y", "z"},
+    )
+    assert status_and_phase1_runs(cone) == ("unbounded", 1)
+    # x = 0 breaks a row: the probe still tells the two answers apart
+    above_one = LPProblem(["x"], {"x": -1}, [LPRow({"x": 1}, -1)], {"x"})
+    assert status_and_phase1_runs(above_one) == ("unbounded", 2)
+    pinned = LPProblem(["x", "y"], {"y": -1}, [LPRow({"x": 1}, -1, "=")], {"x"})
+    assert status_and_phase1_runs(pinned) == ("unbounded", 2)
+    empty = LPProblem(
+        ["x", "y"], {"x": -1}, [LPRow({"y": 1}, -1), LPRow({"y": -1})], {"x", "y"}
+    )
+    assert status_and_phase1_runs(empty) == ("infeasible", 2)

@@ -6,7 +6,6 @@ import pytest
 
 from repairbound.prover import default_family
 from repairbound.universe import (
-    EntropyClass,
     UnsupportedConfiguration,
     build_universe,
     closure_round,
@@ -124,7 +123,7 @@ def test_closure_axioms_match_naive_oracle():
 
 def test_canon_merges_relabeled_sets():
     u = build_universe(5, 4)
-    c = lambda toks: u.canon_class(u.mask_of_tokens(toks))
+    c = lambda toks: u.canon_mask(u.mask_of_tokens(toks))
     assert c(["W2"]) == c(["W1"])
     assert c(["S5->2", "W2"]) == c(["S1->3", "W3"])
     assert c(["W1"]) != c(["S1->2"])
@@ -195,12 +194,11 @@ def test_spanning_monotone():
             assert u.closure_mask(u.mask_of_tokens(b)) == u.full_mask
 
 
-def test_entropy_class_tokens_sorted():
+def test_canon_mask_of_one_node_holds_its_fan_out():
     u = build_universe(5, 4)
-    cls = u.canon_class(u.mask_of_tokens(["W3"]))
-    assert cls.tokens() == sorted(cls.tokens())
-    assert isinstance(cls, EntropyClass)
-    assert cls.size == 5
+    cls = u.canon_mask(u.mask_of_tokens(["W3"]))
+    assert type(cls) is int
+    assert cls.bit_count() == 5
 
 
 def test_closure_round_adds_unions_and_intersections():
@@ -224,7 +222,7 @@ def test_closure_round_logs_family_growth(caplog):
         for _ in range(2):
             default_family(build_universe(4, 3), depth=1)
         u = build_universe(4, 3)
-        base = [c.mask for c in default_family(u).classes]
+        base = default_family(u)
         _, done = closure_round(u, base, 6)
     assert not done
     lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.universe"]

@@ -1,3 +1,4 @@
+import logging
 import random
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from repairbound.certificate import (
     load,
     verify,
 )
-from repairbound.universe import EntropyClass, build_universe, index_for_token
+from repairbound.universe import build_universe, index_for_token
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -148,8 +149,8 @@ def test_full_pool_and_active_set_rungs_agree():
     # the row exactly
     rng = random.Random(606)
     u = build_universe(5, 4)
-    w_cls = u.canon_class(u.var_bit(0))
-    s_cls = u.canon_class(u.var_bit(index_for_token(5, "S1->2")))
+    w_cls = u.canon_mask(u.var_bit(0))
+    s_cls = u.canon_mask(u.var_bit(index_for_token(5, "S1->2")))
     outcomes = set()
     for name in ("prop1", "prop2"):
         cert = load(DATA / f"{name}.cert.json")
@@ -157,10 +158,10 @@ def test_full_pool_and_active_set_rungs_agree():
         for index in rng.sample(range(len(cert.rows)), 10):
             row = cert.rows[index]
             expr = _row_expr(row, term_cols)
-            base = {w_cls.mask, s_cls.mask} | {
-                term_cols[key].mask
+            base = {w_cls, s_cls} | {
+                term_cols[key]
                 for key in row
-                if isinstance(term_cols.get(key), EntropyClass)
+                if isinstance(term_cols.get(key), int)
             }
             rungs, _ = _rungs(u, base, 2, 5000)
             for fam, bases, anchors, depth in rungs:
@@ -176,3 +177,24 @@ def test_full_pool_and_active_set_rungs_agree():
     # the sample covers rungs that fail, rungs that succeed, and a small
     # depth-2 family
     assert {(True, 1), (False, 1), (False, 2)} <= outcomes
+
+
+def test_check_row_logs_one_line_per_rung(caplog):
+    # prop2 row 0 needs the depth-2 rungs; the lines carry no time, so two
+    # runs on fresh universes agree line for line
+    cert = load(DATA / "prop2.cert.json")
+    runs = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="repairbound.certificate"):
+            rc = check_row(build_universe(5, 4), cert, 0)
+        assert rc.status == "valid" and rc.depth == 2
+        runs.append(
+            [r.getMessage() for r in caplog.records if r.name == "repairbound.certificate"]
+        )
+    assert runs[0] == runs[1]
+    assert len(runs[0]) >= 3
+    assert all(line.startswith("row 0, depth ") for line in runs[0])
+    assert runs[0][-1].startswith("row 0, depth 2: ")
+    assert runs[0][-1].endswith(": valid")
+    assert all(line.endswith(": no witness") for line in runs[0][:-1])
