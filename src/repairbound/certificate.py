@@ -382,7 +382,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     raise CertificateError("active-set row search failed to converge")
 
 
-def _rungs(u: Universe, base, max_depth: int, family_cap: int):
+def _rungs(u: Universe, base, max_depth: int):
     """The ladder over a row's base classes: (family, elemental bases,
     pair anchors, reported depth) per rung, and whether a closure round
     hit the family cap.  Every rung but the first takes the elementals
@@ -392,7 +392,7 @@ def _rungs(u: Universe, base, max_depth: int, family_cap: int):
     fam = set(base)
     for gen in range(1, max_depth):
         prev = frozenset(fam)
-        fam, done = closure_round(u, fam, family_cap)
+        fam, done = closure_round(u, fam, FAMILY_CAP)
         if not done:
             return rungs, True
         rungs.append((frozenset(fam), bases, prev, gen + 1))
@@ -401,11 +401,7 @@ def _rungs(u: Universe, base, max_depth: int, family_cap: int):
 
 
 def check_row(
-    u: Universe,
-    cert: Certificate,
-    index: int,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    family_cap: int = FAMILY_CAP,
+    u: Universe, cert: Certificate, index: int, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> RowCheck:
     """Verify one coefficient row as an information inequality.
 
@@ -430,7 +426,7 @@ def check_row(
     for cap in storage_and_bandwidth_caps(u):
         cols += cap.coeffs
     base = {col for col in cols if col not in RESERVED_COLUMNS}
-    rungs, capped = _rungs(u, base, max_depth, family_cap)
+    rungs, capped = _rungs(u, base, max_depth)
 
     depth_seen = 1
     for fam_masks, bases, anchors, depth in rungs:
@@ -470,12 +466,7 @@ class VerifyReport:
         return format_meaning(self.meaning) if self.meaning else None
 
 
-def verify(
-    u: Universe,
-    cert: Certificate,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    family_cap: int = FAMILY_CAP,
-) -> VerifyReport:
+def verify(u: Universe, cert: Certificate, max_depth: int = DEFAULT_MAX_DEPTH) -> VerifyReport:
     """Full certificate check: problem match, exact column sums, then
     semantic verification of every row.
 
@@ -507,10 +498,7 @@ def verify(
     if not sum_ok or meaning is None:
         return VerifyReport("INVALID", sum_ok, meaning, [], diagnostics)
 
-    row_status = [
-        check_row(u, cert, i, max_depth=max_depth, family_cap=family_cap)
-        for i in range(len(cert.rows))
-    ]
+    row_status = [check_row(u, cert, i, max_depth=max_depth) for i in range(len(cert.rows))]
     bad_rows = [rc.index for rc in row_status if rc.status != "valid"]
     if bad_rows:
         diagnostics.append(f"rows not certified within depth {max_depth}: {bad_rows}")

@@ -1,11 +1,13 @@
 """Command-line front end: verify certificates, prove new bounds,
 assemble rate regions, print cut-set facets, and export LaTeX tables.
 
-Options may come from a line-oriented key=value config file (--config);
-explicit flags win over file entries.  The log level is read from the
-REPAIRBOUND_LOG environment variable.  Every output file embeds the
-resolved run configuration, so identical configurations reproduce
-identical bytes.
+Every option is declared once, in OPTIONS; the subcommand parsers, the
+config-file keys and the provenance lines are all derived from it.  An
+option is its flag if given, else its entries in the key=value config
+file named by --config (the key is the flag without its dashes), else
+its default.  The log level is read from the REPAIRBOUND_LOG environment
+variable.  Every output file embeds the resolved run configuration, so
+identical configurations reproduce identical bytes.
 
 Exit codes: 0 valid or success, 1 invalid certificate, 2 unverified,
 3 usage or I/O error.
@@ -18,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,110 +67,7 @@ class _Parser(argparse.ArgumentParser):
         _fail(message)
 
 
-# -- configuration -------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one invocation; serialized into outputs."""
-
-    command: str
-    n: int | None = None
-    k: int | None = None
-    d: int | None = None
-    directions: tuple = ()
-    seeds: tuple = ()
-    depth: int = 0
-    cap: int = DEFAULT_FAMILY_CAP
-    max_depth: int = DEFAULT_MAX_DEPTH
-    cert_path: str | None = None
-    cert_sources: tuple = ()
-    builtin: bool = False
-    cutset_source: bool = False
-    window: tuple = DEFAULT_WINDOW
-    out: str | None = None
-    csv: str | None = None
-    svg: str | None = None
-    report: str | None = None
-    log_level: str = field(default="WARNING")
-
-    def provenance(self) -> list:
-        items = [("tool", f"repairbound {__version__}"), ("command", self.command)]
-        for name in ("n", "k", "d"):
-            v = getattr(self, name)
-            if v is not None:
-                items.append((name, str(v)))
-        items += [("dir", f"{ca},{cb}") for ca, cb in self.directions]
-        items += [("seeds", s) for s in self.seeds]
-        if self.directions:
-            items += [("depth", str(self.depth)), ("cap", str(self.cap))]
-        if self.command in ("verify", "solve"):
-            items.append(("max-depth", str(self.max_depth)))
-        if self.cert_path:
-            items.append(("certificate", self.cert_path))
-        items += [("cert", c) for c in self.cert_sources]
-        if self.builtin:
-            items.append(("builtin-eq1", "true"))
-        if self.cutset_source:
-            items.append(("cutset", "true"))
-        if self.window != DEFAULT_WINDOW:
-            items.append(("window", ",".join(str(x) for x in self.window)))
-        for name in ("out", "csv", "svg", "report"):
-            v = getattr(self, name)
-            if v:
-                items.append((name, str(v)))
-        items.append(("log-level", self.log_level))
-        return [f"{key}={value}" for key, value in items]
-
-
-def _read_config(path) -> dict:
-    """Parse a key=value file; repeated keys accumulate in order."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        _fail(f"cannot read config file: {e}")
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            _fail(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        values.setdefault(key.strip(), []).append(value.strip())
-    return values
-
-
-def _resolve(args, cfg, dest, cast=str, multi=False, split=True, default=None):
-    """One option: the flag if given, else config entries, else default."""
-    got = getattr(args, dest, None)
-    if got is not None and got != []:
-        return got
-    raw = cfg.get(dest.replace("_", "-"))
-    if raw is None:
-        return default
-    try:
-        if multi:
-            if split:
-                parts = [p.strip() for chunk in raw for p in chunk.split(",")]
-            else:
-                parts = raw
-            return [cast(p) for p in parts if p]
-        return cast(raw[-1])
-    except (ValueError, ZeroDivisionError) as e:
-        _fail(f"config key {dest.replace('_', '-')}: {e}")
-
-
-def _resolve_flag(args, cfg, dest) -> bool:
-    if getattr(args, dest, False):
-        return True
-    raw = cfg.get(dest.replace("_", "-"))
-    if raw is None:
-        return False
-    value = raw[-1].lower()
-    if value not in ("true", "false", "yes", "no", "1", "0"):
-        _fail(f"config key {dest.replace('_', '-')}: expected a boolean, got {raw[-1]!r}")
-    return value in ("true", "yes", "1")
+# -- options -------------------------------------------------------------
 
 
 def _fraction(part: str, what: str, text: str) -> Fraction:
@@ -201,7 +99,136 @@ def _parse_window(text: str) -> tuple:
     return (a0, a1, b0, b1)
 
 
-# -- argument parsing ----------------------------------------------------
+PROBLEM = ("solve", "region", "cutset")
+FAMILY = ("solve", "region")
+
+# Every option, once, in provenance order: (name, commands, default,
+# parse, argparse keywords).  The name is the flag without its dashes and
+# the config-file key; an entry with nargs="?" is a positional argument.
+# parse, when set, turns each given string into the option's value after
+# argparse and the config file have been read.
+OPTIONS = (
+    ("n", PROBLEM, None, None, dict(type=int, help="number of storage nodes")),
+    ("k", PROBLEM, None, None, dict(type=int, help="reconstruction threshold")),
+    ("d", PROBLEM, None, None, dict(type=int, help="repair degree (default n-1)")),
+    ("dir", FAMILY, (), _parse_direction, dict(
+        action="append", metavar="A,B", help="prove a bound in this direction (repeatable)")),
+    ("seeds", FAMILY, (), None, dict(
+        action="append", metavar="PATH",
+        help="JSON term file whose variable sets seed the family (repeatable)")),
+    ("depth", FAMILY, 0, None, dict(type=int, help="family closure rounds (default 0)")),
+    ("cap", FAMILY, DEFAULT_FAMILY_CAP, None, dict(type=int, help="family size cap")),
+    ("max-depth", ("verify", "solve"), DEFAULT_MAX_DEPTH, None, dict(
+        type=int, help="row search depth budget")),
+    ("certificate", ("verify", "export-latex"), None, None, dict(
+        nargs="?", help="certificate JSON file")),
+    ("cert", ("region",), (), None, dict(
+        action="append", metavar="PATH",
+        help="take the bound line of a certificate file (repeatable)")),
+    ("builtin-eq1", ("region",), False, None, dict(
+        action="store_true",
+        help="use the (5,4,4) cut-set facets and the two bundled certificates")),
+    ("cutset", ("region",), False, None, dict(
+        action="store_true", help="include the cut-set facets for n,k,d")),
+    ("window", ("region",), DEFAULT_WINDOW, _parse_window, dict(
+        metavar="A0,A1,B0,B1", help="plot window fractions")),
+    ("out", ("solve", "export-latex"), None, None, dict(
+        metavar="PATH", help="output path (export-latex: default stdout)")),
+    ("csv", ("region", "cutset"), None, None, dict(
+        metavar="PATH", help="write the region's vertices and boundary as CSV")),
+    ("svg", ("region",), None, None, dict(metavar="PATH", help="write the plot as SVG")),
+    ("report", ("verify",), None, None, dict(metavar="PATH", help="write a JSON report")),
+)
+
+
+def _read_config(path) -> dict:
+    """Parse a key=value file; repeated keys accumulate in order."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        _fail(f"cannot read config file: {e}")
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            _fail(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        values.setdefault(key.strip(), []).append(value.strip())
+    return values
+
+
+def _from_config(name, raw: list, parse, kw):
+    """An option's value from its config entries: a repeatable option
+    takes every entry (split on commas unless its values are parsed, as a
+    direction's are), any other the last."""
+    action = kw.get("action")
+    if action == "append":
+        parts = raw if parse else [p.strip() for chunk in raw for p in chunk.split(",")]
+        return [p for p in parts if p]
+    if action == "store_true":
+        value = raw[-1].lower()
+        if value not in ("true", "false", "yes", "no", "1", "0"):
+            _fail(f"config key {name}: expected a boolean, got {raw[-1]!r}")
+        return value in ("true", "yes", "1")
+    try:
+        return kw.get("type", str)(raw[-1])
+    except ValueError as e:
+        _fail(f"config key {name}: {e}")
+
+
+def read_options(argv=None) -> dict:
+    """Parse argv and its config file into {option name: value} for the
+    command's options, plus "command".  Each option is the flag if given,
+    else its config entries, else its default."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.command:
+        parser.error("a command is required")
+    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    opts = {"command": args.command}
+    for name, commands, default, parse, kw in OPTIONS:
+        if args.command not in commands:
+            continue
+        dest = name.replace("-", "_")
+        if hasattr(args, dest):
+            value = getattr(args, dest)
+        elif name in cfg:
+            value = _from_config(name, cfg[name], parse, kw)
+        else:
+            opts[name] = default
+            continue
+        if parse:
+            try:
+                value = [parse(v) for v in value] if kw.get("action") == "append" else parse(value)
+            except ValueError as e:
+                _fail(str(e))
+        opts[name] = value
+    return opts
+
+
+def provenance(opts: dict) -> list:
+    """The resolved run configuration as key=value lines, in table order;
+    depth and cap shape only a proved family, and window appears only
+    when it moved."""
+    command = opts["command"]
+    lines = [f"tool=repairbound {__version__}", f"command={command}"]
+    for name, commands, default, _, kw in OPTIONS:
+        if command not in commands:
+            continue
+        value = opts[name]
+        if name in ("depth", "cap") and not opts["dir"] or name == "window" and value == default:
+            continue
+        for v in value if kw.get("action") == "append" else (value,):
+            if v is True:
+                lines.append(f"{name}=true")
+            elif isinstance(v, tuple):
+                lines.append(f"{name}={','.join(str(x) for x in v)}")
+            elif v is not None and v is not False and v != "":
+                lines.append(f"{name}={v}")
+    lines.append(f"log-level={os.environ.get('REPAIRBOUND_LOG', 'WARNING').upper()}")
+    return lines
 
 
 def _build_parser() -> _Parser:
@@ -213,130 +240,18 @@ def _build_parser() -> _Parser:
         "--version", action="version", version=f"repairbound {__version__}"
     )
     sub = top.add_subparsers(dest="command", metavar="command")
-
-    def add_common(p):
+    # SUPPRESS leaves an option that is not given out of the namespace
+    parsers = {
+        command: sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        for command, (_, text) in COMMANDS.items()
+    }
+    for p in parsers.values():
         p.add_argument("--config", help="key=value config file; flags win")
-
-    def add_problem(p):
-        p.add_argument("--n", type=int, help="number of storage nodes")
-        p.add_argument("--k", type=int, help="reconstruction threshold")
-        p.add_argument("--d", type=int, help="repair degree (default n-1)")
-
-    def add_family(p):
-        p.add_argument(
-            "--seeds",
-            action="append",
-            metavar="PATH",
-            help="JSON term file whose variable sets seed the family (repeatable)",
-        )
-        p.add_argument("--depth", type=int, help="family closure rounds (default 0)")
-        p.add_argument("--cap", type=int, help="family size cap")
-
-    p = sub.add_parser("verify", help="check a certificate file")
-    add_common(p)
-    p.add_argument("certificate", nargs="?", help="certificate JSON file")
-    p.add_argument("--max-depth", type=int, help="row search depth budget")
-    p.add_argument("--report", metavar="PATH", help="write a JSON report")
-
-    p = sub.add_parser("solve", help="prove a bound and write its certificate")
-    add_common(p)
-    add_problem(p)
-    p.add_argument(
-        "--dir",
-        action="append",
-        metavar="A,B",
-        help="objective direction (repeatable)",
-    )
-    add_family(p)
-    p.add_argument("--max-depth", type=int, help="re-verification depth budget")
-    p.add_argument("--out", metavar="PATH", help="certificate output path")
-
-    p = sub.add_parser("region", help="assemble a rate region and plot it")
-    add_common(p)
-    add_problem(p)
-    p.add_argument(
-        "--builtin-eq1",
-        action="store_true",
-        dest="builtin_eq1",
-        help="use the (5,4,4) cut-set facets and the two bundled certificates",
-    )
-    p.add_argument(
-        "--cutset", action="store_true", help="include the cut-set facets for n,k,d"
-    )
-    p.add_argument(
-        "--cert",
-        action="append",
-        metavar="PATH",
-        help="take the bound line of a certificate file (repeatable)",
-    )
-    p.add_argument(
-        "--dir",
-        action="append",
-        metavar="A,B",
-        help="prove a fresh bound in this direction (repeatable)",
-    )
-    add_family(p)
-    p.add_argument("--csv", metavar="PATH", help="write vertices and boundary as CSV")
-    p.add_argument("--svg", metavar="PATH", help="write the plot as SVG")
-    p.add_argument("--window", metavar="A0,A1,B0,B1", help="plot window fractions")
-
-    p = sub.add_parser("cutset", help="print cut-set facets and corner points")
-    add_common(p)
-    add_problem(p)
-    p.add_argument("--csv", metavar="PATH", help="write the cut-set region as CSV")
-
-    p = sub.add_parser("export-latex", help="render a certificate as two tables")
-    add_common(p)
-    p.add_argument("certificate", nargs="?", help="certificate JSON file")
-    p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-
+    for name, commands, _, _, kw in OPTIONS:
+        flag = name if kw.get("nargs") == "?" else f"--{name}"
+        for command in commands:
+            parsers[command].add_argument(flag, **kw)
     return top
-
-
-def _merge(args, cfg) -> RunConfig:
-    rc = RunConfig(
-        command=args.command,
-        log_level=os.environ.get("REPAIRBOUND_LOG", "WARNING").upper(),
-    )
-    if args.command in ("solve", "region", "cutset"):
-        rc.n = _resolve(args, cfg, "n", cast=int)
-        rc.k = _resolve(args, cfg, "k", cast=int)
-        rc.d = _resolve(args, cfg, "d", cast=int)
-    if args.command in ("verify", "export-latex"):
-        rc.cert_path = _resolve(args, cfg, "certificate")
-    if args.command in ("verify", "solve"):
-        rc.max_depth = _resolve(
-            args, cfg, "max_depth", cast=int, default=DEFAULT_MAX_DEPTH
-        )
-    if args.command == "verify":
-        rc.report = _resolve(args, cfg, "report")
-    if args.command in ("solve", "region"):
-        try:
-            dirs = _resolve(args, cfg, "dir", multi=True, split=False, default=[])
-            rc.directions = tuple(_parse_direction(s) for s in dirs)
-        except ValueError as e:
-            _fail(str(e))
-        rc.seeds = tuple(_resolve(args, cfg, "seeds", multi=True, default=[]))
-        rc.depth = _resolve(args, cfg, "depth", cast=int, default=0)
-        rc.cap = _resolve(args, cfg, "cap", cast=int, default=DEFAULT_FAMILY_CAP)
-    if args.command == "solve":
-        rc.out = _resolve(args, cfg, "out")
-    if args.command == "region":
-        rc.builtin = _resolve_flag(args, cfg, "builtin_eq1")
-        rc.cutset_source = _resolve_flag(args, cfg, "cutset")
-        rc.cert_sources = tuple(_resolve(args, cfg, "cert", multi=True, default=[]))
-        rc.svg = _resolve(args, cfg, "svg")
-        try:
-            window = _resolve(args, cfg, "window")
-            if window is not None:
-                rc.window = _parse_window(window)
-        except ValueError as e:
-            _fail(str(e))
-    if args.command in ("region", "cutset"):
-        rc.csv = _resolve(args, cfg, "csv")
-    if args.command == "export-latex":
-        rc.out = _resolve(args, cfg, "out")
-    return rc
 
 
 # -- shared helpers ------------------------------------------------------
@@ -360,28 +275,71 @@ def _load_cert(path):
         _fail(f"{path}: {e}")
 
 
-def _universe_from(rc: RunConfig):
-    if rc.n is None or rc.k is None:
-        _fail("--n and --k are required")
+def _universe(problem, where=None):
     try:
-        return build_universe(rc.n, rc.k, rc.d)
+        return build_universe(*problem)
+    except ValueError as e:
+        _fail(f"{where}: {e}" if where else str(e))
+
+
+def _problem(opts, missing="--n and --k are required") -> tuple:
+    if opts["n"] is None or opts["k"] is None:
+        _fail(missing)
+    return opts["n"], opts["k"], opts["d"]
+
+
+def _cutset(opts, missing="--n and --k are required"):
+    try:
+        return facets(*_problem(opts, missing))
     except ValueError as e:
         _fail(str(e))
 
 
-def _family_from(rc: RunConfig, u):
+def _proved(opts, max_depth: int):
+    """Prove each --dir direction on the family the options grow;
+    yields (universe, ProvedBound) per direction."""
+    u = _universe(_problem(opts))
     seeds = []
-    for path in rc.seeds:
+    for path in opts["seeds"]:
         try:
             seeds.extend(load_seed_terms(path))
         except FamilyError as e:
             _fail(str(e))
     try:
-        fam = default_family(u, seeds=seeds, depth=rc.depth, cap=rc.cap)
+        fam = default_family(u, seeds=seeds, depth=opts["depth"], cap=opts["cap"])
     except FamilyError as e:
         _fail(str(e))
     log.info("family has %d classes", len(fam))
-    return fam
+    for ca, cb in opts["dir"]:
+        try:
+            proved = prove(u, fam, (ca, cb), max_depth=max_depth)
+        except (LPError, CertificateError, ValueError) as e:
+            _fail(f"direction {ca},{cb}: {e}")
+        yield u, proved
+
+
+def _verdict(report, source, max_depth: int) -> int:
+    """Print a failed verdict, naming its source if there is one, and
+    return the exit code of the report."""
+    where = f"{source}: " if source else ""
+    if report.overall == "INVALID":
+        print(f"INVALID: {where}{'; '.join(report.diagnostics)}")
+        return EXIT_INVALID
+    if report.overall == "UNVERIFIED":
+        bad = [r.index for r in report.row_status if r.status != "valid"]
+        print(f"UNVERIFIED: {where}rows {bad} not certified within depth {max_depth}")
+        return EXIT_UNVERIFIED
+    return EXIT_VALID
+
+
+def _plots(region, opts) -> None:
+    """Write the --csv and --svg files that the command has and was given."""
+    window = opts.get("window", DEFAULT_WINDOW)
+    for fmt in ("csv", "svg"):
+        path = opts.get(fmt)
+        if path:
+            _write(path, emit(region, fmt, window, provenance(opts)))
+            print(f"wrote {path}")
 
 
 def _slug(q: Fraction) -> str:
@@ -391,30 +349,18 @@ def _slug(q: Fraction) -> str:
 # -- commands ------------------------------------------------------------
 
 
-def cmd_verify(rc: RunConfig) -> int:
-    cert = _load_cert(rc.cert_path)
-    try:
-        u = build_universe(cert.n, cert.k, cert.d)
-    except ValueError as e:
-        _fail(f"{rc.cert_path}: {e}")
+def cmd_verify(opts) -> int:
+    path, max_depth = opts["certificate"], opts["max-depth"]
+    cert = _load_cert(path)
+    u = _universe(cert.problem, path)
     log.info(
-        "verifying %d rows over %d terms at depth %d",
-        len(cert.rows),
-        len(cert.terms),
-        rc.max_depth,
+        "verifying %d rows over %d terms at depth %d", len(cert.rows), len(cert.terms), max_depth
     )
-    report = verify(u, cert, max_depth=rc.max_depth)
+    report = verify(u, cert, max_depth=max_depth)
     if report.overall == "VALID":
         print(f"VALID: {report.bound}")
-        code = EXIT_VALID
-    elif report.overall == "INVALID":
-        print(f"INVALID: {'; '.join(report.diagnostics)}")
-        code = EXIT_INVALID
-    else:
-        bad = [r.index for r in report.row_status if r.status != "valid"]
-        print(f"UNVERIFIED: rows {bad} not certified within depth {rc.max_depth}")
-        code = EXIT_UNVERIFIED
-    if rc.report:
+    code = _verdict(report, None, max_depth)
+    if opts["report"]:
         payload = {
             "status": report.overall,
             "bound": report.bound,
@@ -424,83 +370,56 @@ def cmd_verify(rc: RunConfig) -> int:
                 {"index": r.index, "status": r.status, "depth": r.depth, "detail": r.detail}
                 for r in report.row_status
             ],
-            "run-config": rc.provenance(),
+            "run-config": provenance(opts),
         }
-        _write(rc.report, (json.dumps(payload, indent=1) + "\n").encode("utf-8"))
+        _write(opts["report"], (json.dumps(payload, indent=1) + "\n").encode("utf-8"))
     return code
 
 
-def cmd_solve(rc: RunConfig) -> int:
-    if not rc.directions:
+def cmd_solve(opts) -> int:
+    if not opts["dir"]:
         _fail("at least one --dir is required")
-    if rc.out and len(rc.directions) > 1:
+    if opts["out"] and len(opts["dir"]) > 1:
         _fail("--out only works with a single --dir")
-    u = _universe_from(rc)
-    fam = _family_from(rc, u)
-    for ca, cb in rc.directions:
-        try:
-            proved = prove(u, fam, (ca, cb), max_depth=rc.max_depth)
-        except (LPError, CertificateError, ValueError) as e:
-            _fail(f"direction {ca},{cb}: {e}")
+    for u, proved in _proved(opts, opts["max-depth"]):
+        ca, cb = proved.direction
         _, meaning = check_sum(proved.certificate)
         print(f"bound: {format_meaning(meaning)}")
         log.info("direction (%s, %s) proved value %s", ca, cb, proved.value)
-        out = rc.out or (
-            f"bound-n{u.n}-k{u.k}-d{u.d}-{_slug(ca)}-{_slug(cb)}.cert.json"
-        )
-        proved.certificate.meta["run-config"] = rc.provenance()
+        out = opts["out"] or f"bound-n{u.n}-k{u.k}-d{u.d}-{_slug(ca)}-{_slug(cb)}.cert.json"
+        proved.certificate.meta["run-config"] = provenance(opts)
         _write(out, serialize(proved.certificate))
         print(f"wrote {out}")
     return EXIT_VALID
 
 
-def cmd_region(rc: RunConfig) -> int:
+def cmd_region(opts) -> int:
     planes = []
     certs = []  # (source, certificate); each plane is used only once verified
-    if rc.builtin:
-        if (rc.n, rc.k) not in ((None, None), (5, 4)) or rc.d not in (None, 4):
+    n, k = opts["n"], opts["k"]
+    if opts["builtin-eq1"]:
+        if (n, k) not in ((None, None), (5, 4)) or opts["d"] not in (None, 4):
             _fail("the built-in region is for n=5, k=4, d=4")
         planes += [(j, w, 1) for j, w in facets(5, 4, 4).facets]
         certs += [(f"bundled {name}", load_bundled(name)) for name in ("prop1", "prop2")]
-    if rc.cutset_source:
-        if rc.n is None or rc.k is None:
-            _fail("--cutset needs --n and --k")
-        try:
-            cs = facets(rc.n, rc.k, rc.d)
-        except ValueError as e:
-            _fail(str(e))
-        planes += [(j, w, 1) for j, w in cs.facets]
-    for path in rc.cert_sources:
+    if opts["cutset"]:
+        planes += [(j, w, 1) for j, w in _cutset(opts, "--cutset needs --n and --k").facets]
+    for path in opts["cert"]:
         cert = _load_cert(path)
-        if (rc.n, rc.k) != (None, None) and (cert.n, cert.k) != (rc.n, rc.k):
-            _fail(f"{path}: certificate is for ({cert.n},{cert.k}), not ({rc.n},{rc.k})")
+        if (n, k) != (None, None) and (cert.n, cert.k) != (n, k):
+            _fail(f"{path}: certificate is for ({cert.n},{cert.k}), not ({n},{k})")
         certs.append((path, cert))
     universes = {}  # one per problem, shared by its certificates
     for source, cert in certs:
         if cert.problem not in universes:
-            try:
-                universes[cert.problem] = build_universe(*cert.problem)
-            except ValueError as e:
-                _fail(f"{source}: {e}")
-        report = verify(universes[cert.problem], cert, max_depth=rc.max_depth)
-        if report.overall == "INVALID":
-            print(f"INVALID: {source}: {'; '.join(report.diagnostics)}")
-            return EXIT_INVALID
-        if report.overall == "UNVERIFIED":
-            bad = [r.index for r in report.row_status if r.status != "valid"]
-            print(f"UNVERIFIED: {source}: rows {bad} not certified within depth {rc.max_depth}")
-            return EXIT_UNVERIFIED
+            universes[cert.problem] = _universe(cert.problem, source)
+        report = verify(universes[cert.problem], cert, max_depth=DEFAULT_MAX_DEPTH)
+        code = _verdict(report, source, DEFAULT_MAX_DEPTH)
+        if code != EXIT_VALID:
+            return code
         planes.append(report.meaning)
-    if rc.directions:
-        u = _universe_from(rc)
-        fam = _family_from(rc, u)
-        for ca, cb in rc.directions:
-            try:
-                proved = prove(u, fam, (ca, cb))
-            except (LPError, CertificateError, ValueError) as e:
-                _fail(f"direction {ca},{cb}: {e}")
-            _, meaning = check_sum(proved.certificate)
-            planes.append(meaning)
+    if opts["dir"]:
+        planes += [check_sum(p.certificate)[1] for _, p in _proved(opts, DEFAULT_MAX_DEPTH)]
     if not planes:
         _fail("no region source (use --builtin-eq1, --cutset, --cert, or --dir)")
 
@@ -517,51 +436,40 @@ def cmd_region(rc: RunConfig) -> int:
         print(f"plane: {format_plane(h.a, h.b, h.c)}")
     for x, y in region.vertices:
         print(f"vertex: ({x}, {y})")
-    if rc.csv:
-        _write(rc.csv, emit(region, "csv", rc.window, rc.provenance()))
-        print(f"wrote {rc.csv}")
-    if rc.svg:
-        _write(rc.svg, emit(region, "svg", rc.window, rc.provenance()))
-        print(f"wrote {rc.svg}")
+    _plots(region, opts)
     return EXIT_VALID
 
 
-def cmd_cutset(rc: RunConfig) -> int:
-    if rc.n is None or rc.k is None:
-        _fail("--n and --k are required")
-    try:
-        cs = facets(rc.n, rc.k, rc.d)
-    except ValueError as e:
-        _fail(str(e))
+def cmd_cutset(opts) -> int:
+    cs = _cutset(opts)
     for j, w in cs.facets:
         print(f"facet: {format_plane(int(j), int(w), 1)}")
     region = from_halfplanes([(j, w, 1) for j, w in cs.facets])
     for x, y in region.vertices:
         print(f"vertex: ({x}, {y})")
-    if rc.csv:
-        _write(rc.csv, emit(region, "csv", rc.window, rc.provenance()))
-        print(f"wrote {rc.csv}")
+    _plots(region, opts)
     return EXIT_VALID
 
 
-def cmd_export_latex(rc: RunConfig) -> int:
-    cert = _load_cert(rc.cert_path)
-    header = "".join(f"% {line}\n" for line in rc.provenance())
+def cmd_export_latex(opts) -> int:
+    cert = _load_cert(opts["certificate"])
+    header = "".join(f"% {line}\n" for line in provenance(opts))
     text = header + to_latex(cert)
-    if rc.out:
-        _write(rc.out, text.encode("utf-8"))
-        print(f"wrote {rc.out}")
+    if opts["out"]:
+        _write(opts["out"], text.encode("utf-8"))
+        print(f"wrote {opts['out']}")
     else:
         print(text, end="")
     return EXIT_VALID
 
 
+# command name -> (function, help); also the order of the subcommands
 COMMANDS = {
-    "verify": cmd_verify,
-    "solve": cmd_solve,
-    "region": cmd_region,
-    "cutset": cmd_cutset,
-    "export-latex": cmd_export_latex,
+    "verify": (cmd_verify, "check a certificate file"),
+    "solve": (cmd_solve, "prove a bound and write its certificate"),
+    "region": (cmd_region, "assemble a rate region and plot it"),
+    "cutset": (cmd_cutset, "print cut-set facets and corner points"),
+    "export-latex": (cmd_export_latex, "render a certificate as two tables"),
 }
 
 
@@ -594,12 +502,8 @@ def _configure_logging():
 def main(argv=None) -> int:
     _configure_logging()
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if not args.command:
-            parser.error("a command is required")
-        cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-        return COMMANDS[args.command](_merge(args, cfg))
+        opts = read_options(argv)
+        return COMMANDS[opts["command"]][0](opts)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     except (OSError, ValueError) as e:

@@ -35,21 +35,3 @@ def facets(n: int, k: int, d: int | None = None) -> CutsetBound:
         wj = sum(d - i for i in range(j, k))
         out.append((Fraction(j), Fraction(wj)))
     return CutsetBound(n, k, d, tuple(out))
-
-
-def min_sum(bound: CutsetBound, alpha, beta) -> Fraction:
-    a, b = Fraction(alpha), Fraction(beta)
-    return sum((min(a, (bound.d - i) * b) for i in range(bound.k)), Fraction(0))
-
-
-def feasible(bound: CutsetBound, alpha, beta) -> bool:
-    """Point test, computed two ways that must agree: every facet holds,
-    and the min-sum covers the file."""
-    a, b = Fraction(alpha), Fraction(beta)
-    by_facets = all(j * a + w * b >= 1 for j, w in bound.facets)
-    by_sum = min_sum(bound, a, b) >= 1
-    if by_facets != by_sum:
-        raise AssertionError(
-            f"facet and min-sum evaluations disagree at ({a}, {b})"
-        )
-    return by_facets

@@ -124,10 +124,9 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
                 if ku is None:
                     continue
                 yield (ra, rb, ku, ki)
+                # never ra ⊊ m: m ≤ rb (the maximum of its orbit) ≤ ra
                 if inter == m:
                     yield (ra, 0, rb, 0)
-                elif inter == ra:
-                    yield (rb, 0, ra, 0)
 
     nv = u.num_vars
     for c_mask in bases:

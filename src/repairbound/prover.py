@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .certificate import Certificate, CertificateError, check_sum, verify
+from .certificate import DEFAULT_MAX_DEPTH, Certificate, CertificateError, check_sum, verify
 from .instance import (
     ALPHA,
     BETA,
@@ -164,7 +164,9 @@ def _display_order(coeffs: dict) -> list:
     return head + mid + tail
 
 
-def prove(u: Universe, fam: frozenset, direction, max_depth: int = 2) -> ProvedBound:
+def prove(
+    u: Universe, fam: frozenset, direction, max_depth: int = DEFAULT_MAX_DEPTH
+) -> ProvedBound:
     """Solve the direction LP and extract a self-contained certificate.
 
     Rows with nonzero duals are scaled by the least common multiple of

@@ -55,10 +55,6 @@ class Region2D:
     halfplanes: tuple
     vertices: tuple
 
-    def contains(self, alpha, beta) -> bool:
-        a, b = Fraction(alpha), Fraction(beta)
-        return all(h.holds(a, b) for h in self.halfplanes)
-
 
 def _intersect(h1: HalfPlane, h2: HalfPlane):
     det = h1.a * h2.b - h1.b * h2.a

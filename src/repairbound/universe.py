@@ -101,12 +101,6 @@ class Universe:
     def __repr__(self) -> str:
         return f"Universe(n={self.n}, k={self.k}, d={self.d})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Universe) and (self.n, self.k) == (other.n, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k))
-
     # -- subsets as masks ------------------------------------------------
 
     def var_bit(self, v: int) -> int:

@@ -10,8 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from repairbound.certificate import check_sum, load, serialize, verify
-from repairbound.cli import RunConfig
-from repairbound.cutset import facets, feasible
+from repairbound.cli import provenance, read_options
+from repairbound.cutset import facets
 from repairbound.instance import enumerate_rows
 from repairbound.prover import default_family, load_seed_terms, prove
 from repairbound.ratlp import check_duals, solve
@@ -190,12 +190,14 @@ def test_criterion_7_property_suites():
     for name in ("prop1", "prop2"):
         blob = (DATA / f"{name}.cert.json").read_bytes()
         assert serialize(load(DATA / f"{name}.cert.json")) == blob
-    rc = RunConfig(command="region", n=5, k=4, builtin=True)
-    assert rc.provenance() == RunConfig(command="region", n=5, k=4, builtin=True).provenance()
+    argv = ["region", "--n", "5", "--k", "4", "--builtin-eq1"]
+    assert provenance(read_options(argv)) == provenance(read_options(argv))
     report(7, "closure, canon, nonnegativity, duality, round-trip properties hold")
 
 
 def test_criterion_8_separation_beyond_cutset():
+    from test_cutset import feasible
+
     u = build_universe(4, 3)
     fam = default_family(u, depth=1)
     pb = prove(u, fam, (4, 6))

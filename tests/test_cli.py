@@ -4,6 +4,7 @@ import logging
 import sys
 from pathlib import Path
 
+from repairbound import __version__
 from repairbound.certificate import Certificate, load, parse, serialize
 from repairbound.cli import main
 from repairbound.instance import ALPHA, BETA, BIGB
@@ -254,6 +255,131 @@ def test_config_file_syntax_errors(capsys, tmp_path):
     cfg.write_text("n 5\n")
     code, _, err = run(capsys, "region", "--config", str(cfg))
     assert code == 3 and "expected key=value" in err
+
+
+def test_config_lists_split_on_commas(capsys, tmp_path, monkeypatch):
+    # seeds= and cert= entries split on commas and accumulate like flags
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "region.cfg"
+    cfg.write_text(f"n=5\nk=4\ncutset=yes\ncert={PROP1}, {PROP2}\ncsv=r.csv\n")
+    argv = ("region", "--n", "5", "--k", "4", "--cutset", "--cert", PROP1, "--cert", PROP2)
+    _, flags, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, "region", "--config", str(cfg))
+    assert code == 0 and out.splitlines()[:-1] == flags.splitlines()
+    assert out.splitlines()[-1] == "wrote r.csv"
+    assert [l for l in Path("r.csv").read_text().splitlines() if l.startswith("# cert=")] == [
+        f"# cert={PROP1}",
+        f"# cert={PROP2}",
+    ]
+    cfg = tmp_path / "solve.cfg"
+    terms = [str(DATA / f"{name}.terms.json") for name in ("prop1", "prop2")]
+    cfg.write_text(f"n=5\nk=4\ndir=15,10\nseeds={','.join(terms)}\n")
+    code, out, _ = run(capsys, "solve", "--config", str(cfg))
+    assert code == 0 and out.splitlines()[0] == "bound: 15α+10β ≥ 6B"
+    meta = load("bound-n5-k4-d4-15-10.cert.json").meta["run-config"]
+    assert [l for l in meta if l.startswith("seeds=")] == [f"seeds={t}" for t in terms]
+
+
+def test_dir_flag_replaces_config_entries(capsys, tmp_path, monkeypatch):
+    # dir= entries accumulate, but one --dir flag replaces all of them
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=5\nk=4\ndir=15,10\ndir=1,0\n")
+    code, out, _ = run(capsys, "solve", "--config", str(cfg))
+    assert code == 0
+    assert [l for l in out.splitlines() if l.startswith("bound:")] == [
+        "bound: 3α+2β ≥ 1B",
+        "bound: 4α ≥ 1B",
+    ]
+    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--dir", "1,0", "--out", "one.json")
+    assert code == 0 and out.splitlines() == ["bound: 4α ≥ 1B", "wrote one.json"]
+    assert [l for l in load("one.json").meta["run-config"] if l.startswith("dir=")] == ["dir=1,0"]
+
+
+def test_unknown_config_key_is_ignored(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("colour = blue\nn=4\nk=3\n")
+    code, out, err = run(capsys, "cutset", "--config", str(cfg))
+    assert (code, out, err) == run(capsys, "cutset", "--n", "4", "--k", "3")
+    assert code == 0 and out.startswith("facet: ")
+
+
+def test_bad_config_boolean(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=5\nk=4\ncutset=maybe\n")
+    code, out, err = run(capsys, "region", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err == "error: config key cutset: expected a boolean, got 'maybe'\n"
+
+
+def test_bad_window_is_a_usage_error(capsys, tmp_path):
+    cases = (
+        ("0,1,0", "expected lo,hi,lo,hi"),
+        ("0,1,0,1,2", "expected lo,hi,lo,hi"),
+        ("1,0,0,1", "bounds must increase"),
+        ("0,1,1/2,1/2", "bounds must increase"),
+    )
+    cfg = tmp_path / "run.cfg"
+    for window, reason in cases:
+        cfg.write_text(f"window={window}\n")
+        for extra in (("--window", window), ("--config", str(cfg))):
+            code, out, err = run(capsys, "region", "--n", "4", "--k", "3", "--cutset", *extra)
+            assert (code, out) == (3, ""), extra
+            assert err == f"error: window {window!r}: {reason}\n", extra
+
+
+def test_region_proves_fresh_directions(capsys, tmp_path, monkeypatch):
+    # region --dir proves its planes on the --depth family; 4α+6β ≥ 3B
+    # cuts the (4,3,3) cut-set corner (2/5, 1/5) off
+    monkeypatch.chdir(tmp_path)
+    argv = ("region", "--n", "4", "--k", "3", "--cutset", "--dir", "4,6", "--depth", "1")
+    code, out, _ = run(capsys, *argv, "--csv", "r.csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "plane: 3α ≥ 1",
+        "plane: 2α+1β ≥ 1",
+        "plane: 4α+6β ≥ 3",
+        "plane: 6β ≥ 1",
+        "vertex: (1/3, 1/3)",
+        "vertex: (3/8, 1/4)",
+        "vertex: (1/2, 1/6)",
+        "wrote r.csv",
+    ]
+    lines = Path("r.csv").read_text().splitlines()
+    assert lines[2:11] == [
+        "# n=4",
+        "# k=3",
+        "# dir=4,6",
+        "# depth=1",
+        "# cap=20000",
+        "# cutset=true",
+        "# csv=r.csv",
+        "# log-level=WARNING",
+        "# halfplane: 3*alpha + 0*beta >= 1",
+    ]
+    code, out, err = run(capsys, "region", "--n", "4", "--k", "3", "--dir", "4,6", "--depth", "x")
+    assert code == 3 and "argument --depth" in err
+
+
+def test_cutset_csv(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "cutset", "--n", "4", "--k", "3", "--csv", "c.csv")
+    assert code == 0 and out.splitlines()[-1] == "wrote c.csv"
+    lines = Path("c.csv").read_text().splitlines()
+    assert lines[:6] == [
+        f"# tool=repairbound {__version__}",
+        "# command=cutset",
+        "# n=4",
+        "# k=3",
+        "# csv=c.csv",
+        "# log-level=WARNING",
+    ]
+    vertices = lines[lines.index("# vertices") + 1 : lines.index("# boundary")]
+    assert vertices == [
+        "1,3,1,3,0.333333,0.333333",
+        "2,5,1,5,0.400000,0.200000",
+        "1,2,1,6,0.500000,0.166667",
+    ]
 
 
 def test_zero_denominator_is_a_usage_error(capsys, tmp_path):

@@ -3,8 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from repairbound.cutset import CutsetBound, facets, feasible, min_sum
+from repairbound.cutset import CutsetBound, facets
 from repairbound.region import from_halfplanes
+
+
+def min_sum(bound: CutsetBound, alpha, beta) -> Fraction:
+    a, b = Fraction(alpha), Fraction(beta)
+    return sum((min(a, (bound.d - i) * b) for i in range(bound.k)), Fraction(0))
+
+
+def feasible(bound: CutsetBound, alpha, beta) -> bool:
+    """Point test, computed two ways that must agree: every facet holds,
+    and the min-sum covers the file."""
+    a, b = Fraction(alpha), Fraction(beta)
+    by_facets = all(j * a + w * b >= 1 for j, w in bound.facets)
+    by_sum = min_sum(bound, a, b) >= 1
+    if by_facets != by_sum:
+        raise AssertionError(
+            f"facet and min-sum evaluations disagree at ({a}, {b})"
+        )
+    return by_facets
 
 
 def test_facets_5_4():

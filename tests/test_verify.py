@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repairbound import certificate
 from repairbound.certificate import (
     Certificate,
     CertificateError,
@@ -163,7 +164,7 @@ def test_full_pool_and_active_set_rungs_agree():
                 for key in row
                 if isinstance(term_cols.get(key), int)
             }
-            rungs, _ = _rungs(u, base, 2, 5000)
+            rungs, _ = _rungs(u, base, 2)
             for fam, bases, anchors, depth in rungs:
                 if len(fam) > 24:
                     continue
@@ -198,3 +199,11 @@ def test_check_row_logs_one_line_per_rung(caplog):
     assert runs[0][-1].startswith("row 0, depth 2: ")
     assert runs[0][-1].endswith(": valid")
     assert all(line.endswith(": no witness") for line in runs[0][:-1])
+
+
+def test_family_cap_leaves_a_row_unverified(monkeypatch):
+    # prop1 row 4 needs a depth-2 family; a closure round past the cap
+    # ends the ladder, and the row says why
+    monkeypatch.setattr(certificate, "FAMILY_CAP", 20)
+    rc = check_row(build_universe(5, 4), load(DATA / "prop1.cert.json"), 4)
+    assert (rc.status, rc.detail) == ("unverified", "family size cap exceeded")
