@@ -14,9 +14,9 @@ Row verification escalates through a ladder: pairwise submodularity
 over the row's classes, then single-variable-growth instances, then
 families grown by union/intersection closure rounds (each round tried
 first with pairs anchored on the previous family, then unrestricted).
-A row that exhausts the ladder is reported unverified, never invalid;
-only a failed sum check or a malformed target makes a certificate
-invalid.
+A closure round runs only after every earlier rung has failed.  A row
+that exhausts the ladder is reported unverified, never invalid; only a
+failed sum check or a malformed target makes a certificate invalid.
 """
 
 from __future__ import annotations
@@ -383,21 +383,24 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
 
 
 def _rungs(u: Universe, base, max_depth: int):
-    """The ladder over a row's base classes: (family, elemental bases,
-    pair anchors, reported depth) per rung, and whether a closure round
-    hit the family cap.  Every rung but the first takes the elementals
-    grown from the empty set and from each base class."""
+    """Yield the ladder over a row's base classes, one rung at a time:
+    (family, elemental bases, pair anchors, reported depth).  Every rung
+    but the first takes the elementals grown from the empty set and from
+    each base class.  The closure round that grows the family of depth
+    g+1 runs only when the first rung of that depth is asked for, so only
+    after every earlier rung has failed; a round that hits the family cap
+    ends the ladder short of max_depth."""
     bases = (0, *sorted(base, reverse=True))
-    rungs = [(frozenset(base), (), None, 1), (frozenset(base), bases, None, 1)]
-    fam = set(base)
-    for gen in range(1, max_depth):
-        prev = frozenset(fam)
-        fam, done = closure_round(u, fam, FAMILY_CAP)
+    fam = frozenset(base)
+    yield fam, (), None, 1
+    yield fam, bases, None, 1
+    for depth in range(2, max_depth + 1):
+        grown, done = closure_round(u, fam, FAMILY_CAP)
         if not done:
-            return rungs, True
-        rungs.append((frozenset(fam), bases, prev, gen + 1))
-        rungs.append((frozenset(fam), bases, None, gen + 1))
-    return rungs, False
+            return
+        prev, fam = fam, frozenset(grown)
+        yield fam, bases, prev, depth
+        yield fam, bases, None, depth
 
 
 def check_row(
@@ -407,7 +410,8 @@ def check_row(
 
     The search family starts from the row's own term classes plus the
     classes of the two capacity rows (one node, one message), then grows
-    by closure rounds up to max_depth generations.  Valid rows report the
+    by closure rounds up to max_depth generations; each round runs only
+    once every earlier rung has failed.  Valid rows report the
     generation that certified them and a rational witness; rows that
     exhaust the ladder come back unverified (never invalid).  Each rung
     tried logs one DEBUG line of its sizes and outcome.
@@ -426,10 +430,8 @@ def check_row(
     for cap in storage_and_bandwidth_caps(u):
         cols += cap.coeffs
     base = {col for col in cols if col not in RESERVED_COLUMNS}
-    rungs, capped = _rungs(u, base, max_depth)
-
     depth_seen = 1
-    for fam_masks, bases, anchors, depth in rungs:
+    for fam_masks, bases, anchors, depth in _rungs(u, base, max_depth):
         depth_seen = depth
         search = _try_pool if len(fam_masks) <= 24 else _try_pool_active
         witness = search(u, fam_masks, anchors, bases, expr)
@@ -446,7 +448,8 @@ def check_row(
             )
         if witness is not None:
             return RowCheck(index, "valid", depth, witness)
-    detail = "family size cap exceeded" if capped else "pool exhausted"
+    # only a capped closure round stops the ladder short of max_depth
+    detail = "family size cap exceeded" if depth_seen < max_depth else "pool exhausted"
     return RowCheck(index, "unverified", depth_seen, detail=detail)
 
 

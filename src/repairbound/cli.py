@@ -75,6 +75,8 @@ def _fraction(part: str, what: str, text: str) -> Fraction:
         return Fraction(part.strip())
     except ZeroDivisionError:
         raise ValueError(f"{what} {text!r}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{what} {text!r}: {part.strip()!r} is not a number") from None
 
 
 def _parse_direction(text: str) -> tuple:
@@ -264,6 +266,14 @@ def _write(path, blob: bytes) -> None:
         _fail(f"cannot write {path}: {e}")
 
 
+def _check_outputs(opts) -> None:
+    """Fail before any work when an output path's directory is missing."""
+    for name in ("out", "report", "csv", "svg"):
+        path = opts.get(name)
+        if path and not Path(path).parent.is_dir():
+            _fail(f"cannot write {path}: its directory does not exist")
+
+
 def _load_cert(path):
     if not path:
         _fail("a certificate path is required")
@@ -404,10 +414,13 @@ def cmd_region(opts) -> int:
         certs += [(f"bundled {name}", load_bundled(name)) for name in ("prop1", "prop2")]
     if opts["cutset"]:
         planes += [(j, w, 1) for j, w in _cutset(opts, "--cutset needs --n and --k").facets]
+    asked = (n, k, opts["d"])
+    shown = 2 if opts["d"] is None else 3  # (n,k), or (n,k,d) once --d is given
     for path in opts["cert"]:
         cert = _load_cert(path)
-        if (n, k) != (None, None) and (cert.n, cert.k) != (n, k):
-            _fail(f"{path}: certificate is for ({cert.n},{cert.k}), not ({n},{k})")
+        if any(a is not None and a != c for a, c in zip(asked, cert.problem)):
+            have, want = (",".join(map(str, p[:shown])) for p in (cert.problem, asked))
+            _fail(f"{path}: certificate is for ({have}), not ({want})")
         certs.append((path, cert))
     universes = {}  # one per problem, shared by its certificates
     for source, cert in certs:
@@ -503,6 +516,7 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         opts = read_options(argv)
+        _check_outputs(opts)
         return COMMANDS[opts["command"]][0](opts)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE

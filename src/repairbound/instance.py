@@ -116,8 +116,11 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
             for m in orbits[rb]:
                 if m == ra:
                     continue
+                # ra and m are closed, and so is ra & m: a closure rule
+                # whose premise holds in the intersection holds in both
+                # sets, so its conclusion lies in both
                 inter = ra & m
-                ki = key.get(closure(inter))
+                ki = key.get(inter)
                 if ki is None:
                     continue
                 ku = key.get(closure(ra | m))

@@ -165,11 +165,11 @@ class Universe:
                 bit_image[nv - 1 - v] = self.var_bit(self._image_of_var(v, pi))
             per_byte = []
             for c in range(self._nbytes):
-                t = [0] * 256
-                base = 8 * c
-                for byte in range(1, 256):
-                    low = byte & -byte
-                    t[byte] = t[byte ^ low] | bit_image[base + low.bit_length() - 1]
+                # t[byte] ORs the images of byte's set bits: each bit
+                # doubles the table, the new half carrying that bit
+                t = [0]
+                for img in bit_image[8 * c : 8 * c + 8]:
+                    t += [x | img for x in t]
                 per_byte.append(t)
             tables.append(per_byte)
         self._perm_tables = tables

@@ -214,6 +214,28 @@ def test_region_rejects_mismatched_certificate(capsys):
     assert code == 3 and "certificate is for (5,4)" in err
 
 
+def test_region_rejects_certificate_for_another_d(capsys):
+    argv = ("region", "--n", "5", "--k", "4", "--d", "3", "--cert", PROP1)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out
+    assert "certificate is for (5,4,4), not (5,4,3)" in err
+
+
+def test_solve_checks_its_output_directory_first(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("solve", "--n", "4", "--k", "3", "--dir", "1,0", "--out", "nodir/x.json")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot write nodir/x.json")
+
+
+def test_verify_checks_its_report_directory_first(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", PROP2, "--report", "nodir/r.json")
+    assert code == 3 and out == ""
+    assert err.startswith("error: cannot write nodir/r.json")
+
+
 def test_cutset_command(capsys):
     code, out, _ = run(capsys, "cutset", "--n", "5", "--k", "4")
     assert code == 0
@@ -395,6 +417,21 @@ def test_zero_denominator_is_a_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out, argv
         assert err.startswith("error: ") and "zero denominator" in err, argv
+
+
+def test_non_numeric_fraction_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text("dir=a,1\n")
+    cases = (
+        (("solve", "--n", "4", "--k", "3", "--dir", "a,1"), "direction 'a,1': 'a'"),
+        (("region", "--n", "4", "--k", "3", "--cutset", "--window", "0,x,0,1"),
+         "window '0,x,0,1': 'x'"),
+        (("solve", "--n", "4", "--k", "3", "--config", str(cfg)), "direction 'a,1': 'a'"),
+    )
+    for argv, named in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv
+        assert err == f"error: {named} is not a number\n", argv
 
 
 def test_no_command_is_usage_error(capsys):

@@ -175,6 +175,33 @@ def test_orbit_masks_lists_whole_orbit():
     assert all(u.closure_mask(x) == x for x in orb)
 
 
+def test_intersection_of_closed_masks_is_closed():
+    # instances reads an intersection's class without closing it first
+    rng = random.Random(606)
+    toks = {n: all_tokens(n) for n in range(3, 7)}
+    for n in range(3, 7):
+        for k in range(2, n):
+            u = build_universe(n, k)
+            for _ in range(40):
+                a, b = (
+                    u.closure_mask(u.mask_of_tokens(rng.sample(toks[n], rng.randrange(2 * n))))
+                    for _ in range(2)
+                )
+                assert u.closure_mask(a & b) == a & b, (n, k, a, b)
+
+
+def test_byte_tables_match_apply_perm_mask():
+    # the table images, in permutation order, against the per-variable
+    # relabeling; n = 3 and 6 have a partly filled top byte
+    rng = random.Random(707)
+    for n, k in ((3, 2), (6, 5)):
+        u = build_universe(n, k)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for _ in range(8):
+            m = u.mask_of_tokens(random_token_set(rng, n))
+            assert list(u._images(m)) == [u.apply_perm_mask(m, pi) for pi in perms]
+
+
 def test_is_spanning():
     u = build_universe(5, 4)
     t = lambda toks: u.closure_mask(u.mask_of_tokens(toks)) == u.full_mask

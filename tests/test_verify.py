@@ -164,8 +164,7 @@ def test_full_pool_and_active_set_rungs_agree():
                 for key in row
                 if isinstance(term_cols.get(key), int)
             }
-            rungs, _ = _rungs(u, base, 2)
-            for fam, bases, anchors, depth in rungs:
+            for fam, bases, anchors, depth in _rungs(u, base, 2):
                 if len(fam) > 24:
                     continue
                 full = _try_pool(u, fam, anchors, bases, expr)
@@ -178,6 +177,25 @@ def test_full_pool_and_active_set_rungs_agree():
     # the sample covers rungs that fail, rungs that succeed, and a small
     # depth-2 family
     assert {(True, 1), (False, 1), (False, 2)} <= outcomes
+
+
+def test_closure_round_runs_only_after_depth_one_fails(monkeypatch):
+    # prop1 row 0 is certified at depth 1 and row 4 needs depth 2; the
+    # ladder grows a depth-2 family only once both depth-1 rungs fail
+    rounds = []
+    closure_round = certificate.closure_round
+
+    def counted(*args):
+        rounds.append(args)
+        return closure_round(*args)
+
+    monkeypatch.setattr(certificate, "closure_round", counted)
+    u = build_universe(5, 4)
+    cert = load(DATA / "prop1.cert.json")
+    rc = check_row(u, cert, 0)
+    assert (rc.status, rc.depth, len(rounds)) == ("valid", 1, 0)
+    rc = check_row(u, cert, 4)
+    assert (rc.status, rc.depth, len(rounds)) == ("valid", 2, 1)
 
 
 def test_check_row_logs_one_line_per_rung(caplog):
