@@ -12,8 +12,10 @@ prover's working.
 
 Row verification escalates through a ladder: pairwise submodularity
 over the row's classes, then single-variable-growth instances, then
-families grown by union/intersection closure rounds (each round tried
-first with pairs anchored on the previous family, then unrestricted).
+families grown by union/intersection closure rounds.  Each grown family
+is tried with three pair rules in turn: the pairs inside the previous
+family (those its closure round just scanned), the pairs touching it,
+then every pair.
 A closure round runs only after every earlier rung has failed.  A row
 that exhausts the ladder is reported unverified, never invalid; only a
 failed sum check or a malformed target makes a certificate invalid.
@@ -277,10 +279,11 @@ def _lp_row(row: LinExpr) -> LPRow:
     return LPRow(dict(row.coeffs), 0, rel)
 
 
-def _try_pool(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
+def _try_pool(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
     """Minimize the row over the cone cut out by the rung's pool and the
     pinned caps.  Returns a witness list when the minimum is zero, else None."""
-    all_rows = enumerate_rows(u, fam_masks, anchors, bases) + storage_and_bandwidth_caps(u)
+    all_rows = enumerate_rows(u, fam_masks, anchors, bases, need)
+    all_rows += storage_and_bandwidth_caps(u)
     columns = _columns(fam_masks)
     lp = LPProblem(
         columns=columns,
@@ -298,7 +301,7 @@ def _try_pool(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     )
 
 
-def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
+def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
     """Active-set variant of _try_pool for large families: solve a boxed
     relaxation over a small working row set, separate violated instances
     at the optimum, repeat with a warm basis.  Exactly the same answer
@@ -309,7 +312,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
     the optimum itself), so the boxed duals restricted to pool rows and
     caps already form the cone witness.
     """
-    descriptors = list(dict.fromkeys(instances(u, fam_masks, anchors, bases)))
+    descriptors = list(dict.fromkeys(instances(u, fam_masks, anchors, bases, need)))
 
     # start from the pool over the elemental bases, one spanning row per
     # class and the pinned caps
@@ -384,23 +387,27 @@ def _try_pool_active(u: Universe, fam_masks, anchors, bases, expr: LinExpr):
 
 def _rungs(u: Universe, base, max_depth: int):
     """Yield the ladder over a row's base classes, one rung at a time:
-    (family, elemental bases, pair anchors, reported depth).  Every rung
-    but the first takes the elementals grown from the empty set and from
-    each base class.  The closure round that grows the family of depth
-    g+1 runs only when the first rung of that depth is asked for, so only
-    after every earlier rung has failed; a round that hits the family cap
-    ends the ladder short of max_depth."""
+    (family, elemental bases, pair anchors, need, reported depth), read as
+    in ``instances``.  Every rung but the first takes the elementals grown
+    from the empty set and from each base class.  Each depth g >= 2 has
+    three rungs over its grown family, whose pair pools nest: the pairs
+    with both classes in the family of depth g-1 (need 2), the pairs
+    touching it (need 1), then every pair (need 0).  The closure round
+    that grows the family of depth g runs only when the first rung of
+    that depth is asked for, so only after every earlier rung has failed;
+    a round that hits the family cap ends the ladder short of max_depth."""
     bases = (0, *sorted(base, reverse=True))
     fam = frozenset(base)
-    yield fam, (), None, 1
-    yield fam, bases, None, 1
+    yield fam, (), None, 0, 1
+    yield fam, bases, None, 0, 1
     for depth in range(2, max_depth + 1):
         grown, done = closure_round(u, fam, FAMILY_CAP)
         if not done:
             return
         prev, fam = fam, frozenset(grown)
-        yield fam, bases, prev, depth
-        yield fam, bases, None, depth
+        yield fam, bases, prev, 2, depth
+        yield fam, bases, prev, 1, depth
+        yield fam, bases, None, 0, depth
 
 
 def check_row(
@@ -431,10 +438,10 @@ def check_row(
         cols += cap.coeffs
     base = {col for col in cols if col not in RESERVED_COLUMNS}
     depth_seen = 1
-    for fam_masks, bases, anchors, depth in _rungs(u, base, max_depth):
+    for fam_masks, bases, anchors, need, depth in _rungs(u, base, max_depth):
         depth_seen = depth
         search = _try_pool if len(fam_masks) <= 24 else _try_pool_active
-        witness = search(u, fam_masks, anchors, bases, expr)
+        witness = search(u, fam_masks, anchors, need, bases, expr)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "row %d, depth %d: %d classes, %d elemental bases, %s, %s: %s",
@@ -442,7 +449,7 @@ def check_row(
                 depth,
                 len(fam_masks),
                 len(bases),
-                "unanchored" if anchors is None else "anchored",
+                ("unanchored", "anchored", "within")[need],
                 "full pool" if search is _try_pool else "active set",
                 "no witness" if witness is None else "valid",
             )

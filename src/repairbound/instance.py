@@ -84,7 +84,7 @@ def storage_and_bandwidth_caps(u: Universe) -> list[LinExpr]:
     ]
 
 
-def instances(u: Universe, fam_masks, anchors=None, bases=()):
+def instances(u: Universe, fam_masks, anchors=None, bases=(), need=1):
     """Descriptors (ka, kb, ku, ki) of the Shannon instances over a family
     of canonical class masks.
 
@@ -96,8 +96,9 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
     order given, the elemental instances H(C+x) + H(C+y) >= H(C+x+y) + H(C)
     over variables x, y outside C.  Instances with an argument outside the
     family (other than empty or spanning) are skipped.  anchors, when
-    given, keeps only the pairs touching that mask set.  Descriptors may
-    repeat.
+    given, keeps only the pairs with at least need of their two classes
+    in that mask set: need 1 keeps the pairs touching it, need 2 the pairs
+    inside it.  Descriptors may repeat.
 
     Keys are read from a map of every orbit member of the family to its
     class, so a closed mask outside the family is skipped without ever
@@ -111,7 +112,7 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
     closure = u.closure_mask
     for ai, ra in enumerate(fam):
         for rb in fam[ai:]:
-            if anchors is not None and ra not in anchors and rb not in anchors:
+            if anchors is not None and (ra in anchors) + (rb in anchors) < need:
                 continue
             for m in orbits[rb]:
                 if m == ra:
@@ -150,7 +151,7 @@ def instances(u: Universe, fam_masks, anchors=None, bases=()):
                 yield (kx, ky, kxy, c_mask)
 
 
-def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinExpr]:
+def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=(), need=1) -> list[LinExpr]:
     """Deterministic, deduplicated constraint pool over a family of
     canonical class masks.
 
@@ -159,10 +160,11 @@ def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinEx
     elementals of the given bases only; the capacity rows are not
     included.  The pool never references a class it was not given.
 
-    anchors, when given, restricts submodularity to pairs touching that
-    mask set: a cheap middle rung for verification ladders where the
-    family grew by a closure round but witnesses still involve at least
-    one original class.
+    anchors and need restrict submodularity as in ``instances``.  After a
+    closure round grows a family, the verifier's ladder passes the
+    previous family as anchors, first with need 2 (the pairs the round
+    just scanned), then with need 1 (pairs touching it), before it tries
+    every pair.
     """
     fam_masks = sorted(set(fam_masks), reverse=True)
     for m in fam_masks:
@@ -180,7 +182,7 @@ def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=()) -> list[LinEx
     for m in fam_masks:
         rows.append(instance_row((m, 0, 0, 0), "monotonicity"))
         rows.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
-    descs = Counter(instances(u, fam_masks, anchors, bases))
+    descs = Counter(instances(u, fam_masks, anchors, bases, need))
     for desc in descs:
         rows.append(instance_row(desc))
 

@@ -308,14 +308,18 @@ def test_pools_are_pinned():
     )
 
 
-def reference_instances(u, fam_masks, anchors=None, bases=()):
-    # the slow path: canonicalize every argument, then test membership
+def reference_instances(u, fam_masks, anchors=None, bases=(), need=1):
+    # the slow path: canonicalize every argument, then test membership;
+    # with anchors, need 1 keeps the pairs touching them, need 2 the pairs
+    # inside them
     allowed = set(fam_masks) | {0, BIGB}
     fam = sorted(fam_masks, reverse=True)
     for ai, ra in enumerate(fam):
         for rb in fam[ai:]:
-            if anchors is not None and ra not in anchors and rb not in anchors:
-                continue
+            if anchors is not None:
+                inside = ra in anchors and rb in anchors
+                if not (inside if need == 2 else ra in anchors or rb in anchors):
+                    continue
             for m in u.orbit_masks(rb):
                 if m == ra:
                     continue
@@ -360,19 +364,57 @@ def random_family(u, rng, size):
 
 
 def test_instances_match_canonicalizing_reference():
+    # every pair rule on every family: all pairs, pairs touching the
+    # anchors, pairs inside them
     rng = random.Random(515)
+    yields = set()
     for n, k, size in ((4, 3, 9), (5, 4, 6)):
         for trial in range(8):
             u = build_universe(n, k)
             fam = random_family(u, rng, size)
-            anchors = set(rng.sample(sorted(fam), 2)) if trial % 2 else None
+            anchors = set(rng.sample(sorted(fam), 3))
             bases = []
-            if trial % 4 >= 2:
+            if trial % 2:
                 bases = sorted(rng.sample(sorted(fam | {0}), 3), reverse=True)
-            got = list(instances(u, fam, anchors, bases))
-            want = list(reference_instances(build_universe(n, k), fam, anchors, bases))
-            assert got, (n, k, trial)
-            assert got == want, (n, k, trial)
+            slow = build_universe(n, k)
+            for held, need in ((None, 1), (anchors, 1), (anchors, 2)):
+                got = list(instances(u, fam, held, bases, need))
+                want = list(reference_instances(slow, fam, held, bases, need))
+                assert got == want, (n, k, trial, held, need)
+                if got:
+                    yields.add((n, held is None, need))
+    # at each size, every rule yields descriptors on some family
+    assert len(yields) == 6
+
+
+def test_pair_rules_nest_over_a_closure_round():
+    # over a family grown from random classes, with the old family as
+    # anchors: each rule keeps exactly the descriptors of the pairs it
+    # admits, so the pairs inside it, the pairs touching it and all pairs
+    # give nested descriptor sets
+    rng = random.Random(1111)
+    for n, k, size, trials in ((4, 3, 4, 4), (5, 4, 2, 2)):
+        for trial in range(trials):
+            u = build_universe(n, k)
+            prev = random_family(u, rng, size)
+            fam, done = closure_round(u, prev, 400)
+            assert done, (n, k, trial)
+            every = set(instances(u, fam))
+            within, touching = (
+                {d for d in every if sum(c in prev for c in pair_of(d)) >= need}
+                for need in (2, 1)
+            )
+            assert set(instances(u, fam, prev, (), 2)) == within, (n, k, trial)
+            assert set(instances(u, fam, prev, (), 1)) == touching, (n, k, trial)
+            assert within <= touching <= every, (n, k, trial)
+            assert within and within < touching < every, (n, k, trial)
+
+
+def pair_of(desc):
+    # the (representative, orbit class) pair a descriptor came from: a
+    # monotonicity descriptor (ra, 0, rb, 0) names it in its first and
+    # third keys
+    return (desc[0], desc[2]) if desc[1] == 0 else desc[:2]
 
 
 def test_instances_canonicalize_no_mask_outside_the_family():

@@ -17,7 +17,13 @@ from repairbound.certificate import (
     load,
     verify,
 )
-from repairbound.universe import build_universe, index_for_token
+from repairbound.instance import BIGB, instance_row, instances
+from repairbound.universe import (
+    build_universe,
+    closure_round,
+    index_for_token,
+    token_for_index,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -164,11 +170,11 @@ def test_full_pool_and_active_set_rungs_agree():
                 for key in row
                 if isinstance(term_cols.get(key), int)
             }
-            for fam, bases, anchors, depth in _rungs(u, base, 2):
+            for fam, bases, anchors, need, depth in _rungs(u, base, 2):
                 if len(fam) > 24:
                     continue
-                full = _try_pool(u, fam, anchors, bases, expr)
-                active = _try_pool_active(u, fam, anchors, bases, expr)
+                full = _try_pool(u, fam, anchors, need, bases, expr)
+                active = _try_pool_active(u, fam, anchors, need, bases, expr)
                 assert (full is None) == (active is None), (name, index, depth)
                 for witness in (full, active):
                     if witness is not None:
@@ -215,6 +221,7 @@ def test_check_row_logs_one_line_per_rung(caplog):
     assert len(runs[0]) >= 3
     assert all(line.startswith("row 0, depth ") for line in runs[0])
     assert runs[0][-1].startswith("row 0, depth 2: ")
+    assert ", within, " in runs[0][-1]
     assert runs[0][-1].endswith(": valid")
     assert all(line.endswith(": no witness") for line in runs[0][:-1])
 
@@ -225,3 +232,128 @@ def test_family_cap_leaves_a_row_unverified(monkeypatch):
     monkeypatch.setattr(certificate, "FAMILY_CAP", 20)
     rc = check_row(build_universe(5, 4), load(DATA / "prop1.cert.json"), 4)
     assert (rc.status, rc.detail) == ("unverified", "family size cap exceeded")
+
+
+# the rows of the shipped certificates that need a closure round
+DEPTH_TWO_ROWS = {"prop1": (4, 10, 12), "prop2": (0, 4)}
+
+
+def recorded_rungs(monkeypatch):
+    # the (need, depth) of every rung check_row asks for
+    tried = []
+    rungs = certificate._rungs
+
+    def recording(*args):
+        for rung in rungs(*args):
+            tried.append(rung[3:])
+            yield rung
+
+    monkeypatch.setattr(certificate, "_rungs", recording)
+    return tried
+
+
+def test_shipped_outcomes_are_pinned():
+    # (status, depth, detail) of every shipped row at each depth budget;
+    # a change to the ladder must not move a row
+    u = build_universe(5, 4)
+    for name, size in (("prop1", 13), ("prop2", 25)):
+        cert = load(DATA / f"{name}.cert.json")
+        assert len(cert.rows) == size
+        for max_depth in (1, 2, 3):
+            want = [("valid", 1, "")] * size
+            for index in DEPTH_TWO_ROWS[name]:
+                want[index] = (
+                    ("unverified", 1, "pool exhausted") if max_depth == 1 else ("valid", 2, "")
+                )
+            report = verify(u, cert, max_depth=max_depth)
+            got = [(rc.status, rc.depth, rc.detail) for rc in report.row_status]
+            assert got == want, (name, max_depth)
+
+
+def test_shipped_depth_two_rows_use_the_within_rung(monkeypatch):
+    # each depth-2 row is certified by the pairs inside its depth-1
+    # family, so neither the touching nor the unrestricted pool is built
+    tried = recorded_rungs(monkeypatch)
+    u = build_universe(5, 4)
+    for name, rows in DEPTH_TWO_ROWS.items():
+        cert = load(DATA / f"{name}.cert.json")
+        for index in rows:
+            tried.clear()
+            rc = check_row(u, cert, index)
+            assert (rc.status, rc.depth) == ("valid", 2), (name, index)
+            assert tried == [(0, 1), (0, 1), (2, 2)], (name, index)
+
+
+def test_active_set_rungs_draw_few_descriptors(monkeypatch):
+    # a work count in place of a timing: the descriptors that active-set
+    # rungs draw while both shipped certificates verify are 5,468, bounded
+    # here with a margin of about 45%; a ladder that tried the touching
+    # rung before the within rung would draw 62,711
+    drawn = []
+
+    def counted(*args):
+        descs = list(instances(*args))
+        drawn.append(len(descs))
+        return iter(descs)
+
+    monkeypatch.setattr(certificate, "instances", counted)
+    u = build_universe(5, 4)
+    for name in ("prop1", "prop2"):
+        assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
+    assert len(drawn) == 5
+    assert sum(drawn) <= 8000
+
+
+def row_certificate(u, coeffs):
+    # a one-row certificate over class masks and B, one term per class
+    terms, row = {}, {}
+    for col, v in coeffs.items():
+        if col == BIGB:
+            row[BIGB] = v
+        else:
+            tid = f"T{len(terms) + 1}"
+            terms[tid] = tuple(token_for_index(u.n, i) for i in u.indices_of(col))
+            row[tid] = v
+    return Certificate(5, 4, 4, terms, [row], dict(row))
+
+
+def test_touching_rung_certifies_a_row_the_within_rung_misses(monkeypatch):
+    # seeded search for such a row: grow the cap classes and two random
+    # classes by one round, then add a submodularity instance over a pair
+    # that touches the old family to one over a pair inside it whose union
+    # or intersection cancels the touching pair's new class
+    tried = recorded_rungs(monkeypatch)
+    rng = random.Random(7)
+    u = build_universe(5, 4)
+    caps = {u.canon_mask(u.var_bit(0)), u.canon_mask(u.var_bit(index_for_token(5, "S1->2")))}
+    for trial in range(20):
+        base = set(caps)
+        while len(base) < 4:
+            m = u.closure_mask(u.mask_of(rng.sample(range(u.num_vars), rng.randrange(1, 6))))
+            if m != u.full_mask:
+                base.add(u.canon_mask(m))
+        fam, done = closure_round(u, base, 5000)
+        assert done
+        within = dict.fromkeys(d for d in instances(u, fam, base, (), 2) if d[1])
+        touching = [
+            d for d in dict.fromkeys(instances(u, fam, base, (), 1)) if d[1] and d not in within
+        ]
+        outer = rng.choice(touching)
+        fresh = outer[1] if outer[0] in base else outer[0]
+        inner = [d for d in within if fresh in d[2:]]
+        if not inner:
+            continue
+        coeffs: dict = {}
+        for desc in (outer, rng.choice(inner)):
+            for col, v in instance_row(desc).coeffs.items():
+                coeffs[col] = coeffs.get(col, 0) + v
+        cert = row_certificate(u, {c: v for c, v in coeffs.items() if v})
+        tried.clear()
+        rc = check_row(u, cert, 0)
+        if tried[-2:] == [(2, 2), (1, 2)]:
+            break
+    else:
+        pytest.fail("no row needs the touching rung")
+    assert (rc.status, rc.depth) == ("valid", 2)
+    term_cols = {tid: _term_column(u, toks) for tid, toks in cert.terms.items()}
+    assert recombined(rc.witness) == _row_expr(cert.rows[0], term_cols).coeffs
