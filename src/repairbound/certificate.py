@@ -282,7 +282,7 @@ def _lp_row(row: LinExpr) -> LPRow:
 def _try_pool(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
     """Minimize the row over the cone cut out by the rung's pool and the
     pinned caps.  Returns a witness list when the minimum is zero, else None."""
-    all_rows = enumerate_rows(u, fam_masks, anchors, bases, need)
+    all_rows = enumerate_rows(u, fam_masks, anchors, need, bases)
     all_rows += storage_and_bandwidth_caps(u)
     columns = _columns(fam_masks)
     lp = LPProblem(
@@ -312,7 +312,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
     the optimum itself), so the boxed duals restricted to pool rows and
     caps already form the cone witness.
     """
-    descriptors = list(dict.fromkeys(instances(u, fam_masks, anchors, bases, need)))
+    descriptors = list(dict.fromkeys(instances(u, fam_masks, anchors, need, bases)))
 
     # start from the pool over the elemental bases, one spanning row per
     # class and the pinned caps
@@ -398,8 +398,8 @@ def _rungs(u: Universe, base, max_depth: int):
     a round that hits the family cap ends the ladder short of max_depth."""
     bases = (0, *sorted(base, reverse=True))
     fam = frozenset(base)
-    yield fam, (), None, 0, 1
-    yield fam, bases, None, 0, 1
+    yield fam, (), (), 0, 1
+    yield fam, bases, (), 0, 1
     for depth in range(2, max_depth + 1):
         grown, done = closure_round(u, fam, FAMILY_CAP)
         if not done:
@@ -407,7 +407,7 @@ def _rungs(u: Universe, base, max_depth: int):
         prev, fam = fam, frozenset(grown)
         yield fam, bases, prev, 2, depth
         yield fam, bases, prev, 1, depth
-        yield fam, bases, None, 0, depth
+        yield fam, bases, (), 0, depth
 
 
 def check_row(

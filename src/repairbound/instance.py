@@ -84,7 +84,7 @@ def storage_and_bandwidth_caps(u: Universe) -> list[LinExpr]:
     ]
 
 
-def instances(u: Universe, fam_masks, anchors=None, bases=(), need=1):
+def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
     """Descriptors (ka, kb, ku, ki) of the Shannon instances over a family
     of canonical class masks.
 
@@ -95,10 +95,10 @@ def instances(u: Universe, fam_masks, anchors=None, bases=(), need=1):
     monotonicity when the pair is nested; then, for each base C in the
     order given, the elemental instances H(C+x) + H(C+y) >= H(C+x+y) + H(C)
     over variables x, y outside C.  Instances with an argument outside the
-    family (other than empty or spanning) are skipped.  anchors, when
-    given, keeps only the pairs with at least need of their two classes
-    in that mask set: need 1 keeps the pairs touching it, need 2 the pairs
-    inside it.  Descriptors may repeat.
+    family (other than empty or spanning) are skipped.  The pair rule
+    keeps only the pairs with at least need of their two classes in the
+    mask set anchors: need 0 keeps every pair, need 1 the pairs touching
+    the anchors, need 2 the pairs inside them.  Descriptors may repeat.
 
     Keys are read from a map of every orbit member of the family to its
     class, so a closed mask outside the family is skipped without ever
@@ -112,7 +112,7 @@ def instances(u: Universe, fam_masks, anchors=None, bases=(), need=1):
     closure = u.closure_mask
     for ai, ra in enumerate(fam):
         for rb in fam[ai:]:
-            if anchors is not None and (ra in anchors) + (rb in anchors) < need:
+            if need and (ra in anchors) + (rb in anchors) < need:
                 continue
             for m in orbits[rb]:
                 if m == ra:
@@ -151,7 +151,7 @@ def instances(u: Universe, fam_masks, anchors=None, bases=(), need=1):
                 yield (kx, ky, kxy, c_mask)
 
 
-def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=(), need=1) -> list[LinExpr]:
+def enumerate_rows(u: Universe, fam_masks, anchors=(), need=0, bases=()) -> list[LinExpr]:
     """Deterministic, deduplicated constraint pool over a family of
     canonical class masks.
 
@@ -176,13 +176,12 @@ def enumerate_rows(u: Universe, fam_masks, anchors=None, bases=(), need=1) -> li
     allowed = set(fam_masks) | {0, u.full_mask}
     if any(c not in allowed for c in bases):
         raise ValueError("elemental bases must come from the family")
-    anchors = None if anchors is None else set(anchors)
 
     rows: list[LinExpr] = []
     for m in fam_masks:
         rows.append(instance_row((m, 0, 0, 0), "monotonicity"))
         rows.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
-    descs = Counter(instances(u, fam_masks, anchors, bases, need))
+    descs = Counter(instances(u, fam_masks, anchors, need, bases))
     for desc in descs:
         rows.append(instance_row(desc))
 

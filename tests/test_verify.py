@@ -334,9 +334,9 @@ def test_touching_rung_certifies_a_row_the_within_rung_misses(monkeypatch):
                 base.add(u.canon_mask(m))
         fam, done = closure_round(u, base, 5000)
         assert done
-        within = dict.fromkeys(d for d in instances(u, fam, base, (), 2) if d[1])
+        within = dict.fromkeys(d for d in instances(u, fam, base, 2) if d[1])
         touching = [
-            d for d in dict.fromkeys(instances(u, fam, base, (), 1)) if d[1] and d not in within
+            d for d in dict.fromkeys(instances(u, fam, base, 1)) if d[1] and d not in within
         ]
         outer = rng.choice(touching)
         fresh = outer[1] if outer[0] in base else outer[0]
