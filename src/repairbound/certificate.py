@@ -10,6 +10,9 @@ constraint pool from the row's own term sets and searches for a
 nonnegative rational combination with an exact LP, never trusting the
 prover's working.
 
+This module alone reads the certificate format; load_terms reads the
+term table of a bare term file or a certificate, for the prover's seeds.
+
 Row verification escalates through a ladder: pairwise submodularity
 over the row's classes, then single-variable-growth instances, then
 families grown by union/intersection closure rounds.  Each grown family
@@ -109,42 +112,28 @@ def _parse_coeffs(obj, where: str, term_ids) -> dict:
     return out
 
 
-def parse(data) -> Certificate:
-    """Strict parse of certificate JSON (bytes or str).
-
-    Rejects unknown fields, undeclared columns, non-integer or zero
-    coefficients, duplicate or malformed term ids, and invalid variable
-    tokens.  Syntax errors report line and column.
-    """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CertificateError(f"not valid UTF-8: {e}") from e
+def _decode(data):
+    """JSON of bytes or str; every decoder failure is a CertificateError."""
     try:
-        obj = json.loads(data)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as e:
+        raise CertificateError(f"not valid UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise CertificateError(
             f"JSON syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except (RecursionError, ValueError) as e:
+        raise CertificateError(f"cannot decode JSON: {e}") from e
 
-    _require(isinstance(obj, dict), "top level: expected an object")
-    extra = set(obj) - {"problem", "terms", "rows", "target", "meta"}
-    _require(not extra, f"top level: unknown fields {sorted(extra)}")
-    for key in ("problem", "terms", "rows", "target"):
-        _require(key in obj, f"top level: missing field {key!r}")
 
-    prob = obj["problem"]
-    _require(isinstance(prob, dict), "problem: expected an object")
-    _require(set(prob) == {"n", "k", "d"}, "problem: expected exactly keys n, k, d")
-    n = _as_int(prob["n"], "problem.n")
-    k = _as_int(prob["k"], "problem.k")
-    d = _as_int(prob["d"], "problem.d")
-    _require(n >= 1 and k >= 1 and d >= 1, "problem: n, k, d must be positive")
-
-    _require(isinstance(obj["terms"], list), "terms: expected an array")
+def _parse_terms(entries, n: int) -> dict:
+    """The term table {id: tuple of variable tokens} of a "terms" array,
+    each token checked against n nodes."""
+    _require(isinstance(entries, list), "terms: expected an array")
     terms: dict = {}
-    for pos, entry in enumerate(obj["terms"]):
+    for pos, entry in enumerate(entries):
         where = f"terms[{pos}]"
         _require(isinstance(entry, dict), f"{where}: expected an object")
         _require(set(entry) == {"id", "vars"}, f"{where}: expected exactly keys id, vars")
@@ -163,7 +152,32 @@ def parse(data) -> Certificate:
             _require(tok not in seen, f"{where}.vars: duplicate token {tok!r}")
             seen.add(tok)
         terms[tid] = tuple(toks)
+    return terms
 
+
+def parse(data) -> Certificate:
+    """Strict parse of certificate JSON (bytes or str).
+
+    Rejects unknown fields, undeclared columns, non-integer or zero
+    coefficients, duplicate or malformed term ids, and invalid variable
+    tokens.  Syntax errors report line and column.
+    """
+    obj = _decode(data)
+    _require(isinstance(obj, dict), "top level: expected an object")
+    extra = set(obj) - {"problem", "terms", "rows", "target", "meta"}
+    _require(not extra, f"top level: unknown fields {sorted(extra)}")
+    for key in ("problem", "terms", "rows", "target"):
+        _require(key in obj, f"top level: missing field {key!r}")
+
+    prob = obj["problem"]
+    _require(isinstance(prob, dict), "problem: expected an object")
+    _require(set(prob) == {"n", "k", "d"}, "problem: expected exactly keys n, k, d")
+    n = _as_int(prob["n"], "problem.n")
+    k = _as_int(prob["k"], "problem.k")
+    d = _as_int(prob["d"], "problem.d")
+    _require(n >= 1 and k >= 1 and d >= 1, "problem: n, k, d must be positive")
+
+    terms = _parse_terms(obj["terms"], n)
     _require(isinstance(obj["rows"], list), "rows: expected an array")
     rows = [_parse_coeffs(r, f"rows[{i}]", terms) for i, r in enumerate(obj["rows"])]
     target = _parse_coeffs(obj["target"], "target", terms)
@@ -187,6 +201,15 @@ def serialize(cert: Certificate) -> bytes:
 def load(path) -> Certificate:
     with open(path, "rb") as f:
         return parse(f.read())
+
+
+def load_terms(path, n: int) -> list:
+    """Token tuples of the terms of a bare term file or a certificate,
+    checked for n nodes as parse checks a certificate's terms."""
+    with open(path, "rb") as f:
+        obj = _decode(f.read())
+    _require(isinstance(obj, dict) and "terms" in obj, "top level: expected a 'terms' array")
+    return list(_parse_terms(obj["terms"], n).values())
 
 
 def load_bundled(name: str) -> Certificate:

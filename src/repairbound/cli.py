@@ -32,18 +32,13 @@ from .certificate import (
     format_plane,
     load,
     load_bundled,
+    load_terms,
     serialize,
     to_latex,
     verify,
 )
 from .cutset import facets
-from .prover import (
-    DEFAULT_FAMILY_CAP,
-    FamilyError,
-    default_family,
-    load_seed_terms,
-    prove,
-)
+from .prover import DEFAULT_FAMILY_CAP, FamilyError, default_family, prove
 from .ratlp import LPError
 from .region import DEFAULT_WINDOW, emit, from_halfplanes
 from .universe import build_universe
@@ -91,6 +86,12 @@ def _parse_direction(text: str) -> tuple:
     return (ca, cb)
 
 
+def _parse_max_depth(value: int) -> int:
+    if value < 1:
+        raise ValueError(f"max-depth {value}: must be at least 1")
+    return value
+
+
 def _parse_window(text: str) -> tuple:
     parts = [_fraction(p, "window", text) for p in text.split(",")]
     if len(parts) != 4:
@@ -120,7 +121,7 @@ OPTIONS = (
         help="JSON term file whose variable sets seed the family (repeatable)")),
     ("depth", FAMILY, 0, None, dict(type=int, help="family closure rounds (default 0)")),
     ("cap", FAMILY, DEFAULT_FAMILY_CAP, None, dict(type=int, help="family size cap")),
-    ("max-depth", ("verify", "solve"), DEFAULT_MAX_DEPTH, None, dict(
+    ("max-depth", ("verify", "solve"), DEFAULT_MAX_DEPTH, _parse_max_depth, dict(
         type=int, help="row search depth budget")),
     ("certificate", ("verify", "export-latex"), None, None, dict(
         nargs="?", help="certificate JSON file")),
@@ -274,11 +275,13 @@ def _check_outputs(opts) -> None:
             _fail(f"cannot write {path}: its directory does not exist")
 
 
-def _load_cert(path):
+def _load(reader, path, *args):
+    """reader(path, *args); a missing path, an unreadable file or a
+    malformed one fails, naming the path."""
     if not path:
         _fail("a certificate path is required")
     try:
-        return load(path)
+        return reader(path, *args)
     except OSError as e:
         _fail(f"cannot read {path}: {e}")
     except CertificateError as e:
@@ -309,12 +312,7 @@ def _proved(opts, max_depth: int):
     """Prove each --dir direction on the family the options grow;
     yields (universe, ProvedBound) per direction."""
     u = _universe(_problem(opts))
-    seeds = []
-    for path in opts["seeds"]:
-        try:
-            seeds.extend(load_seed_terms(path))
-        except FamilyError as e:
-            _fail(str(e))
+    seeds = [toks for path in opts["seeds"] for toks in _load(load_terms, path, u.n)]
     try:
         fam = default_family(u, seeds=seeds, depth=opts["depth"], cap=opts["cap"])
     except FamilyError as e:
@@ -361,7 +359,7 @@ def _slug(q: Fraction) -> str:
 
 def cmd_verify(opts) -> int:
     path, max_depth = opts["certificate"], opts["max-depth"]
-    cert = _load_cert(path)
+    cert = _load(load, path)
     u = _universe(cert.problem, path)
     log.info(
         "verifying %d rows over %d terms at depth %d", len(cert.rows), len(cert.terms), max_depth
@@ -417,7 +415,7 @@ def cmd_region(opts) -> int:
     asked = (n, k, opts["d"])
     shown = 2 if opts["d"] is None else 3  # (n,k), or (n,k,d) once --d is given
     for path in opts["cert"]:
-        cert = _load_cert(path)
+        cert = _load(load, path)
         if any(a is not None and a != c for a, c in zip(asked, cert.problem)):
             have, want = (",".join(map(str, p[:shown])) for p in (cert.problem, asked))
             _fail(f"{path}: certificate is for ({have}), not ({want})")
@@ -465,7 +463,7 @@ def cmd_cutset(opts) -> int:
 
 
 def cmd_export_latex(opts) -> int:
-    cert = _load_cert(opts["certificate"])
+    cert = _load(load, opts["certificate"])
     header = "".join(f"% {line}\n" for line in provenance(opts))
     text = header + to_latex(cert)
     if opts["out"]:

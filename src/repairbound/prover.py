@@ -8,16 +8,15 @@ are cleared to integers and re-emitted as certificate rows whose column
 sums reproduce the target exactly; positive reduced costs are absorbed
 by one final nonnegativity row so the sum check never depends on which
 columns the optimum happened to leave at zero.  Every emitted
-certificate is re-verified before it is returned.
+certificate is re-verified before it is returned.  The prover reads no
+files: family seeds arrive as token tuples (see certificate.load_terms).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .certificate import DEFAULT_MAX_DEPTH, Certificate, CertificateError, check_sum, verify
 from .instance import (
@@ -45,33 +44,6 @@ class ProvedBound:
     certificate: Certificate
 
 
-def load_seed_terms(path) -> list[list[str]]:
-    """Read variable-token lists from a JSON term file.
-
-    Accepts any object with a "terms" array of {"id", "vars"} entries,
-    which covers both bare seed files and full certificate files.
-    """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise FamilyError(f"cannot read seed terms from {path}: {e}") from e
-    if not isinstance(data, dict) or "terms" not in data:
-        raise FamilyError(f"{path}: expected an object with a 'terms' array")
-    terms = data["terms"]
-    if not isinstance(terms, list):
-        raise FamilyError(f"{path}: 'terms' must be an array")
-    out = []
-    for i, entry in enumerate(terms):
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("vars"), list)
-            or not all(isinstance(t, str) for t in entry["vars"])
-        ):
-            raise FamilyError(f"{path}: terms[{i}] needs a 'vars' array of tokens")
-        out.append(list(entry["vars"]))
-    return out
-
-
 def default_family(
     u: Universe, seeds=(), depth: int = 0, cap: int = DEFAULT_FAMILY_CAP
 ) -> frozenset:
@@ -80,12 +52,12 @@ def default_family(
 
     Base classes: every singleton variable; every proper node-only
     subset; every such subset augmented by one repair message into a
-    missing node; the seeds.  Then `depth` rounds of pairwise
-    union/intersection closure over (representative, orbit member)
-    pairs, so the family stays a union of full symmetry orbits rather
-    than depending on which member is canonical.  Spanning sets are
-    never stored; they are represented by the reserved spanning column
-    wherever a constraint touches one.
+    missing node; the seeds, each a tuple of variable tokens.  Then
+    `depth` rounds of pairwise union/intersection closure over
+    (representative, orbit member) pairs, so the family stays a union of
+    full symmetry orbits rather than depending on which member is
+    canonical.  Spanning sets are never stored; they are represented by
+    the reserved spanning column wherever a constraint touches one.
     """
     if depth < 0:
         raise FamilyError("depth must be nonnegative")
@@ -114,14 +86,10 @@ def default_family(
                 continue
             for i in range(u.n):
                 if i != j and not bits >> i & 1:
-                    add(mask | u.var_bit(u.n + i * (u.n - 1) + (j if j < i else j - 1)))
+                    add(mask | u.var_bit(index_for_token(u.n, f"S{i + 1}->{j + 1}")))
 
-    for vars_ in seeds:
-        add(
-            u.mask_of(
-                index_for_token(u.n, t) if isinstance(t, str) else t for t in vars_
-            )
-        )
+    for tokens in seeds:
+        add(u.mask_of_tokens(tokens))
 
     if len(masks) > cap:
         raise FamilyError(f"family size cap exceeded by {len(masks)} base classes")

@@ -9,11 +9,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from repairbound.certificate import check_sum, load, serialize, verify
+from repairbound.certificate import check_sum, load, load_terms, serialize, verify
 from repairbound.cli import provenance, read_options
 from repairbound.cutset import facets
 from repairbound.instance import enumerate_rows
-from repairbound.prover import default_family, load_seed_terms, prove
+from repairbound.prover import default_family, prove
 from repairbound.ratlp import check_duals, solve
 from repairbound.region import emit, from_halfplanes
 from repairbound.universe import build_universe
@@ -87,9 +87,7 @@ def test_criterion_3_mutation_suite():
 
 def test_criterion_4_rediscovery_of_shipped_bounds():
     u = build_universe(5, 4)
-    seeds = load_seed_terms(DATA / "prop1.terms.json") + load_seed_terms(
-        DATA / "prop2.terms.json"
-    )
+    seeds = load_terms(DATA / "prop1.terms.json", 5) + load_terms(DATA / "prop2.terms.json", 5)
     fam = default_family(u, seeds=seeds)
     times = []
     for direction, value, meaning in (
@@ -116,7 +114,7 @@ def test_criterion_5_known_facets():
     base = default_family(u)
     assert prove(u, base, (1, 0)).value == Fraction(1, 4)
     assert prove(u, base, (3, 1)).value == 1
-    seeded = default_family(u, seeds=load_seed_terms(DATA / "prop2.terms.json"))
+    seeded = default_family(u, seeds=load_terms(DATA / "prop2.terms.json", 5))
     assert prove(u, seeded, (0, 1)).value == Fraction(1, 10)
     report(5, "directions (1,0), (3,1), (0,1) prove 1/4, 1, 1/10 exactly")
 

@@ -11,6 +11,7 @@ from repairbound.certificate import (
     format_meaning,
     load,
     load_bundled,
+    load_terms,
     parse,
     serialize,
     to_latex,
@@ -96,6 +97,42 @@ def test_parse_reports_syntax_position():
 def test_parse_rejects_bad_utf8():
     with pytest.raises(CertificateError, match="UTF-8"):
         parse(b"\xff\xfe{}")
+
+
+# JSON that the decoder itself refuses: nesting past the recursion limit,
+# and an integer past the digit limit of int()
+DEEP_JSON = b"[" * 100_000
+LONG_INT_JSON = as_bytes(minimal_obj()).replace(b'"alpha": 1', b'"alpha": 1' + b"0" * 5000, 1)
+
+
+@pytest.mark.parametrize("blob", [DEEP_JSON, LONG_INT_JSON], ids=["deep", "long-int"])
+def test_parse_rejects_json_the_decoder_refuses(blob, tmp_path):
+    with pytest.raises(CertificateError, match="cannot decode JSON"):
+        parse(blob)
+    path = tmp_path / "hostile.json"
+    path.write_bytes(blob)
+    with pytest.raises(CertificateError, match="cannot decode JSON"):
+        load_terms(path, 5)
+
+
+def test_load_terms_checks_terms_as_parse_does(tmp_path):
+    path = tmp_path / "seeds.json"
+    path.write_text('{"terms": [{"id": "T2", "vars": ["W1", "S5->4"]}]}')
+    assert load_terms(path, 5) == [("W1", "S5->4")]
+    # a token that is valid for five nodes is not valid for four
+    with pytest.raises(CertificateError, match=r"terms\[0\]\.vars: .*'S5->4'"):
+        load_terms(path, 4)
+    for entries, fragment in (
+        ('[{"vars": ["W1"]}]', "expected exactly keys id, vars"),
+        ('[{"id": "X1", "vars": ["W1"]}]', "bad term id"),
+        ('[{"id": "T1", "vars": ["W1"]}, {"id": "T1", "vars": ["W2"]}]', "duplicate term id"),
+        ('[{"id": "T1", "vars": []}]', "nonempty array"),
+        ('[{"id": "T1", "vars": ["W1", "W1"]}]', "duplicate token"),
+        ('{"T1": ["W1"]}', "terms: expected an array"),
+    ):
+        path.write_text(f'{{"terms": {entries}}}')
+        with pytest.raises(CertificateError, match=fragment):
+            load_terms(path, 5)
 
 
 def test_check_sum_shipped():

@@ -4,7 +4,9 @@ import logging
 import sys
 from pathlib import Path
 
-from repairbound import __version__
+import pytest
+
+from repairbound import __version__, cli
 from repairbound.certificate import Certificate, load, parse, serialize
 from repairbound.cli import main
 from repairbound.instance import ALPHA, BETA, BIGB
@@ -84,6 +86,80 @@ def test_verify_io_errors(capsys, tmp_path):
     bad.write_text("{")
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 3 and "JSON syntax" in err
+
+
+# JSON that the decoder itself refuses: nesting past the recursion limit,
+# and a coefficient past the digit limit of int()
+HOSTILE_JSON = {
+    "deep.json": "[" * 100_000,
+    "long-int.json": Path(PROP1).read_text().replace('"alpha": 1', '"alpha": 1' + "0" * 5000, 1),
+}
+
+
+def test_hostile_certificate_files_exit_3_naming_the_file(capsys, tmp_path):
+    for name, text in HOSTILE_JSON.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for argv in (("verify",), ("export-latex",), ("region", "--cert")):
+            code, out, err = run(capsys, *argv, str(path))
+            assert code == 3 and out == "", argv
+            assert err.startswith(f"error: {path}: cannot decode JSON: "), argv
+
+
+def test_hostile_seed_files_exit_3_naming_the_file(capsys, tmp_path):
+    for name, text in HOSTILE_JSON.items():
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ("solve", "--n", "5", "--k", "4", "--dir", "1,0", "--seeds", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", name
+        assert err.startswith(f"error: {path}: cannot decode JSON: "), name
+
+
+def test_seed_files_are_checked_as_certificate_terms(capsys, tmp_path):
+    argv = ("solve", "--n", "5", "--k", "4", "--dir", "1,0", "--seeds")
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing.json"))
+    assert code == 3 and out == "" and err.startswith(f"error: cannot read {tmp_path}")
+    bad = tmp_path / "badtok.json"
+    bad.write_text('{"terms": [{"id": "T1", "vars": ["Q1"]}]}')
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 3 and out == ""
+    assert err == f"error: {bad}: terms[0].vars: bad variable token 'Q1'\n"
+
+
+def test_max_depth_below_one_fails_verify_before_the_sum_check(capsys, tmp_path):
+    # with sums that fail, the verifier would report INVALID (exit 1)
+    # without checking a row
+    cert = load(PROP1)
+    cert.rows[0]["alpha"] = cert.rows[0].get("alpha", 0) + 1
+    mutated = tmp_path / "mutated.json"
+    mutated.write_bytes(serialize(cert))
+    code, out, err = run(capsys, "verify", str(mutated), "--max-depth", "0")
+    assert code == 3 and out == ""
+    assert err == "error: max-depth 0: must be at least 1\n"
+
+
+def test_max_depth_below_one_fails_solve_before_the_lp(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "prove", lambda *a, **k: pytest.fail("prove was called"))
+    argv = ("solve", "--n", "4", "--k", "3", "--dir", "1,0", "--max-depth", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: max-depth 0: must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_max_depth_below_one_in_a_config_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "prove", lambda *a, **k: pytest.fail("prove was called"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=4\nk=3\ndir=1,0\nmax-depth=0\n")
+    code, out, err = run(capsys, "solve", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == "error: max-depth 0: must be at least 1\n"
+    code, out, err = run(capsys, "verify", PROP2, "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == "error: max-depth 0: must be at least 1\n"
 
 
 def test_solve_writes_verifiable_certificate(capsys, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repairbound.certificate import _term_column, load
+from repairbound.certificate import _term_column, load, load_terms
 from repairbound.instance import (
     ALPHA,
     BETA,
@@ -18,7 +18,7 @@ from repairbound.instance import (
     instances,
     storage_and_bandwidth_caps,
 )
-from repairbound.prover import default_family, load_seed_terms
+from repairbound.prover import default_family
 from repairbound.universe import (
     build_universe,
     closure_round,
@@ -246,9 +246,7 @@ def test_pools_are_pinned():
     # digests of pools that the prover and the verifier build; a change
     # in any row, kind, order or dedup winner changes them
     u54 = build_universe(5, 4)
-    seeds = load_seed_terms(DATA / "prop1.terms.json") + load_seed_terms(
-        DATA / "prop2.terms.json"
-    )
+    seeds = load_terms(DATA / "prop1.terms.json", 5) + load_terms(DATA / "prop2.terms.json", 5)
     masks = default_family(u54, seeds=seeds)
     rows = storage_and_bandwidth_caps(u54) + enumerate_rows(u54, masks)
     assert len(rows) == 3614

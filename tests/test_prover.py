@@ -5,14 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repairbound.certificate import check_sum, verify
-from repairbound.prover import (
-    FamilyError,
-    build_lp,
-    default_family,
-    load_seed_terms,
-    prove,
-)
+from repairbound.certificate import CertificateError, check_sum, load_terms, verify
+from repairbound.prover import FamilyError, build_lp, default_family, prove
 from repairbound.ratlp import solve
 from repairbound.region import from_halfplanes
 from repairbound.universe import build_universe
@@ -36,14 +30,12 @@ def base54(u54):
 
 @pytest.fixture(scope="module")
 def table3_54(u54):
-    return default_family(u54, seeds=load_seed_terms(DATA / "prop2.terms.json"))
+    return default_family(u54, seeds=load_terms(DATA / "prop2.terms.json", 5))
 
 
 @pytest.fixture(scope="module")
 def union54(u54):
-    seeds = load_seed_terms(DATA / "prop1.terms.json") + load_seed_terms(
-        DATA / "prop2.terms.json"
-    )
+    seeds = load_terms(DATA / "prop1.terms.json", 5) + load_terms(DATA / "prop2.terms.json", 5)
     return default_family(u54, seeds=seeds)
 
 
@@ -60,12 +52,6 @@ def test_default_family_skips_spanning_seed(u54, base54):
     assert fam == base54
 
 
-def test_default_family_accepts_token_and_index_seeds(u54):
-    by_token = default_family(u54, seeds=[["W1", "S3->2"]])
-    by_index = default_family(u54, seeds=[[0, 11]])  # same pair as indices
-    assert by_token == by_index
-
-
 def test_default_family_cap_names_the_round(u54):
     with pytest.raises(FamilyError, match="closure round 1"):
         default_family(u54, depth=1, cap=10)
@@ -74,22 +60,23 @@ def test_default_family_cap_names_the_round(u54):
 
 
 def test_load_seed_terms_accepts_certificates_too():
-    bare = load_seed_terms(DATA / "prop2.terms.json")
-    full = load_seed_terms(DATA / "prop2.cert.json")
+    # seed files are read by certificate.load_terms, bare or as certificates
+    bare = load_terms(DATA / "prop2.terms.json", 5)
+    full = load_terms(DATA / "prop2.cert.json", 5)
     assert bare == full
     assert len(bare) == 30
 
 
 def test_load_seed_terms_errors(tmp_path):
-    with pytest.raises(FamilyError, match="cannot read"):
-        load_seed_terms(tmp_path / "missing.json")
+    with pytest.raises(OSError):
+        load_terms(tmp_path / "missing.json", 5)
     bad = tmp_path / "bad.json"
     bad.write_text('{"terms": [{"id": "T1"}]}')
-    with pytest.raises(FamilyError, match="terms\\[0\\]"):
-        load_seed_terms(bad)
+    with pytest.raises(CertificateError, match="terms\\[0\\]"):
+        load_terms(bad, 5)
     bad.write_text('{"rows": []}')
-    with pytest.raises(FamilyError, match="'terms'"):
-        load_seed_terms(bad)
+    with pytest.raises(CertificateError, match="'terms'"):
+        load_terms(bad, 5)
 
 
 def test_build_lp_known_optima_depth0(u54, base54):

@@ -17,7 +17,8 @@ from repairbound.certificate import (
     load,
     verify,
 )
-from repairbound.instance import BIGB, instance_row, instances
+from repairbound.instance import BIGB, LinExpr, instance_row, instances
+from repairbound.ratlp import IncrementalDualSolver
 from repairbound.universe import (
     build_universe,
     closure_round,
@@ -302,6 +303,51 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
     assert len(drawn) == 5
     assert sum(drawn) <= 8000
+
+
+def test_active_set_rungs_that_fail_add_few_rows(monkeypatch):
+    # a work count for rungs that find no witness, which no shipped row
+    # reaches: six unanchored depth-2 rungs on families of 43 to 89
+    # classes (the cap classes and two random classes, grown one round),
+    # each over a row that sums three pool instances and takes away one
+    # class.  The rows that separation adds are 2,394, bounded here with
+    # a margin of about 15%; without the elemental start pool they are
+    # 3,199, and without the strided picks and the signature set too,
+    # 6,080
+    added = []
+    add_rows = IncrementalDualSolver.add_rows
+
+    def counted(self, rows):
+        added.append(len(rows))
+        return add_rows(self, rows)
+
+    monkeypatch.setattr(IncrementalDualSolver, "add_rows", counted)
+    rng = random.Random(5)
+    u = build_universe(5, 4)
+    caps = {u.canon_mask(u.var_bit(0)), u.canon_mask(u.var_bit(index_for_token(5, "S1->2")))}
+    rungs = 0
+    while rungs < 6:
+        base = set(caps)
+        while len(base) < 4:
+            m = u.closure_mask(u.mask_of(rng.sample(range(u.num_vars), rng.randrange(1, 6))))
+            if m != u.full_mask:
+                base.add(u.canon_mask(m))
+        fam, done = closure_round(u, base, 5000)
+        if not (done and 43 <= len(fam) <= 89):
+            continue
+        fam = frozenset(fam)
+        bases = (0, *sorted(base, reverse=True))
+        pool = [d for d in dict.fromkeys(instances(u, fam, (), 0, bases)) if d[1]]
+        coeffs: dict = {}
+        for desc in rng.sample(pool, 3):
+            for col, v in instance_row(desc).coeffs.items():
+                coeffs[col] = coeffs.get(col, 0) + v
+        cls = rng.choice(sorted(fam))
+        coeffs[cls] = coeffs.get(cls, 0) - 1
+        expr = LinExpr({c: v for c, v in coeffs.items() if v}, "certificate-row")
+        assert _try_pool_active(u, fam, (), 0, bases, expr) is None
+        rungs += 1
+    assert sum(added) <= 2750
 
 
 def row_certificate(u, coeffs):
