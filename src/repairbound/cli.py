@@ -38,7 +38,7 @@ from .certificate import (
     verify,
 )
 from .cutset import facets
-from .prover import DEFAULT_FAMILY_CAP, FamilyError, default_family, prove
+from .prover import DEFAULT_FAMILY_CAP, FamilyError, default_family, pool_rows, prove
 from .ratlp import LPError
 from .region import DEFAULT_WINDOW, emit, from_halfplanes
 from .universe import build_universe
@@ -86,10 +86,15 @@ def _parse_direction(text: str) -> tuple:
     return (ca, cb)
 
 
-def _parse_max_depth(value: int) -> int:
-    if value < 1:
-        raise ValueError(f"max-depth {value}: must be at least 1")
-    return value
+def _at_least(name: str, least: int):
+    """A parse for an integer option that must be at least least."""
+
+    def parse(value: int) -> int:
+        if value < least:
+            raise ValueError(f"{name} {value}: must be at least {least}")
+        return value
+
+    return parse
 
 
 def _parse_window(text: str) -> tuple:
@@ -119,9 +124,11 @@ OPTIONS = (
     ("seeds", FAMILY, (), None, dict(
         action="append", metavar="PATH",
         help="JSON term file whose variable sets seed the family (repeatable)")),
-    ("depth", FAMILY, 0, None, dict(type=int, help="family closure rounds (default 0)")),
-    ("cap", FAMILY, DEFAULT_FAMILY_CAP, None, dict(type=int, help="family size cap")),
-    ("max-depth", ("verify", "solve"), DEFAULT_MAX_DEPTH, _parse_max_depth, dict(
+    ("depth", FAMILY, 0, _at_least("depth", 0), dict(
+        type=int, help="family closure rounds (default 0)")),
+    ("cap", FAMILY, DEFAULT_FAMILY_CAP, _at_least("cap", 1), dict(
+        type=int, help="family size cap")),
+    ("max-depth", ("verify", "solve"), DEFAULT_MAX_DEPTH, _at_least("max-depth", 1), dict(
         type=int, help="row search depth budget")),
     ("certificate", ("verify", "export-latex"), None, None, dict(
         nargs="?", help="certificate JSON file")),
@@ -318,9 +325,10 @@ def _proved(opts, max_depth: int):
     except FamilyError as e:
         _fail(str(e))
     log.info("family has %d classes", len(fam))
+    rows = pool_rows(u, fam)  # one pool for every direction
     for ca, cb in opts["dir"]:
         try:
-            proved = prove(u, fam, (ca, cb), max_depth=max_depth)
+            proved = prove(u, fam, (ca, cb), max_depth=max_depth, rows=rows)
         except (LPError, CertificateError, ValueError) as e:
             _fail(f"direction {ca},{cb}: {e}")
         yield u, proved

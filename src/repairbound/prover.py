@@ -92,7 +92,7 @@ def default_family(
         add(u.mask_of_tokens(tokens))
 
     if len(masks) > cap:
-        raise FamilyError(f"family size cap exceeded by {len(masks)} base classes")
+        raise FamilyError(f"{len(masks)} base classes exceed the family size cap {cap}")
 
     for round_no in range(1, depth + 1):
         masks, completed = closure_round(u, masks, cap)
@@ -109,20 +109,29 @@ def _check_direction(direction) -> tuple:
     return ca, cb
 
 
-def build_lp(u: Universe, fam: frozenset, direction) -> LPProblem:
-    """The family-restricted bound LP with the spanning value fixed at
-    one: minimize the direction over alpha, beta and the family's class
-    entropies subject to every pooled constraint.  Each pool row becomes
-    one LP row, in pool order, with its BIGB coefficient as the constant."""
-    ca, cb = _check_direction(direction)
+def pool_rows(u: Universe, fam: frozenset) -> list:
+    """The bound LP's rows over a family, for every direction: the caps,
+    then one row per pooled constraint in pool order, with its BIGB
+    coefficient as the constant."""
     if not fam:
         raise FamilyError("empty family")
     lprows = []
     for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam):
         coeffs = {c: v for c, v in e.coeffs.items() if c != BIGB}
         lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, 0), ">="))
+    return lprows
+
+
+def build_lp(u: Universe, fam: frozenset, direction, rows=None) -> LPProblem:
+    """The family-restricted bound LP with the spanning value fixed at
+    one: minimize the direction over alpha, beta and the family's class
+    entropies subject to every pooled constraint.  rows, when given, are
+    the family's pool_rows, built once for several directions."""
+    ca, cb = _check_direction(direction)
+    if rows is None:
+        rows = pool_rows(u, fam)
     columns = [ALPHA, BETA] + sorted(fam, key=column_key)
-    return LPProblem(columns, {ALPHA: ca, BETA: cb}, lprows, set(columns))
+    return LPProblem(columns, {ALPHA: ca, BETA: cb}, rows, set(columns))
 
 
 def _display_order(coeffs: dict) -> list:
@@ -133,7 +142,7 @@ def _display_order(coeffs: dict) -> list:
 
 
 def prove(
-    u: Universe, fam: frozenset, direction, max_depth: int = DEFAULT_MAX_DEPTH
+    u: Universe, fam: frozenset, direction, max_depth: int = DEFAULT_MAX_DEPTH, rows=None
 ) -> ProvedBound:
     """Solve the direction LP and extract a self-contained certificate.
 
@@ -141,9 +150,9 @@ def prove(
     all dual and reduced-cost denominators, divided by the collective
     gcd, and written out pre-multiplied; reduced costs on columns the
     optimum left out of play become one trailing all-positive row.  The
-    result is re-verified before return.
+    result is re-verified before return.  rows are passed on to build_lp.
     """
-    lp = build_lp(u, fam, direction)
+    lp = build_lp(u, fam, direction, rows)
     ca, cb = lp.objective[ALPHA], lp.objective[BETA]
     sol = solve(lp)
     if sol.status != "optimal":
@@ -158,8 +167,8 @@ def prove(
     slack = {col: rc for col, rc in reduced.items() if rc}
 
     lcm = math.lcm(*(q.denominator for q in (*sol.duals, *slack.values())))
-    mults = [int(lam * lcm) for lam in sol.duals]
-    smults = {col: int(rc * lcm) for col, rc in slack.items()}
+    mults = [lam.numerator * (lcm // lam.denominator) if lam else 0 for lam in sol.duals]
+    smults = {col: rc.numerator * (lcm // rc.denominator) for col, rc in slack.items()}
     g = 0
     for m in (*mults, *smults.values()):
         g = math.gcd(g, m)

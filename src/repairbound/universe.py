@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import logging
 import re
+from operator import or_
 
 
 log = logging.getLogger("repairbound.universe")
@@ -32,6 +33,9 @@ class UnsupportedConfiguration(ValueError):
 
 # largest supported node count; see build_universe
 MAX_N = 6
+
+# the orbit tables read a mask this many bits at a time
+_CHUNK = 4
 
 _TOKEN_RE = re.compile(r"^(?:W([1-9]\d*)|S([1-9]\d*)->([1-9]\d*))$")
 
@@ -62,6 +66,10 @@ def index_for_token(n: int, tok: str) -> int:
 class Universe:
     """Variables, closure, and the node-relabeling action for one (n, k).
 
+    The relabeling acts through orbit tables, built on the first
+    canonicalization: for each 4-bit chunk of a mask and each of its 16
+    values, the tuple of that chunk's images under all n! permutations,
+    so a mask's images are the elementwise OR of one tuple per chunk.
     Closure, canonicalization, and orbit results are memoized; caches are
     only ever appended to, so concurrent readers at worst recompute.
     """
@@ -91,7 +99,6 @@ class Universe:
                 if i != j:
                     inc |= self.var_bit(index_for_token(n, f"S{i}->{j}"))
             self._in_mask.append(inc)
-        self._nbytes = (self.num_vars + 7) // 8
         self._perms = list(itertools.permutations(range(1, n + 1)))
         self._perm_tables = None
         self._closure_cache: dict[int, int] = {}
@@ -157,21 +164,19 @@ class Universe:
         return self.n + (ii - 1) * (self.n - 1) + (jj - 2 if jj > ii else jj - 1)
 
     def _build_perm_tables(self):
+        # tables[c][x] is the tuple of the images of chunk value x at
+        # chunk c (bits _CHUNK*c and up) under every permutation, in
+        # _perms order: each bit doubles its chunk's table, the new half
+        # carrying that bit's images
         nv = self.num_vars
         tables = []
-        for pi in self._perms:
-            bit_image = [0] * (8 * self._nbytes)
-            for v in range(nv):
-                bit_image[nv - 1 - v] = self.var_bit(self._image_of_var(v, pi))
-            per_byte = []
-            for c in range(self._nbytes):
-                # t[byte] ORs the images of byte's set bits: each bit
-                # doubles the table, the new half carrying that bit
-                t = [0]
-                for img in bit_image[8 * c : 8 * c + 8]:
-                    t += [x | img for x in t]
-                per_byte.append(t)
-            tables.append(per_byte)
+        for lo in range(0, nv, _CHUNK):
+            t = [(0,) * len(self._perms)]
+            for bit in range(lo, min(lo + _CHUNK, nv)):
+                v = nv - 1 - bit
+                img = tuple(self.var_bit(self._image_of_var(v, pi)) for pi in self._perms)
+                t += [tuple(map(or_, x, img)) for x in t]
+            tables.append(t)
         self._perm_tables = tables
 
     def apply_perm_mask(self, mask: int, pi) -> int:
@@ -181,16 +186,16 @@ class Universe:
         return img
 
     def _images(self, mask: int):
+        """The image of mask under every permutation, in _perms order."""
         if self._perm_tables is None:
             self._build_perm_tables()
-        nb = self._nbytes
-        for per_byte in self._perm_tables:
-            img = 0
-            m = mask
-            for c in range(nb):
-                img |= per_byte[c][m & 0xFF]
-                m >>= 8
-            yield img
+        low = (1 << _CHUNK) - 1
+        tables = self._perm_tables
+        images = tables[0][mask & low]
+        for t in tables[1:]:
+            mask >>= _CHUNK
+            images = map(or_, images, t[mask & low])
+        return images
 
     def canon_mask(self, mask: int) -> int:
         closed = self.closure_mask(mask)
@@ -199,8 +204,7 @@ class Universe:
             return cached
         images = sorted(set(self._images(closed)), reverse=True)
         best = images[0]
-        for im in images:
-            self._canon_cache[im] = best
+        self._canon_cache.update(dict.fromkeys(images, best))
         self._orbit_cache[best] = tuple(images)
         return best
 
@@ -217,8 +221,9 @@ def build_universe(n: int, k: int, d: int | None = None) -> Universe:
     if n < 3:
         raise UnsupportedConfiguration(f"n must be >= 3, got {n}")
     if n > MAX_N:
-        # canonicalization tables grow as n!: n = 6 takes 36 MB, n = 9
-        # about a billion entries
+        # canonicalization computes all n! images of a mask, and its
+        # tables hold 16 per 4-bit chunk per permutation: 103,680 images
+        # (3.5 MB) at n = 6, about ten million at n = 8
         raise UnsupportedConfiguration(f"n must be <= {MAX_N}, got {n}")
     if not 2 <= k <= n - 1:
         raise UnsupportedConfiguration(f"k must satisfy 2 <= k <= n-1, got {k}")

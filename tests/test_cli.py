@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repairbound import __version__, cli
+from repairbound import __version__, cli, prover
 from repairbound.certificate import Certificate, load, parse, serialize
 from repairbound.cli import main
 from repairbound.instance import ALPHA, BETA, BIGB
@@ -160,6 +160,51 @@ def test_max_depth_below_one_in_a_config_file(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "verify", PROP2, "--config", str(cfg))
     assert code == 3 and out == ""
     assert err == "error: max-depth 0: must be at least 1\n"
+
+
+def test_family_cap_error_names_both_numbers(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("solve", "--n", "4", "--k", "3", "--cap", "2", "--dir", "1,0")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: 4 base classes exceed the family size cap 2\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, least", [("cap", "-5", 1), ("cap", "0", 1), ("depth", "-1", 0)]
+)
+def test_bad_cap_and_depth_fail_when_options_are_read(
+    capsys, tmp_path, monkeypatch, option, value, least
+):
+    # refused before any family is grown, from a flag or a config entry
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "default_family", lambda *a, **k: pytest.fail("family grown"))
+    message = f"error: {option} {value}: must be at least {least}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n=4\nk=3\ndir=1,0\n{option}={value}\n")
+    for command in ("solve", "region"):
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out, err) == (3, "", message), command
+        argv = (command, "--n", "4", "--k", "3", "--dir", "1,0", f"--{option}", value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", message), command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_solve_builds_the_family_pool_once(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pools = []
+    enumerate_rows = prover.enumerate_rows
+    monkeypatch.setattr(
+        prover, "enumerate_rows", lambda u, fam: pools.append(fam) or enumerate_rows(u, fam)
+    )
+    code, out, _ = run(capsys, "solve", "--n", "4", "--k", "3", "--dir", "1,0", "--dir", "0,1")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("bound")] == [
+        "bound: 3α ≥ 1B",
+        "bound: 1β ≥ 0B",
+    ]
+    assert len(pools) == 1
 
 
 def test_solve_writes_verifiable_certificate(capsys, tmp_path, monkeypatch):

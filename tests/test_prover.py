@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repairbound.certificate import CertificateError, check_sum, load_terms, verify
-from repairbound.prover import FamilyError, build_lp, default_family, prove
+from repairbound.certificate import CertificateError, check_sum, load_terms, serialize, verify
+from repairbound.prover import FamilyError, build_lp, default_family, pool_rows, prove
 from repairbound.ratlp import solve
 from repairbound.region import from_halfplanes
 from repairbound.universe import build_universe
@@ -114,6 +114,14 @@ def test_prove_round_trip_depth0(u54, base54):
     ids = list(pb.certificate.terms)
     assert ids == [f"T{i}" for i in range(1, len(ids) + 1)]
     assert verify(u54, pb.certificate).overall == "VALID"
+
+
+def test_prove_on_a_shared_pool_matches_a_fresh_one(u54, table3_54):
+    rows = pool_rows(u54, table3_54)
+    for direction in ((1, 0), (0, 1), (15, 10)):
+        shared = prove(u54, table3_54, direction, rows=rows)
+        fresh = prove(u54, table3_54, direction)
+        assert serialize(shared.certificate) == serialize(fresh.certificate)
 
 
 def test_prove_writes_sorted_term_tokens(u54, base54):

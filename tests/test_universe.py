@@ -202,6 +202,32 @@ def test_byte_tables_match_apply_perm_mask():
             assert list(u._images(m)) == [u.apply_perm_mask(m, pi) for pi in perms]
 
 
+def test_orbits_match_brute_force_relabeling():
+    # the orbit tables against every permutation applied one variable at
+    # a time, on closed masks of every (n, k) the package models
+    rng = random.Random(808)
+    for n in range(3, 7):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        toks = all_tokens(n)
+        for k in range(2, n):
+            u = build_universe(n, k)
+            for _ in range(12 if n == 6 else 30):
+                m = u.closure_mask(u.mask_of_tokens(rng.sample(toks, rng.randrange(2 * n))))
+                orbit = tuple(sorted({u.apply_perm_mask(m, pi) for pi in perms}, reverse=True))
+                assert u.orbit_masks(m) == orbit, (n, k, m)
+                assert all(u.canon_mask(x) == orbit[0] for x in orbit), (n, k, m)
+
+
+def test_orbit_tables_stay_small_and_lazy():
+    u = build_universe(6, 5)
+    u.closure_mask(u.mask_of_tokens(["W1", "S2->3"]))
+    assert u._perm_tables is None  # closure alone builds no tables
+    u.canon_mask(u.mask_of_tokens(["W1"]))
+    # 9 chunks x 16 chunk values x 720 permutations = 103,680 images
+    entries = sum(len(t) for t in u._perm_tables) * len(u._perms)
+    assert entries <= 150_000
+
+
 def test_is_spanning():
     u = build_universe(5, 4)
     t = lambda toks: u.closure_mask(u.mask_of_tokens(toks)) == u.full_mask
