@@ -67,8 +67,11 @@ class CertificateError(ValueError):
 class Certificate:
     """Parsed certificate: problem size, terms, coefficient rows, target.
 
-    Insertion order of terms, rows, and coefficient keys is preserved
-    so that serialize(parse(data)) == data for any valid input.
+    Insertion order of terms, rows, and coefficient keys is preserved,
+    so serialize(parse(data)) == data for data in serialize's own layout
+    (the shipped files and every file solve writes).  Other valid data,
+    compact or with raw UTF-8 in meta, parses to the same certificate
+    and is rewritten once in that layout, which is then a fixed point.
     """
 
     n: int
@@ -401,7 +404,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
             if sig not in sigs:
                 sigs.add(sig)
                 active.append(row)
-                fresh.append(LPRow(dict(row.coeffs), 0, ">="))
+                fresh.append(_lp_row(row))
         if not fresh:
             raise CertificateError("separation produced only duplicate rows")
         solver.add_rows(fresh)

@@ -20,8 +20,10 @@ rational arithmetic would choose; fractions appear only where an answer
 is read back.  Partial most-negative pricing with a Bland interlude
 (lowest eligible index enters, ratio ties broken by lowest basic index)
 keeps runs deterministic and cycle-free.  Every problem is solved
-through its explicit dual, whose simplex basis has one row per column of
-the problem and so stays small on the tall bound LPs; the answer is
+through its explicit dual, built in standard form straight from the
+problem: its simplex basis has one row per column of the problem and so
+stays small on the tall bound LPs, and each row of the problem, given or
+appended, becomes a dual column through one method.  The answer is
 mapped back exactly and certified against the problem itself.
 """
 
@@ -90,74 +92,91 @@ def _validate(lp: LPProblem):
 
 
 class _Simplex:
-    """Standard form of an LPProblem and a simplex basis over it, in
-    integers.
+    """Standard form of the explicit dual of an LPProblem and a simplex
+    basis over it, in integers.
 
-    Columns are split (free), slacked (``>=`` rows) and artificialized.
-    Row i is signed by ``rsign[i]`` so its right-hand side is nonnegative
-    and scaled by ``rscale[i] > 0`` so its entries are integers.  The
-    basis is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both integer, with
+    Row p of the dual is column p of the problem: ``Σ_i a_ip·y_i <= c_p``,
+    an inequality for a nonneg column and an equality for a free one.
+    Column i of the dual is y_i, the multiplier of row i of the problem,
+    with cost ``const_i``, split in two halves (free) for an equality row.
+    The y columns come first, in row order, then the slacks of the
+    inequality rows, in column order, then the artificials.  Row p is
+    signed by ``rsign[p]`` so its right-hand side is nonnegative and
+    scaled by ``rscale[p] > 0`` so its entries are integers.  The basis
+    is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both integer, with
     ``D = |det B|``.  ``cost`` is the phase-2 cost times ``cscale``, in
-    integers; it stays None when the problem is infeasible.
+    integers; it stays None when the dual is infeasible.
     """
 
     def __init__(self, lp: LPProblem):
-        m = len(lp.rows)
+        m = len(lp.columns)
         self.m = m
-        self.svars = []  # (kind, payload, sign); kind: col | slack | art
-        col_map = {}
-        for col in lp.columns:
-            if col in lp.nonneg:
-                col_map[col] = [(len(self.svars), 1)]
-                self.svars.append(("col", col, 1))
-            else:
-                col_map[col] = [(len(self.svars), 1), (len(self.svars) + 1, -1)]
-                self.svars.append(("col", col, 1))
-                self.svars.append(("col", col, -1))
-        cols = [[] for _ in self.svars]
-        self.rsign, self.rscale, b = [], [], []
-        for i, r in enumerate(lp.rows):
-            const = r.const
-            s = -1 if const > 0 else 1  # the sign that makes -const >= 0
-            scale = math.lcm(const.denominator, *(v.denominator for v in r.coeffs.values()))
-            self.rsign.append(s)
-            self.rscale.append(scale)
-            b.append(-s * const.numerator * (scale // const.denominator))
+        self.colpos = {col: p for p, col in enumerate(lp.columns)}
+        obj = [lp.objective.get(col, 0) for col in lp.columns]
+        self.rscale = [c.denominator for c in obj]
+        for r in lp.rows:
             for col, v in r.coeffs.items():
-                num = v.numerator
-                if num:
-                    iv = s * num * (scale // v.denominator)
-                    for j, sgn in col_map[col]:
-                        cols[j].append((i, iv * sgn))
-        slack_coeff = {}
-        for i, r in enumerate(lp.rows):
-            if r.rel == ">=":
-                j = len(self.svars)
-                slack_coeff[i] = (j, -self.rsign[i] * self.rscale[i])
-                self.svars.append(("slack", i, 1))
-                cols.append([(i, slack_coeff[i][1])])
+                if v.denominator != 1:
+                    p = self.colpos[col]
+                    self.rscale[p] = math.lcm(self.rscale[p], v.denominator)
+        self.rsign = [-1 if c > 0 else 1 for c in obj]  # makes -c_p >= 0
+        b = [-s * c.numerator * (scale // c.denominator)
+             for s, c, scale in zip(self.rsign, obj, self.rscale)]
+        self.svars, self.cols, self.is_art = [], [], []  # svars: (kind, payload, sign)
+        self.append_rows(lp.rows, 0)
+        slack = {}
+        for p, col in enumerate(lp.columns):
+            if col in lp.nonneg:
+                slack[p] = len(self.svars)
+                self._add("slack", p, 1, [(p, -self.rsign[p] * self.rscale[p])])
         # the starting basis is diagonal: M is its adjugate up to sign
         self.D = math.prod(self.rscale)
         self.basis = [-1] * m
         self.M = [[0] * m for _ in range(m)]
         self.xb = [0] * m
-        for i in range(m):
-            sc = slack_coeff.get(i)
-            if sc is not None and (sc[1] > 0 or b[i] == 0):
-                j, coeff = sc
-            else:
-                j, coeff = len(self.svars), self.rscale[i]
-                self.svars.append(("art", i, 1))
-                cols.append([(i, coeff)])
-            self.basis[i] = j
-            self.M[i][i] = self.D // coeff
-            self.xb[i] = self.D // coeff * b[i]
-        self.cols = cols
-        self.is_art = [v[0] == "art" for v in self.svars]
+        for p in range(m):
+            j = slack.get(p)
+            # a slack starts the basis when its entry is +rscale or its rhs is 0
+            if j is None or (self.rsign[p] > 0 and b[p]):
+                j = len(self.svars)
+                self._add("art", p, 1, [(p, self.rscale[p])])
+            _, coeff = self.cols[j][0]
+            self.basis[p] = j
+            self.M[p][p] = self.D // coeff
+            self.xb[p] = self.D // coeff * b[p]
         self.basis_set = set(self.basis)
         self.cost = None
         self.cscale = 1
         self.reset_counts()
+
+    def _add(self, kind, payload, sign, entries):
+        self.svars.append((kind, payload, sign))
+        self.cols.append(entries)
+        self.is_art.append(kind == "art")
+
+    def append_rows(self, rows, first):
+        """Append rows first, first+1, ... of the problem as the dual
+        columns y_i, each entry v of column p scaled to the integer
+        -v·rsign[p]·rscale[p].  Raises LPError, appending nothing, when
+        an entry of the batch is not an integer at that scale."""
+        scaled = []
+        for i, r in enumerate(rows, first):
+            entries = []
+            for col, v in r.coeffs.items():
+                if v:
+                    p = self.colpos[col]
+                    e, rem = divmod(-v.numerator * self.rsign[p] * self.rscale[p], v.denominator)
+                    if rem:
+                        raise LPError(
+                            f"row {i} entry {v} for column {col!r} is not "
+                            "integral at the scale of its dual row"
+                        )
+                    entries.append((p, e))
+            scaled.append((i, r.rel, entries))
+        for i, rel, entries in scaled:
+            self._add("y", i, 1, entries)
+            if rel == "=":
+                self._add("y", i, -1, [(p, -e) for p, e in entries])
 
     def reset_counts(self):
         """Start the deterministic counters: pivots, degenerate pivots,
@@ -313,23 +332,23 @@ class _Simplex:
         return Fraction(num, self.D * self.cscale)
 
     def basic_columns(self):
-        """(payload, signed value) of every basic structural column."""
+        """(row index i, signed value) of every basic y column."""
         for j, x in zip(self.basis, self.xb):
-            kind, payload, sgn = self.svars[j]
-            if kind == "col":
-                yield payload, Fraction(sgn * x, self.D)
+            kind, i, sgn = self.svars[j]
+            if kind == "y":
+                yield i, Fraction(sgn * x, self.D)
 
     def duals(self):
-        """The phase-2 simplex multipliers, one per row of the problem,
-        in the units of its sign-normalized rows."""
+        """The phase-2 simplex multipliers, one per column of the problem,
+        in the units of its sign-normalized dual rows."""
         den = self.D * self.cscale
         return [Fraction(z * s, den) for z, s in zip(self._duals(self.cost), self.rscale)]
 
 
 def _phase1(lp: LPProblem) -> _Simplex:
-    """Standard form of lp at a feasible basis with the artificials
-    driven out and the phase-2 cost set; the cost stays None when lp is
-    infeasible."""
+    """Standard form of the dual of lp at a feasible basis with the
+    artificials driven out and the phase-2 cost set; the cost stays None
+    when the dual is infeasible."""
     sx = _Simplex(lp)
     if sx.artificial_positive():
         status = sx.run([int(a) for a in sx.is_art], ban_art=False)
@@ -338,12 +357,7 @@ def _phase1(lp: LPProblem) -> _Simplex:
         if sx.artificial_positive():
             return sx
     sx.drive_out_artificials()
-    cost = [0] * len(sx.svars)
-    for j, (kind, payload, sgn) in enumerate(sx.svars):
-        if kind == "col":
-            c = lp.objective.get(payload, 0)
-            if c:
-                cost[j] = sgn * c
+    cost = [sgn * lp.rows[i].const if kind == "y" else 0 for kind, i, sgn in sx.svars]
     sx.cscale = scale = math.lcm(*(c.denominator for c in cost))
     sx.cost = [c.numerator * (scale // c.denominator) for c in cost]
     return sx
@@ -365,32 +379,12 @@ def _log_counts(what: str, lp: LPProblem, runs):
         )
 
 
-def dualize(lp: LPProblem) -> LPProblem:
-    """Explicit dual, again as a minimization: optimal value negates,
-    its primal is the original duals and vice versa."""
-    cols = [("y", i) for i in range(len(lp.rows))]
-    nonneg = {("y", i) for i, r in enumerate(lp.rows) if r.rel == ">="}
-    objective = {}
-    rowcoeffs = {col: {} for col in lp.columns}
-    for i, r in enumerate(lp.rows):
-        if r.const:
-            objective[("y", i)] = r.const
-        for col, v in r.coeffs.items():
-            if v:
-                rowcoeffs[col][("y", i)] = -v
-    rows = [
-        LPRow(rowcoeffs[col], lp.objective.get(col, 0), ">=" if col in lp.nonneg else "=")
-        for col in lp.columns
-    ]
-    return LPProblem(cols, objective, rows, nonneg)
-
-
 def _dual_answer(lp: LPProblem, sx: _Simplex) -> LPSolution:
-    """The answer to lp read off an optimal basis of dualize(lp): the
+    """The answer to lp read off an optimal basis of its dual: the
     dual's primal values are lp's duals and its duals are lp's primal.
     Certified against lp itself before return."""
     duals = [ZERO] * len(lp.rows)
-    for (_, i), v in sx.basic_columns():
+    for i, v in sx.basic_columns():
         duals[i] += v
     y = sx.duals()
     primal = {col: y[p] * sx.rsign[p] for p, col in enumerate(lp.columns)}
@@ -412,44 +406,27 @@ class IncrementalDualSolver:
     that is not raises LPError.  Appended rows must be inequalities with
     zero constant whose rational entries stay integral at the scale of
     their dual rows, as integer coefficients always do; add_rows raises
-    LPError on any other row.  Every solve() is certified exactly before return.
+    LPError on a batch with any other row and appends none of it.  Every
+    solve() is certified exactly before return.
     """
 
     def __init__(self, columns, objective, rows, nonneg):
         self._plp = LPProblem(list(columns), dict(objective), list(rows), set(nonneg))
         _validate(self._plp)
-        self._colpos = {col: p for p, col in enumerate(self._plp.columns)}
-        self._sx = _phase1(dualize(self._plp))
+        self._sx = _phase1(self._plp)
         _log_counts("incremental phase 1 (dual)", self._plp, [self._sx])
         if self._sx.cost is None:
             raise LPError("unbounded stage in incremental solver")
 
     def add_rows(self, rows):
+        rows = list(rows)
+        _validate(LPProblem(self._plp.columns, {}, rows))
+        if any(r.rel != ">=" or r.const for r in rows):
+            raise LPError("appended rows must be homogeneous inequalities")
         sx = self._sx
-        for r in rows:
-            if r.rel != ">=" or not isinstance(r.const, RATIONAL) or r.const:
-                raise LPError("appended rows must be homogeneous inequalities")
-            entries = []
-            for col, v in r.coeffs.items():
-                if not isinstance(v, RATIONAL):
-                    raise LPError(f"appended row entry {v!r} for column {col!r} is not rational")
-                if v:
-                    p = self._colpos.get(col)
-                    if p is None:
-                        raise LPError(f"appended row references unknown column {col!r}")
-                    e, rem = divmod(-v.numerator * sx.rsign[p] * sx.rscale[p], v.denominator)
-                    if rem:
-                        raise LPError(
-                            f"appended row entry {v} for column {col!r} is not "
-                            "integral at the scale of its dual row"
-                        )
-                    entries.append((p, e))
-            i = len(self._plp.rows)
-            self._plp.rows.append(r)
-            sx.svars.append(("col", ("y", i), 1))
-            sx.cols.append(entries)
-            sx.is_art.append(False)
-            sx.cost.append(0)
+        sx.append_rows(rows, len(self._plp.rows))
+        self._plp.rows += rows
+        sx.cost += [0] * len(rows)
 
     def solve(self) -> LPSolution:
         sx = self._sx
@@ -469,7 +446,7 @@ def solve(lp: LPProblem) -> LPSolution:
     """Minimize lp through its explicit dual; an optimal answer is
     certified by check_duals before return."""
     _validate(lp)
-    sx = _phase1(dualize(lp))
+    sx = _phase1(lp)
     runs = [sx]
     if sx.cost is not None:
         if sx.run(sx.cost, ban_art=True) == "optimal":
@@ -483,7 +460,7 @@ def solve(lp: LPProblem) -> LPSolution:
         # dual infeasible: lp is unbounded if it is feasible at all.  The
         # dual of lp's zero-objective form is feasible at y = 0 and is
         # bounded exactly when lp is feasible.
-        probe = _phase1(dualize(LPProblem(lp.columns, {}, lp.rows, lp.nonneg)))
+        probe = _phase1(LPProblem(lp.columns, {}, lp.rows, lp.nonneg))
         runs.append(probe)
         bounded = probe.run(probe.cost, ban_art=True) == "optimal"
         sol = LPSolution("unbounded" if bounded else "infeasible", None, {}, [])

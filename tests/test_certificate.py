@@ -49,6 +49,21 @@ def test_roundtrip_byte_identity_shipped():
         assert serialize(parse(blob)) == blob
 
 
+def test_roundtrip_is_a_fixed_point_off_layout():
+    # a valid certificate that is compact, or has raw UTF-8 in its meta,
+    # is not in serialize's layout: the first round trip rewrites it, to
+    # the same certificate, and every later one keeps its bytes
+    obj = json.loads((DATA / "prop1.cert.json").read_bytes())
+    compact = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    obj["meta"]["title"] = "(5,4,4): 15α+10β ≥ 6B"
+    raw_utf8 = (json.dumps(obj, indent=1, ensure_ascii=False) + "\n").encode("utf-8")
+    for blob in (compact, raw_utf8):
+        once = serialize(parse(blob))
+        assert once != blob
+        assert parse(once) == parse(blob)
+        assert serialize(parse(once)) == once
+
+
 def test_bundled_copies_match_repo_data():
     # the package ships the same certificates that the repo's data/
     # directory exposes to the CLI examples; they must never drift

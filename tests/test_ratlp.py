@@ -15,7 +15,6 @@ from repairbound.ratlp import (
     LPRow,
     LPSolution,
     check_duals,
-    dualize,
     solve,
 )
 
@@ -268,6 +267,24 @@ def test_answers_are_pinned():
     )
 
 
+def dualize(lp):
+    """Explicit dual, again as a minimization: optimal value negates,
+    its primal is the original duals and vice versa."""
+    cols = [("y", i) for i in range(len(lp.rows))]
+    nonneg = {("y", i) for i, r in enumerate(lp.rows) if r.rel == ">="}
+    objective = {("y", i): r.const for i, r in enumerate(lp.rows) if r.const}
+    rowcoeffs = {col: {} for col in lp.columns}
+    for i, r in enumerate(lp.rows):
+        for col, v in r.coeffs.items():
+            if v:
+                rowcoeffs[col][("y", i)] = -v
+    rows = [
+        LPRow(rowcoeffs[col], lp.objective.get(col, 0), ">=" if col in lp.nonneg else "=")
+        for col in lp.columns
+    ]
+    return LPProblem(cols, objective, rows, nonneg)
+
+
 def test_dualize_round_trip_value():
     rng = random.Random(55)
     for _ in range(30):
@@ -402,6 +419,10 @@ def test_incremental_solver_with_fractional_rows():
     assert solver.solve().value == -1
     with pytest.raises(LPError):
         solver.add_rows([LPRow({"x": F(1), "y": F(-1, 3)})])
+    # a rejected batch appends none of its rows, the valid first one included
+    with pytest.raises(LPError):
+        solver.add_rows([LPRow({"x": F(1, 2), "y": F(-1)}), LPRow({"x": F(1), "y": F(-1, 3)})])
+    assert solver.solve().value == -1
     solver.add_rows([LPRow({"x": F(1, 2), "y": F(-1)})])  # dual row x has scale 2
     sol = solver.solve()
     rows = box + [LPRow({"x": F(1, 2), "y": F(-1)})]
@@ -409,6 +430,27 @@ def test_incremental_solver_with_fractional_rows():
     assert sol.value == 0
     for sol, cold in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
         assert (sol.status, sol.value) == (cold.status, cold.value)
+
+
+def test_pivot_counters_are_pinned(caplog):
+    # sha256 over the DEBUG counter lines (pivots, degenerate pivots,
+    # Bland switches, determinant bits) of the LPs of
+    # test_answers_are_pinned and of cold and incremental runs: a change
+    # of any pivot moves it even where the answers stay the same
+    with caplog.at_level(logging.DEBUG, logger="repairbound.ratlp"):
+        rng = random.Random(20260418)
+        for _ in range(300):
+            solve(random_lp(rng))
+        for _ in incremental_runs(random.Random(4711), 6):
+            pass
+        for _ in incremental_runs(random.Random(4712), 6, dens=(1, 2, 3, 5)):
+            pass
+    lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.ratlp"]
+    assert len(lines) > 300
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "8bb2eea19759f1f5e8d235efc209f4dd8eb0a9cbdbd73b00160fd5a7efd26299"
+    )
 
 
 # -- the fraction-free basis ----------------------------------------------
@@ -459,7 +501,7 @@ def test_fraction_free_basis_invariant(monkeypatch):
 
     def checked_init(sx, lp):
         init(sx, lp)
-        sx.rhs = [-F(r.const) for r in lp.rows]
+        sx.rhs = [-F(lp.objective.get(c, 0)) for c in lp.columns]
         assert_fraction_free(sx)
         seen["start"] += 1
 
