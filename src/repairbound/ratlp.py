@@ -14,7 +14,10 @@ The solver is a two-phase revised simplex over Python integers.  Each
 standard-form row is scaled once by the lcm of its denominators, and the
 basis inverse is kept fraction-free (Edmonds 1967; Bareiss 1968) as the
 integer matrix ``M = D·B⁻¹`` over one common denominator
-``D = |det B|``, updated by exact integer division at every pivot.
+``D = |det B|``, updated by exact integer division at every pivot.  Each
+row of M is a dict of its nonzero entries, so a pivot costs what the
+basis stores, not m², and the integer duals ``y = cost_B·M`` are computed
+once per run and then carried through each pivot by the same exact step.
 Pricing and ratio tests compare integers, so each pivot is the one exact
 rational arithmetic would choose; fractions appear only where an answer
 is read back.  Partial most-negative pricing with a Bland interlude
@@ -33,6 +36,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 ZERO = Fraction(0)
 RATIONAL = (int, Fraction)
@@ -104,8 +108,11 @@ class _Simplex:
     signed by ``rsign[p]`` so its right-hand side is nonnegative and
     scaled by ``rscale[p] > 0`` so its entries are integers.  The basis
     is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both integer, with
-    ``D = |det B|``.  ``cost`` is the phase-2 cost times ``cscale``, in
-    integers; it stays None when the dual is infeasible.
+    ``D = |det B|``; row r of M is a dict {i: entry} of its nonzero
+    entries.  ``run`` carries the duals ``y = cost_B·M`` through each
+    pivot instead of recomputing them.  ``cost`` is the phase-2 cost
+    times ``cscale``, in integers; it stays None when the dual is
+    infeasible.
     """
 
     def __init__(self, lp: LPProblem):
@@ -132,7 +139,7 @@ class _Simplex:
         # the starting basis is diagonal: M is its adjugate up to sign
         self.D = math.prod(self.rscale)
         self.basis = [-1] * m
-        self.M = [[0] * m for _ in range(m)]
+        self.M = [None] * m
         self.xb = [0] * m
         for p in range(m):
             j = slack.get(p)
@@ -142,7 +149,7 @@ class _Simplex:
                 self._add("art", p, 1, [(p, self.rscale[p])])
             _, coeff = self.cols[j][0]
             self.basis[p] = j
-            self.M[p][p] = self.D // coeff
+            self.M[p] = {p: self.D // coeff}
             self.xb[p] = self.D // coeff * b[p]
         self.basis_set = set(self.basis)
         self.cost = None
@@ -190,9 +197,8 @@ class _Simplex:
         for j, row in zip(self.basis, self.M):
             cb = cost[j]
             if cb:
-                for i, w in enumerate(row):
-                    if w:
-                        y[i] += cb * w
+                for i, w in row.items():
+                    y[i] += cb * w
         return y
 
     def _column_in_basis_frame(self, j):
@@ -200,31 +206,34 @@ class _Simplex:
         u = [0] * self.m
         for i, v in self.cols[j]:
             for r, row in enumerate(self.M):
-                w = row[i]
-                if w:
-                    u[r] += w * v
+                if i in row:
+                    u[r] += row[i] * v
         return u
 
     def _pivot(self, leave, enter, u):
         """Bareiss step on p = u[leave]: row `leave` keeps its integers,
         every other row i becomes (p·M[i] − u[i]·M[leave]) / D, exactly,
-        and D becomes p; all three flip sign when p < 0."""
+        over the union of the two rows' entries with zeros dropped, and
+        D becomes p; all three flip sign when p < 0."""
         M, xb, d = self.M, self.xb, self.D
         lrow, lx = M[leave], xb[leave]
         p = u[leave]
         if p < 0:
             p = -p
             u = [-f for f in u]
-            M[leave] = [-a for a in lrow]
+            M[leave] = {k: -a for k, a in lrow.items()}
             xb[leave] = -lx
+        lkeys = lrow.keys()
         for i, f in enumerate(u):
             if i == leave:
                 continue
             if f:
-                M[i] = [(p * a - f * c) // d for a, c in zip(M[i], lrow)]
+                row = M[i]
+                M[i] = {k: a // d for k in row.keys() | lkeys
+                        if (a := p * row.get(k, 0) - f * lrow.get(k, 0))}
                 xb[i] = (p * xb[i] - f * lx) // d
             elif p != d:
-                M[i] = [p * a // d for a in M[i]]
+                M[i] = {k: p * a // d for k, a in M[i].items()}
                 xb[i] = p * xb[i] // d
         self.D = p
         self.pivots += 1
@@ -238,47 +247,46 @@ class _Simplex:
     def _price_partial(self, cost, y, ban_art, start, batch):
         """Most negative reduced cost among the first `batch` eligible
         negatives met on a cyclic scan from `start`; ties to lowest index.
-        Reduced costs are compared as cost_j·D − y·a_j."""
-        nv = len(self.svars)
+        Reduced costs are compared as cost_j·D − y·a_j.  Returns the
+        entering column and its reduced cost, (-1, 0) at an optimum."""
+        basis_set, is_art, cols = self.basis_set, self.is_art, self.cols
         d = self.D
         enter = -1
         best = 0
         seen = 0
-        for off in range(nv):
-            j = start + off
-            if j >= nv:
-                j -= nv
-            if j in self.basis_set or (ban_art and self.is_art[j]):
+        for j in chain(range(start, len(cols)), range(start)):
+            if j in basis_set or (ban_art and is_art[j]):
                 continue
             rc = cost[j] * d
-            for i, v in self.cols[j]:
-                if y[i]:
-                    rc -= y[i] * v
-            if rc < best or (rc < 0 and rc == best and j < enter):
-                best = rc
-                enter = j
+            for i, v in cols[j]:
+                rc -= y[i] * v
             if rc < 0:
+                if rc < best or (rc == best and j < enter):
+                    best = rc
+                    enter = j
                 seen += 1
                 if seen >= batch:
                     break
-        return enter
+        return enter, best
 
     def run(self, cost, ban_art):
         # Partial most-negative pricing moves fast through degenerate
         # stretches; a strict Bland interlude after a long stall keeps
-        # the walk provably cycle-free.  Deterministic throughout.
+        # the walk provably cycle-free.  Deterministic throughout.  The
+        # duals y = cost_B·M are computed once and then carried through
+        # each pivot by the same exact step as the rows of M.
         stall_limit = 2 * self.m + 16
         batch = 24
         start = 0
         stall = 0
         bland = False
         xb, basis = self.xb, self.basis
+        y = self._duals(cost)
         while True:
-            y = self._duals(cost)
             if bland:  # Bland's rule: the lowest-index improving column
-                enter = self._price_partial(cost, y, ban_art, 0, 1)
+                enter, rc = self._price_partial(cost, y, ban_art, 0, 1)
             else:
-                enter = self._price_partial(cost, y, ban_art, start, batch)
+                enter, rc = self._price_partial(cost, y, ban_art, start, batch)
             if enter < 0:
                 return "optimal"
             start = enter + 1
@@ -296,7 +304,15 @@ class _Simplex:
             if leave < 0:
                 return "unbounded"
             degenerate = not xb[leave]
+            d = self.D
             self._pivot(leave, enter, u)
+            # y' = (p·y + rc·M'[leave]) / D, with p and M'[leave] the new
+            # determinant and pivot row
+            p = self.D
+            y = [p * v for v in y]
+            for k, c in self.M[leave].items():
+                y[k] += rc * c
+            y = [v // d for v in y]
             if degenerate:
                 stall += 1
                 if stall > stall_limit and not bland:
@@ -318,7 +334,7 @@ class _Simplex:
             for j in range(len(self.svars)):
                 if j in self.basis_set or self.is_art[j]:
                     continue
-                if sum(row[i] * v for i, v in self.cols[j]):
+                if sum(row.get(i, 0) * v for i, v in self.cols[j]):
                     # degenerate pivot: the artificial sits at zero, so
                     # the basic solution is unchanged
                     self._pivot(r, j, self._column_in_basis_frame(j))

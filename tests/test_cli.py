@@ -1,7 +1,10 @@
 import io
 import json
 import logging
+import re
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -309,6 +312,63 @@ def test_region_skips_planes_that_hold_everywhere(capsys, tmp_path, monkeypatch)
     ]
     code, _, err = run(capsys, "region", "--cert", "bound-n4-k3-d3-0-1.cert.json")
     assert code == 3 and "whole quadrant" in err
+
+
+def layered_points(n, k):
+    """(α, β) over B of the canonical layered codes at d = n−1, one per
+    layer size r = 2..n: α = C(n−1, r−1), β = C(n−2, r−2) and
+    B = Σ_j C(k, j)·C(n−k, r−j)·min(j, r−1)."""
+    points = set()
+    for r in range(2, n + 1):
+        b = sum(comb(k, j) * comb(n - k, r - j) * min(j, r - 1) for j in range(r + 1))
+        points.add((Fraction(comb(n - 1, r - 1), b), Fraction(comb(n - 2, r - 2), b)))
+    return points
+
+
+def planes_and_vertices(out):
+    """The (a, b, c) of each printed plane aα+bβ ≥ c, and the vertex set."""
+    planes, vertices = [], set()
+    for line in out.splitlines():
+        if line.startswith("plane: "):
+            a, b, c = re.fullmatch(r"plane: (?:(\d+)α)?\+?(?:(\d+)β)? ≥ (\d+)", line).groups()
+            planes.append((int(a or 0), int(b or 0), int(c)))
+        elif line.startswith("vertex: "):
+            vertices.add(tuple(map(Fraction, line[9:-1].split(", "))))
+    return planes, vertices
+
+
+def test_region_vertices_are_the_layered_codes(capsys, tmp_path, monkeypatch):
+    # the paper's achievability half: the outer bound meets the layered
+    # codes (Tian, Sasidharan, Aggarwal, Vaishampayan and Kumar, IEEE
+    # T-IT 2015) at every vertex, and no printed plane cuts one off
+    F = Fraction
+    points_544 = layered_points(5, 4)
+    points_433 = layered_points(4, 3)
+    assert points_544 == {
+        (F(2, 5), F(1, 10)), (F(3, 10), F(3, 20)), (F(4, 15), F(1, 5)), (F(1, 4), F(1, 4))
+    }
+    assert points_433 == {(F(1, 2), F(1, 6)), (F(3, 8), F(1, 4)), (F(1, 3), F(1, 3))}
+    code, out, _ = run(capsys, "region", "--builtin-eq1")
+    assert code == 0
+    planes_544, vertices = planes_and_vertices(out)
+    assert vertices == points_544
+    monkeypatch.chdir(tmp_path)
+    dirs = ["1,0", "2,1", "4,6", "1,3", "0,1"]
+    argv = ["solve", "--n", "4", "--k", "3", "--depth", "1"]
+    for d in dirs:
+        argv += ["--dir", d]
+    assert run(capsys, *argv)[0] == 0
+    argv = ["region", "--n", "4", "--k", "3", "--cutset"]
+    for d in dirs:
+        argv += ["--cert", f"bound-n4-k3-d3-{d.replace(',', '-')}.cert.json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    planes_433, vertices = planes_and_vertices(out)
+    assert vertices == points_433
+    for planes, points in ((planes_544, points_544), (planes_433, points_433)):
+        assert len(planes) >= 4
+        for a, b, c in planes:
+            assert all(a * alpha + b * beta >= c for alpha, beta in points), (a, b, c)
 
 
 def test_region_uses_only_verified_certificates(capsys, tmp_path):

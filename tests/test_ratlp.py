@@ -475,17 +475,20 @@ def fraction_det(mat):
 
 
 def assert_fraction_free(sx):
-    """M·B == D·I and B·xb == D·b exactly, D == |det B|, all integers."""
+    """M·B == D·I and B·xb == D·b exactly, D == |det B|, all integers,
+    with each sparse row of M storing no zero."""
     m = sx.m
     basis_cols = [[0] * m for _ in range(m)]  # B, column by column
     for c, j in enumerate(sx.basis):
         for i, v in sx.cols[j]:
             basis_cols[c][i] = v
-    assert all(type(v) is int for row in sx.M for v in row)
+    assert all(type(v) is int for row in sx.M for v in row.values())
+    assert all(0 not in row.values() for row in sx.M)
     assert all(type(x) is int for x in sx.xb)
+    dense = [[row.get(i, 0) for i in range(m)] for row in sx.M]
     for r in range(m):
         for c in range(m):
-            got = sum(a * b for a, b in zip(sx.M[r], basis_cols[c]))
+            got = sum(a * b for a, b in zip(dense[r], basis_cols[c]))
             assert got == (sx.D if r == c else 0)
     for i in range(m):
         got = sum(basis_cols[c][i] * sx.xb[c] for c in range(m))
@@ -524,6 +527,38 @@ def test_fraction_free_basis_invariant(monkeypatch):
     for _ in incremental_runs(rng, 8, dens=(1, 2, 3)):
         pass
     assert min(seen.values()) > 0, seen
+
+
+def test_carried_duals_match_fresh_duals(monkeypatch):
+    # the fast path against the slow one: at every pricing step, the y
+    # that run carried through its pivots equals cost_B·M computed afresh,
+    # on the LPs of test_answers_are_pinned, on integer and fractional
+    # incremental runs and after an artificial driven out on a -1 pivot.
+    # Each run prices once on a fresh y, then once after each pivot.
+    seen = {"runs": 0, "priced": 0}
+    run, price = ratlp._Simplex.run, ratlp._Simplex._price_partial
+
+    def counted_run(sx, cost, ban_art):
+        seen["runs"] += 1
+        return run(sx, cost, ban_art)
+
+    def checked_price(sx, cost, y, ban_art, start, batch):
+        assert y == sx._duals(cost)
+        seen["priced"] += 1
+        return price(sx, cost, y, ban_art, start, batch)
+
+    monkeypatch.setattr(ratlp._Simplex, "run", counted_run)
+    monkeypatch.setattr(ratlp._Simplex, "_price_partial", checked_price)
+    rng = random.Random(20260418)
+    for _ in range(300):
+        solve(random_lp(rng))
+    for _ in incremental_runs(random.Random(4711), 40):
+        pass
+    for _ in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
+        pass
+    above_one = LPRow({"x": F(1), "y": F(1)}, F(-1))
+    assert solve(LPProblem(["x", "y"], {"x": F(1)}, [above_one], {"x"})).value == 0
+    assert seen["priced"] - seen["runs"] > 1000, seen
 
 
 def test_solve_logs_deterministic_counters(caplog):

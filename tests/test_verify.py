@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repairbound import certificate
+from repairbound import certificate, ratlp
 from repairbound.certificate import (
     Certificate,
     CertificateError,
@@ -303,6 +303,26 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
     assert len(drawn) == 5
     assert sum(drawn) <= 8000
+
+
+def test_pivots_store_few_basis_entries(monkeypatch):
+    # a work count in place of a timing: summed over the 413 pivots made
+    # while both shipped certificates verify, the entries that M = D·B⁻¹
+    # stores before each pivot are 29,771, bounded here with a margin of
+    # about 100%; dense rows would hold all 1,412,010 cells
+    stored = []
+    pivot = ratlp._Simplex._pivot
+
+    def counted(sx, leave, enter, u):
+        stored.append(sum(map(len, sx.M)))
+        return pivot(sx, leave, enter, u)
+
+    monkeypatch.setattr(ratlp._Simplex, "_pivot", counted)
+    u = build_universe(5, 4)
+    for name in ("prop1", "prop2"):
+        assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
+    assert len(stored) == 413
+    assert sum(stored) <= 60000
 
 
 def test_active_set_rungs_that_fail_add_few_rows(monkeypatch):
