@@ -20,9 +20,16 @@ basis stores, not m², and the integer duals ``y = cost_B·M`` are computed
 once per run and then carried through each pivot by the same exact step.
 Pricing and ratio tests compare integers, so each pivot is the one exact
 rational arithmetic would choose; fractions appear only where an answer
-is read back.  Partial most-negative pricing with a Bland interlude
-(lowest eligible index enters, ratio ties broken by lowest basic index)
-keeps runs deterministic and cycle-free.  Every problem is solved
+is read back.  Pricing is partial most-negative.  Phase 1 of both
+solvers and phase 2 of ``solve`` break ratio ties lexicographically
+(Dantzig, Orden & Wolfe 1955), which cannot cycle and halves the pivots
+on the degenerate bound LPs.  A phase 2 after an artificial was driven
+out, whose pivot may be negative, and every
+``IncrementalDualSolver.solve``, where lexicographic ties made
+separation append more rows, break ties by lowest basic index, with a
+Bland interlude after a long stall.  The tie rule picks which optimal
+vertex is reached, so a certificate may list different rows for the
+same bound.  Every run is deterministic.  Every problem is solved
 through its explicit dual, built in standard form straight from the
 problem: its simplex basis has one row per column of the problem and so
 stays small on the tall bound LPs, and each row of the problem, given or
@@ -110,9 +117,11 @@ class _Simplex:
     is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both integer, with
     ``D = |det B|``; row r of M is a dict {i: entry} of its nonzero
     entries.  ``run`` carries the duals ``y = cost_B·M`` through each
-    pivot instead of recomputing them.  ``cost`` is the phase-2 cost
-    times ``cscale``, in integers; it stays None when the dual is
-    infeasible.
+    pivot instead of recomputing them.  ``start_sign[k]`` is the sign of
+    the starting diagonal basis in row k, and ``lex`` stays True while
+    every row at zero leads with a positive entry of S·M, S that sign.
+    ``cost`` is the phase-2 cost times ``cscale``, in integers; it stays
+    None when the dual is infeasible.
     """
 
     def __init__(self, lp: LPProblem):
@@ -141,6 +150,7 @@ class _Simplex:
         self.basis = [-1] * m
         self.M = [None] * m
         self.xb = [0] * m
+        self.start_sign = [1] * m
         for p in range(m):
             j = slack.get(p)
             # a slack starts the basis when its entry is +rscale or its rhs is 0
@@ -148,10 +158,13 @@ class _Simplex:
                 j = len(self.svars)
                 self._add("art", p, 1, [(p, self.rscale[p])])
             _, coeff = self.cols[j][0]
+            self.start_sign[p] = 1 if coeff > 0 else -1
             self.basis[p] = j
             self.M[p] = {p: self.D // coeff}
             self.xb[p] = self.D // coeff * b[p]
         self.basis_set = set(self.basis)
+        # every row starts lexicographically positive: S[p]·M[p][p] > 0
+        self.lex = True
         self.cost = None
         self.cscale = 1
         self.reset_counts()
@@ -269,12 +282,30 @@ class _Simplex:
                     break
         return enter, best
 
+    def _lex_less(self, r, l, ur, ul):
+        """Whether S·M[r]/ur precedes S·M[l]/ul lexicographically, read
+        in increasing k and compared by cross products, with S the signs
+        of the starting basis (start_sign).  Two rows of the nonsingular
+        M never compare equal."""
+        a, b, s = self.M[r], self.M[l], self.start_sign
+        for k in sorted(a.keys() | b.keys()):
+            x, z = a.get(k, 0) * ul, b.get(k, 0) * ur
+            if x != z:
+                return (x < z) == (s[k] > 0)
+        return False
+
     def run(self, cost, ban_art):
         # Partial most-negative pricing moves fast through degenerate
-        # stretches; a strict Bland interlude after a long stall keeps
-        # the walk provably cycle-free.  Deterministic throughout.  The
+        # stretches.  A run from a lexicographically positive basis
+        # (self.lex) breaks ratio ties by the rows of M, which is the ratio
+        # test of the right-hand side perturbed by B0·(ε, ε², …) for the
+        # starting basis B0, so every row stays positive in the perturbed
+        # order and the run cannot cycle.  Any other run breaks ties by
+        # lowest basic index, and a strict Bland interlude after a long
+        # stall keeps it cycle-free.  Deterministic throughout.  The
         # duals y = cost_B·M are computed once and then carried through
         # each pivot by the same exact step as the rows of M.
+        lex = self.lex
         stall_limit = 2 * self.m + 16
         batch = 24
         start = 0
@@ -299,7 +330,10 @@ class _Simplex:
                         leave = r
                         continue
                     lhs, rhs = xb[r] * u[leave], xb[leave] * ur
-                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    if lhs < rhs or lhs == rhs and (
+                        self._lex_less(r, leave, ur, u[leave]) if lex
+                        else basis[r] < basis[leave]
+                    ):
                         leave = r
             if leave < 0:
                 return "unbounded"
@@ -313,6 +347,8 @@ class _Simplex:
             for k, c in self.M[leave].items():
                 y[k] += rc * c
             y = [v // d for v in y]
+            if lex:
+                continue
             if degenerate:
                 stall += 1
                 if stall > stall_limit and not bland:
@@ -337,6 +373,7 @@ class _Simplex:
                 if sum(row.get(i, 0) * v for i, v in self.cols[j]):
                     # degenerate pivot: the artificial sits at zero, so
                     # the basic solution is unchanged
+                    self.lex = False  # the pivot may be negative
                     self._pivot(r, j, self._column_in_basis_frame(j))
                     break
 
@@ -430,6 +467,9 @@ class IncrementalDualSolver:
         self._plp = LPProblem(list(columns), dict(objective), list(rows), set(nonneg))
         _validate(self._plp)
         self._sx = _phase1(self._plp)
+        # the solves keep lowest-index ties: with lexicographic ones the
+        # verifier's separation appends more rows before it stops
+        self._sx.lex = False
         _log_counts("incremental phase 1 (dual)", self._plp, [self._sx])
         if self._sx.cost is None:
             raise LPError("unbounded stage in incremental solver")

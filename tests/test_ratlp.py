@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from repairbound import ratlp
+from repairbound.prover import build_lp, default_family, pool_rows
 from repairbound.ratlp import (
     IncrementalDualSolver,
     LPError,
@@ -17,6 +18,7 @@ from repairbound.ratlp import (
     check_duals,
     solve,
 )
+from repairbound.universe import build_universe
 
 F = Fraction
 
@@ -263,7 +265,7 @@ def test_answers_are_pinned():
         lp = random_lp(rng)
         digest.update(repr(solve(lp)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "1a891db1c6e9e381becd832a208e7b44304361002291b9400961fcad7ff6bdea"
+        "928cacfa5e39bbaedc3ba324ada99ed3d81f8a37ab5f55e935931cd522114d85"
     )
 
 
@@ -449,7 +451,7 @@ def test_pivot_counters_are_pinned(caplog):
     assert len(lines) > 300
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "8bb2eea19759f1f5e8d235efc209f4dd8eb0a9cbdbd73b00160fd5a7efd26299"
+        "a70002311d88bae44a1ab6adbadf65ac3326105e7b604eb6c692bb4d2f043226"
     )
 
 
@@ -559,6 +561,133 @@ def test_carried_duals_match_fresh_duals(monkeypatch):
     above_one = LPRow({"x": F(1), "y": F(1)}, F(-1))
     assert solve(LPProblem(["x", "y"], {"x": F(1)}, [above_one], {"x"})).value == 0
     assert seen["priced"] - seen["runs"] > 1000, seen
+
+
+# -- lexicographic ratio ties ---------------------------------------------
+
+
+def bound_lps_433():
+    """The five (4,3,3) depth-1 bound LPs that the benchmark's prove
+    workload solves."""
+    u = build_universe(4, 3)
+    fam = default_family(u, depth=1)
+    rows = pool_rows(u, fam)
+    return [build_lp(u, fam, d, rows) for d in ((1, 0), (2, 1), (4, 6), (1, 3), (0, 1))]
+
+
+def lex_positive(sx):
+    """xb >= 0, and every row with xb[r] = 0 leads, read in increasing k,
+    with a positive S[k]·M[r][k]."""
+    for x, row in zip(sx.xb, sx.M):
+        k = min(row)
+        if x < 0 or x == 0 and sx.start_sign[k] * row[k] < 0:
+            return False
+    return True
+
+
+def test_lexicographic_ties_match_lowest_index_ties(monkeypatch):
+    # the fast path against the slow one: with lexicographic ratio ties
+    # and with every run forced onto lowest-index ties (and their Bland
+    # interlude), solve gives the same status and value, and both answers
+    # pass check_duals, on the LPs of test_answers_are_pinned, the
+    # fractional LPs of test_fractional_lps_match_vertex_oracle and the
+    # (4,3,3) bound LPs
+    rng = random.Random(20260418)
+    lps = [random_lp(rng) for _ in range(300)]
+    rng = random.Random(2718)
+    lps += [random_lp(rng, max_cols=4, max_rows=6, dens=(1, 2, 3, 4, 6)) for _ in range(40)]
+    lps += bound_lps_433()
+    ties = []
+    lex_less = ratlp._Simplex._lex_less
+
+    def counted(sx, r, l, ur, ul):
+        ties.append(r)
+        return lex_less(sx, r, l, ur, ul)
+
+    monkeypatch.setattr(ratlp._Simplex, "_lex_less", counted)
+    fast = [solve(lp) for lp in lps]
+    init = ratlp._Simplex.__init__
+
+    def lowest_index(sx, lp):
+        init(sx, lp)
+        sx.lex = False
+
+    monkeypatch.setattr(ratlp._Simplex, "__init__", lowest_index)
+    ties_before = len(ties)
+    slow = [solve(lp) for lp in lps]
+    assert len(ties) == ties_before > 500
+    for lp, a, b in zip(lps, fast, slow):
+        assert (a.status, a.value) == (b.status, b.value)
+        if a.status == "optimal":
+            assert check_duals(lp, a) and check_duals(lp, b)
+    # the two rules reach different optimal answers on five of the LPs,
+    # four of them bound LPs
+    assert sum(repr(a) != repr(b) for a, b in zip(fast, slow)) > 0
+
+
+def test_lexicographic_runs_keep_rows_positive(monkeypatch):
+    # checked at the start of every run and after every pivot: xb >= 0
+    # always, and in a lexicographic run every row at zero leads with a
+    # positive entry of S·M.  Runs after an artificial was driven out
+    # fall back to lowest-index ties: above_one drives its artificial out
+    # on a -1 pivot, and its phase 2 starts without the invariant
+    starts = []
+    seen = {"lex pivot": 0, "fallback pivot": 0}
+    run, pivot = ratlp._Simplex.run, ratlp._Simplex._pivot
+
+    def checked_run(sx, cost, ban_art):
+        starts.append((sx.lex, lex_positive(sx)))
+        return run(sx, cost, ban_art)
+
+    def checked_pivot(sx, leave, enter, u):
+        pivot(sx, leave, enter, u)
+        assert min(sx.xb) >= 0
+        if sx.lex:
+            assert lex_positive(sx)
+        seen["lex pivot" if sx.lex else "fallback pivot"] += 1
+
+    monkeypatch.setattr(ratlp._Simplex, "run", checked_run)
+    monkeypatch.setattr(ratlp._Simplex, "_pivot", checked_pivot)
+    above_one = LPRow({"x": F(1), "y": F(1)}, F(-1))
+    assert solve(LPProblem(["x", "y"], {"x": F(1)}, [above_one], {"x"})).value == 0
+    assert starts == [(False, False)]
+    rng = random.Random(1968)
+    for dens in (None, (1, 2, 3, 4)):
+        for _ in range(30):
+            solve(random_lp(rng, max_cols=6, max_rows=8, dens=dens))
+    for _ in incremental_runs(rng, 8, dens=(1, 2, 3)):
+        pass
+    for lp in bound_lps_433():
+        solve(lp)
+    assert all(ok for lex, ok in starts if lex)
+    assert min(seen.values()) > 0, seen
+
+
+def test_bound_lps_take_few_pivots(monkeypatch):
+    # a work count in place of a timing, bounded here with a margin of
+    # about 15-25%: lexicographic ratio ties make the five (4,3,3) bound
+    # LPs take 290 pivots in all (37, 37, 79, 81 and 56), where
+    # lowest-index ties took 563, and the unseeded depth-1 (5,4,4) bound
+    # LP of 3,326 rows take 130 pivots in direction 15,10, where
+    # lowest-index ties took 356
+    pivots = []
+    pivot = ratlp._Simplex._pivot
+
+    def counted(sx, leave, enter, u):
+        pivots.append(leave)
+        return pivot(sx, leave, enter, u)
+
+    monkeypatch.setattr(ratlp._Simplex, "_pivot", counted)
+    for lp in bound_lps_433():
+        solve(lp)
+    assert len(pivots) <= 330
+    u = build_universe(5, 4)
+    fam = default_family(u, depth=1)
+    lp = build_lp(u, fam, (15, 10))
+    assert len(lp.rows) == 3326
+    pivots.clear()
+    assert solve(lp).value == F(65, 11)
+    assert len(pivots) <= 160
 
 
 def test_solve_logs_deterministic_counters(caplog):

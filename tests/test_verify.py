@@ -306,10 +306,10 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
-    # a work count in place of a timing: summed over the 413 pivots made
+    # a work count in place of a timing: summed over the 354 pivots made
     # while both shipped certificates verify, the entries that M = D·B⁻¹
-    # stores before each pivot are 29,771, bounded here with a margin of
-    # about 100%; dense rows would hold all 1,412,010 cells
+    # stores before each pivot are 28,422, bounded here with a margin of
+    # about 100%; dense rows would hold all 1,407,881 cells
     stored = []
     pivot = ratlp._Simplex._pivot
 
@@ -321,7 +321,7 @@ def test_pivots_store_few_basis_entries(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(stored) == 413
+    assert len(stored) == 354
     assert sum(stored) <= 60000
 
 
