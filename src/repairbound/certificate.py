@@ -38,10 +38,10 @@ from .instance import (
     BETA,
     BIGB,
     LinExpr,
-    column_key,
     enumerate_rows,
     instance_row,
     instances,
+    pool_columns,
     storage_and_bandwidth_caps,
 )
 from .ratlp import IncrementalDualSolver, LPProblem, LPRow, solve
@@ -291,10 +291,6 @@ def _row_expr(row: dict, term_cols: dict) -> LinExpr:
     return LinExpr({c: v for c, v in coeffs.items() if v}, "certificate-row")
 
 
-def _columns(fam_masks) -> list:
-    return [ALPHA, BETA, BIGB] + sorted(fam_masks, key=column_key)
-
-
 def _lp_row(row: LinExpr) -> LPRow:
     # The two capacity rows are pinned to equality, every other row is
     # >= 0.  Pinning is sound for tabulated bounds, whose targets carry
@@ -302,7 +298,7 @@ def _lp_row(row: LinExpr) -> LPRow:
     # loosens the bound; rows are free to spend cap slack against entropy
     # terms (some shipped rows carry negative cap coefficients).
     rel = "=" if row.kind.endswith("-cap") else ">="
-    return LPRow(dict(row.coeffs), 0, rel)
+    return LPRow(row.coeffs, 0, rel)
 
 
 def _try_pool(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
@@ -310,7 +306,7 @@ def _try_pool(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
     pinned caps.  Returns a witness list when the minimum is zero, else None."""
     all_rows = enumerate_rows(u, fam_masks, anchors, need, bases)
     all_rows += storage_and_bandwidth_caps(u)
-    columns = _columns(fam_masks)
+    columns = pool_columns(fam_masks)
     lp = LPProblem(
         columns=columns,
         objective=dict(expr.coeffs),
@@ -363,7 +359,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
             submod_descriptors.append(desc)
     descriptors = submod_descriptors
 
-    columns = _columns(fam_masks)
+    columns = pool_columns(fam_masks)
     box = [LPRow({c: -1}, 1, ">=") for c in columns]
     n_box = len(box)
     solver = IncrementalDualSolver(

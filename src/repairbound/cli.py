@@ -192,7 +192,9 @@ def read_options(argv=None) -> dict:
     """Parse argv and its config file into {option name: value} for the
     command's options, plus "command".  Each option is the flag if given,
     else its config entries, else its default."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if not args.command:
         parser.error("a command is required")
@@ -241,7 +243,10 @@ def provenance(opts: dict) -> list:
     return lines
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command=None) -> _Parser:
+    """The parser of every command, or of the given command alone: argv
+    that starts with that command gets the same help, usage lines and
+    errors from both, since the top level only picks the subparser."""
     top = _Parser(
         prog="repairbound",
         description="prove and verify storage/repair-bandwidth outer bounds",
@@ -252,15 +257,17 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="command")
     # SUPPRESS leaves an option that is not given out of the namespace
     parsers = {
-        command: sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
-        for command, (_, text) in COMMANDS.items()
+        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for name, (_, text) in COMMANDS.items()
+        if command in (None, name)
     }
     for p in parsers.values():
         p.add_argument("--config", help="key=value config file; flags win")
     for name, commands, _, _, kw in OPTIONS:
         flag = name if kw.get("nargs") == "?" else f"--{name}"
-        for command in commands:
-            parsers[command].add_argument(flag, **kw)
+        for c in commands:
+            if c in parsers:
+                parsers[c].add_argument(flag, **kw)
     return top
 
 

@@ -117,8 +117,11 @@ def pool_rows(u: Universe, fam: frozenset) -> list:
         raise FamilyError("empty family")
     lprows = []
     for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam):
-        coeffs = {c: v for c, v in e.coeffs.items() if c != BIGB}
-        lprows.append(LPRow(coeffs, e.coeffs.get(BIGB, 0), ">="))
+        coeffs = e.coeffs
+        const = coeffs.get(BIGB, 0)
+        if const:
+            coeffs = {c: v for c, v in coeffs.items() if c != BIGB}
+        lprows.append(LPRow(coeffs, const, ">="))
     return lprows
 
 

@@ -57,6 +57,10 @@ class LPError(ValueError):
 
 @dataclass
 class LPRow:
+    """The row coeffs . x + const >= 0 (rel ">=") or = 0 (rel "=").  The
+    solvers only read a row, never mutate it, so its coeffs dict may be
+    shared with the caller's own rows."""
+
     coeffs: dict
     const: int | Fraction = 0
     rel: str = ">="
@@ -500,7 +504,8 @@ def _zero_is_feasible(lp: LPProblem) -> bool:
 
 def solve(lp: LPProblem) -> LPSolution:
     """Minimize lp through its explicit dual; an optimal answer is
-    certified by check_duals before return."""
+    certified by check_duals before return.  lp and its rows are read,
+    never mutated."""
     _validate(lp)
     sx = _phase1(lp)
     runs = [sx]
@@ -529,12 +534,14 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     column-wise domination of the objective, and equal objective values,
     all in one pass over the rows.
 
-    The arithmetic is in integers: the primal over the lcm X of its
-    denominators, each row scaled by the lcm s of its own denominators
-    (1 for an integer row), and the reduced costs over the lcm L of the
-    denominators of the multipliers λ/s, compared with the objective by
-    cross-multiplication.  Fractions appear once per row with λ != 0 and
-    once per objective value."""
+    The primal is taken over the lcm X of its denominators, and each
+    row's feasibility is read from X times the row at x: an integer on
+    an integer row, a Fraction on any other.  Each row with λ != 0 is
+    scaled by the lcm s of its own denominators (1 for an integer row),
+    and the reduced costs are summed in integers over the lcm L of the
+    denominators of the multipliers λ/s and compared with the objective
+    by cross-multiplication.  On integer rows, Fractions appear once per
+    row with λ != 0 and once per objective value."""
     if sol.status != "optimal" or sol.value is None:
         return False
     if len(sol.duals) != len(lp.rows):
@@ -547,12 +554,9 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
             return False
     support = []  # (λ/s, s·const, s·coeffs) of every row with λ != 0
     for r, lam in zip(lp.rows, sol.duals):
-        const = r.const
-        s = math.lcm(const.denominator, *(v.denominator for v in r.coeffs.values()))
-        const = const.numerator * (s // const.denominator)
-        coeffs = [(c, v.numerator * (s // v.denominator)) for c, v in r.coeffs.items()]
-        v = const * X
-        for c, cv in coeffs:
+        const, coeffs = r.const, r.coeffs
+        v = const * X  # X times the row at x: an int on an integer row
+        for c, cv in coeffs.items():
             v += cv * x[c]
         sign = lam.numerator
         if r.rel == ">=":
@@ -561,7 +565,12 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
         elif v:
             return False
         if sign:
-            support.append((Fraction(sign, lam.denominator * s), const, coeffs))
+            s = math.lcm(const.denominator, *(cv.denominator for cv in coeffs.values()))
+            support.append((
+                Fraction(sign, lam.denominator * s),
+                const.numerator * (s // const.denominator),
+                [(c, cv.numerator * (s // cv.denominator)) for c, cv in coeffs.items()],
+            ))
     L = math.lcm(*(q.denominator for q, _, _ in support))
     rc = dict.fromkeys(lp.columns, 0)  # L · Σ λ·row, per column
     dval = 0  # L · Σ -λ·const

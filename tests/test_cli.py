@@ -620,6 +620,28 @@ def test_no_command_is_usage_error(capsys):
     assert code == 3 and "command is required" in err
 
 
+def parse_exit(capsys, parser, argv):
+    # the exit code and both streams of a parse that ends the program
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+def test_one_command_parser_parses_like_the_full_parser(capsys):
+    # read_options builds only the subparser of the command it is given;
+    # its help, its own usage errors and the top level's must not change
+    full = cli._build_parser()
+    for command in cli.COMMANDS:
+        alone = cli._build_parser(command)
+        for argv in ([command, "--help"], [command, "--config"], [command, "--bogus"]):
+            code, out, err = parse_exit(capsys, full, argv)
+            assert (code, out, err) == parse_exit(capsys, alone, argv), argv
+            assert out.startswith(f"usage: repairbound {command} ") or code == 3, argv
+        code, _, err = run(capsys, command, "--config")
+        assert code == 3 and err.startswith(f"usage: repairbound {command} "), command
+
+
 def test_outputs_are_byte_deterministic(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     blobs = []

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from repairbound import instance
 from repairbound.certificate import _term_column, load, load_terms
 from repairbound.instance import (
     ALPHA,
     BETA,
     BIGB,
+    KIND_ORDER,
     LinExpr,
     column_key,
     enumerate_rows,
@@ -439,3 +441,55 @@ def test_enumerate_rows_logs_pool_counts(caplog):
     assert lines == [
         "pool: 20 classes, 304 orbit members, 2411 descriptors (954 distinct), 849 rows"
     ] * 2
+
+
+def reference_enumerate_rows(u, fam_masks, anchors=(), need=0, bases=()):
+    # the slow path: a LinExpr and a signature for every distinct
+    # descriptor, deduplicated and sorted on (kind, signature)
+    fam_masks = sorted(set(fam_masks), reverse=True)
+    rows = []
+    for m in fam_masks:
+        rows.append(instance_row((m, 0, 0, 0), "monotonicity"))
+        rows.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
+    bases = sorted(set(bases), reverse=True)
+    for desc in dict.fromkeys(instances(u, fam_masks, anchors, need, bases)):
+        rows.append(instance_row(desc))
+    seen = {}
+    for row in rows:
+        if not row.is_zero():
+            seen.setdefault(row.signature(), row)
+    order = sorted(seen, key=lambda sig: (KIND_ORDER[seen[sig].kind], sig))
+    return [seen[sig] for sig in order]
+
+
+def test_enumerate_rows_matches_signature_reference():
+    # every pair rule, with and without elemental bases: the same kinds,
+    # coefficients and order as deduplicating and sorting on signatures
+    rng = random.Random(2017)
+    for n, k, size in ((4, 3, 9), (5, 4, 7)):
+        for trial in range(6):
+            u = build_universe(n, k)
+            fam = random_family(u, rng, size)
+            anchors = set(rng.sample(sorted(fam), 3))
+            for bases in ((), sorted(rng.sample(sorted(fam | {0}), 3), reverse=True)):
+                for held, need in (((), 0), (anchors, 1), (anchors, 2)):
+                    got = enumerate_rows(u, fam, held, need, bases)
+                    want = reference_enumerate_rows(u, fam, held, need, bases)
+                    assert [(r.kind, r.coeffs) for r in got] == [
+                        (r.kind, r.coeffs) for r in want
+                    ], (n, k, trial, bases, need)
+
+
+def test_enumerate_rows_keys_each_class_once(monkeypatch):
+    # rows are keyed by column ranks, so column_key runs once per class
+    # of the family, not once per coefficient of every descriptor
+    calls = []
+    column_key = instance.column_key
+    monkeypatch.setattr(instance, "column_key", lambda col: calls.append(col) or column_key(col))
+    for n, k, depth, size in ((4, 3, 1, 20), (5, 4, 1, 33)):
+        u = build_universe(n, k)
+        fam = default_family(u, depth=depth)
+        assert len(fam) == size
+        calls.clear()
+        enumerate_rows(u, fam)
+        assert len(calls) <= len(fam), (n, k, len(calls))

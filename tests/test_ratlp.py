@@ -434,6 +434,42 @@ def test_incremental_solver_with_fractional_rows():
         assert (sol.status, sol.value) == (cold.status, cold.value)
 
 
+def row_snapshot(rows):
+    """Every row's coefficients in their order and type, its constant
+    and relation."""
+    return [repr((list(r.coeffs.items()), r.const, r.rel)) for r in rows]
+
+
+def test_solvers_never_mutate_rows():
+    # the prover's pool rows and the verifier's rung rows share their
+    # coefficient dicts with the LP, so no solver may write to one
+    rng = random.Random(606)
+    for i in range(80):
+        lp = random_lp(rng, dens=None if i % 2 else (1, 2, 3))
+        before = row_snapshot(lp.rows)
+        solve(lp)
+        assert row_snapshot(lp.rows) == before, i
+    lps = bound_lps_433()
+    before = row_snapshot(lps[0].rows)
+    for lp in lps:
+        assert check_duals(lp, solve(lp))
+    assert row_snapshot(lps[0].rows) == before
+    for _ in range(20):
+        cols = [f"c{i}" for i in range(rng.randrange(2, 7))]
+        objective = {c: random_value(rng, -4, 5) for c in cols}
+        rows = [LPRow({c: F(-1)}, F(1)) for c in cols] + [
+            LPRow({c: random_value(rng, -3, 4) for c in cols if rng.random() < 0.6})
+            for _ in range(rng.randrange(2, 16))
+        ]
+        before = row_snapshot(rows)
+        solver = IncrementalDualSolver(cols, objective, rows[: len(cols) + 1], set(cols))
+        solver.solve()
+        for at in range(len(cols) + 1, len(rows), 3):
+            solver.add_rows(rows[at : at + 3])
+            solver.solve()
+        assert row_snapshot(rows) == before
+
+
 def test_pivot_counters_are_pinned(caplog):
     # sha256 over the DEBUG counter lines (pivots, degenerate pivots,
     # Bland switches, determinant bits) of the LPs of
