@@ -338,11 +338,10 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
 
     # start from the pool over the elemental bases, one spanning row per
     # class and the pinned caps
-    active = enumerate_rows(u, [b for b in bases if b], bases=bases)
+    start = enumerate_rows(u, [b for b in bases if b], bases=bases)
     for m in sorted(fam_masks, reverse=True):
-        active.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
-    active += storage_and_bandwidth_caps(u)
-    sigs = {r.signature() for r in active}
+        start.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
+    start += storage_and_bandwidth_caps(u)
 
     # Monotonicity instances are cheap (two nonzeros) and prune most of the
     # degenerate corners the boxed relaxation would otherwise wander through,
@@ -350,28 +349,29 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
     submod_descriptors = []
     for desc in descriptors:
         if desc[1] == 0:
-            row = instance_row(desc)
-            sig = row.signature()
-            if sig not in sigs:
-                sigs.add(sig)
-                active.append(row)
+            start.append(instance_row(desc))
         else:
             submod_descriptors.append(desc)
     descriptors = submod_descriptors
+
+    active = {}  # the working rows by their coefficients, in LP row order
+    for row in start:
+        active.setdefault(frozenset(row.coeffs.items()), row)
 
     columns = pool_columns(fam_masks)
     box = [LPRow({c: -1}, 1, ">=") for c in columns]
     n_box = len(box)
     solver = IncrementalDualSolver(
-        columns, dict(expr.coeffs), box + [_lp_row(r) for r in active], set(columns)
+        columns, dict(expr.coeffs), box + [_lp_row(r) for r in active.values()], set(columns)
     )
 
     batch = 200
     for _ in range(200):
         sol = solver.solve()
         if sol.value == 0:
+            rows = list(active.values())
             return tuple(
-                (lam, active[i - n_box])
+                (lam, rows[i - n_box])
                 for i, lam in enumerate(sol.duals)
                 if lam and i >= n_box
             )
@@ -390,16 +390,14 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
         violated.sort()
         picks = violated[:batch]
         rest = violated[batch:]
-        if rest:
-            stride = max(1, len(rest) // batch)
-            picks += rest[::stride][:batch]
+        stride = max(1, len(rest) // batch)
+        picks += rest[::stride][:batch]
         fresh = []
         for _, idx in picks:
             row = instance_row(descriptors[idx])
-            sig = row.signature()
-            if sig not in sigs:
-                sigs.add(sig)
-                active.append(row)
+            key = frozenset(row.coeffs.items())
+            if key not in active:
+                active[key] = row
                 fresh.append(_lp_row(row))
         if not fresh:
             raise CertificateError("separation produced only duplicate rows")

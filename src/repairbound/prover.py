@@ -25,6 +25,7 @@ from .instance import (
     BIGB,
     column_key,
     enumerate_rows,
+    pool_columns,
     storage_and_bandwidth_caps,
 )
 from .ratlp import LPError, LPProblem, LPRow, solve
@@ -133,7 +134,7 @@ def build_lp(u: Universe, fam: frozenset, direction, rows=None) -> LPProblem:
     ca, cb = _check_direction(direction)
     if rows is None:
         rows = pool_rows(u, fam)
-    columns = [ALPHA, BETA] + sorted(fam, key=column_key)
+    columns = [c for c in pool_columns(fam) if c != BIGB]
     return LPProblem(columns, {ALPHA: ca, BETA: cb}, rows, set(columns))
 
 

@@ -116,16 +116,16 @@ class _Simplex:
     with cost ``const_i``, split in two halves (free) for an equality row.
     The y columns come first, in row order, then the slacks of the
     inequality rows, in column order, then the artificials.  Row p is
-    signed by ``rsign[p]`` so its right-hand side is nonnegative and
-    scaled by ``rscale[p] > 0`` so its entries are integers.  The basis
-    is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both integer, with
-    ``D = |det B|``; row r of M is a dict {i: entry} of its nonzero
-    entries.  ``run`` carries the duals ``y = cost_B·M`` through each
-    pivot instead of recomputing them.  ``start_sign[k]`` is the sign of
-    the starting diagonal basis in row k, and ``lex`` stays True while
-    every row at zero leads with a positive entry of S·M, S that sign.
-    ``cost`` is the phase-2 cost times ``cscale``, in integers; it stays
-    None when the dual is infeasible.
+    signed by ``rsign[p]`` so its right-hand side is nonnegative and a
+    slack on a zero side is +1, and scaled by ``rscale[p] > 0`` so its
+    entries are integers; every starting basic column is +rscale[p] in
+    row p.  The basis is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both
+    integer, with ``D = |det B|``; row r of M is a dict {i: entry} of
+    its nonzero entries.  ``run`` carries the duals ``y = cost_B·M``
+    through each pivot instead of recomputing them.  ``lex`` stays True
+    while every row at zero leads with a positive entry of M.  ``cost``
+    is the phase-2 cost times ``cscale``, in integers; it stays None
+    when the dual is infeasible.
     """
 
     def __init__(self, lp: LPProblem):
@@ -139,7 +139,9 @@ class _Simplex:
                 if v.denominator != 1:
                     p = self.colpos[col]
                     self.rscale[p] = math.lcm(self.rscale[p], v.denominator)
-        self.rsign = [-1 if c > 0 else 1 for c in obj]  # makes -c_p >= 0
+        # makes -c_p >= 0, and +1 the slack of a nonneg column with c_p = 0
+        self.rsign = [-1 if c > 0 or c == 0 and col in lp.nonneg else 1
+                      for c, col in zip(obj, lp.columns)]
         b = [-s * c.numerator * (scale // c.denominator)
              for s, c, scale in zip(self.rsign, obj, self.rscale)]
         self.svars, self.cols, self.is_art = [], [], []  # svars: (kind, payload, sign)
@@ -149,25 +151,22 @@ class _Simplex:
             if col in lp.nonneg:
                 slack[p] = len(self.svars)
                 self._add("slack", p, 1, [(p, -self.rsign[p] * self.rscale[p])])
-        # the starting basis is diagonal: M is its adjugate up to sign
+        # the starting basis is positive diagonal: M is its adjugate
         self.D = math.prod(self.rscale)
         self.basis = [-1] * m
         self.M = [None] * m
         self.xb = [0] * m
-        self.start_sign = [1] * m
         for p in range(m):
             j = slack.get(p)
-            # a slack starts the basis when its entry is +rscale or its rhs is 0
-            if j is None or (self.rsign[p] > 0 and b[p]):
+            # a slack starts the basis when its entry is +rscale
+            if j is None or self.rsign[p] > 0:
                 j = len(self.svars)
                 self._add("art", p, 1, [(p, self.rscale[p])])
-            _, coeff = self.cols[j][0]
-            self.start_sign[p] = 1 if coeff > 0 else -1
             self.basis[p] = j
-            self.M[p] = {p: self.D // coeff}
-            self.xb[p] = self.D // coeff * b[p]
+            self.M[p] = {p: self.D // self.rscale[p]}
+            self.xb[p] = self.D // self.rscale[p] * b[p]
         self.basis_set = set(self.basis)
-        # every row starts lexicographically positive: S[p]·M[p][p] > 0
+        # every row starts lexicographically positive: M[p][p] > 0
         self.lex = True
         self.cost = None
         self.cscale = 1
@@ -287,15 +286,14 @@ class _Simplex:
         return enter, best
 
     def _lex_less(self, r, l, ur, ul):
-        """Whether S·M[r]/ur precedes S·M[l]/ul lexicographically, read
-        in increasing k and compared by cross products, with S the signs
-        of the starting basis (start_sign).  Two rows of the nonsingular
-        M never compare equal."""
-        a, b, s = self.M[r], self.M[l], self.start_sign
+        """Whether M[r]/ur precedes M[l]/ul lexicographically, read in
+        increasing k and compared by cross products.  Two rows of the
+        nonsingular M never compare equal."""
+        a, b = self.M[r], self.M[l]
         for k in sorted(a.keys() | b.keys()):
             x, z = a.get(k, 0) * ul, b.get(k, 0) * ur
             if x != z:
-                return (x < z) == (s[k] > 0)
+                return x < z
         return False
 
     def run(self, cost, ban_art):

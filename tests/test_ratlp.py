@@ -269,6 +269,16 @@ def test_answers_are_pinned():
     )
 
 
+def test_simplex_starts_from_a_positive_basis():
+    # every starting basic column, slack or artificial, is +rscale[p] in
+    # its own row p, so M starts positive diagonal and lexicographic
+    # ties compare rows of M with no start signs
+    rng = random.Random(20260418)
+    for _ in range(300):
+        sx = ratlp._Simplex(random_lp(rng))
+        assert [sx.cols[j] for j in sx.basis] == [[(p, s)] for p, s in enumerate(sx.rscale)]
+
+
 def dualize(lp):
     """Explicit dual, again as a minimization: optimal value negates,
     its primal is the original duals and vice versa."""
@@ -613,10 +623,10 @@ def bound_lps_433():
 
 def lex_positive(sx):
     """xb >= 0, and every row with xb[r] = 0 leads, read in increasing k,
-    with a positive S[k]·M[r][k]."""
+    with a positive M[r][k]."""
     for x, row in zip(sx.xb, sx.M):
         k = min(row)
-        if x < 0 or x == 0 and sx.start_sign[k] * row[k] < 0:
+        if x < 0 or x == 0 and row[k] < 0:
             return False
     return True
 
@@ -664,7 +674,7 @@ def test_lexicographic_ties_match_lowest_index_ties(monkeypatch):
 def test_lexicographic_runs_keep_rows_positive(monkeypatch):
     # checked at the start of every run and after every pivot: xb >= 0
     # always, and in a lexicographic run every row at zero leads with a
-    # positive entry of S·M.  Runs after an artificial was driven out
+    # positive entry of M.  Runs after an artificial was driven out
     # fall back to lowest-index ties: above_one drives its artificial out
     # on a -1 pivot, and its phase 2 starts without the invariant
     starts = []

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repairbound import certificate, ratlp
+from repairbound import certificate, instance, ratlp
 from repairbound.certificate import (
     Certificate,
     CertificateError,
@@ -273,36 +273,69 @@ def test_shipped_outcomes_are_pinned():
 
 def test_shipped_depth_two_rows_use_the_within_rung(monkeypatch):
     # each depth-2 row is certified by the pairs inside its depth-1
-    # family, so neither the touching nor the unrestricted pool is built
+    # family, so neither the touching nor the unrestricted pool is built;
+    # these are the shipped witnesses of the active-set rung, and each
+    # must add up to its row exactly
     tried = recorded_rungs(monkeypatch)
     u = build_universe(5, 4)
     for name, rows in DEPTH_TWO_ROWS.items():
         cert = load(DATA / f"{name}.cert.json")
+        term_cols = {tid: _term_column(u, toks) for tid, toks in cert.terms.items()}
         for index in rows:
             tried.clear()
             rc = check_row(u, cert, index)
             assert (rc.status, rc.depth) == ("valid", 2), (name, index)
             assert tried == [(0, 1), (0, 1), (2, 2)], (name, index)
+            expr = _row_expr(cert.rows[index], term_cols)
+            assert recombined(rc.witness) == expr.coeffs, (name, index)
 
 
 def test_active_set_rungs_draw_few_descriptors(monkeypatch):
-    # a work count in place of a timing: the descriptors that active-set
-    # rungs draw while both shipped certificates verify are 5,468, bounded
-    # here with a margin of about 45%; a ladder that tried the touching
-    # rung before the within rung would draw 62,711
+    # work counts in place of a timing while both shipped certificates
+    # verify: the descriptors that active-set rungs draw are 5,468,
+    # bounded here with a margin of about 45%; a ladder that tried the
+    # touching rung before the within rung would draw 62,711.  column_key
+    # runs 771 times, once per class of each pool_columns call, bounded
+    # with a margin of about 30%; keying working rows by signature made
+    # 3,190 calls.  No solver is given two rows with equal coefficients.
     drawn = []
+    given = {}  # solver -> every row given to it
+    keyed = []
 
     def counted(*args):
         descs = list(instances(*args))
         drawn.append(len(descs))
         return iter(descs)
 
+    init, add_rows = IncrementalDualSolver.__init__, IncrementalDualSolver.add_rows
+
+    def recorded_init(solver, columns, objective, rows, nonneg):
+        given[solver] = list(rows)
+        init(solver, columns, objective, rows, nonneg)
+
+    def recorded_add_rows(solver, rows):
+        rows = list(rows)
+        given[solver] += rows
+        add_rows(solver, rows)
+
+    column_key = instance.column_key
+
+    def counted_key(col):
+        keyed.append(col)
+        return column_key(col)
+
     monkeypatch.setattr(certificate, "instances", counted)
+    monkeypatch.setattr(IncrementalDualSolver, "__init__", recorded_init)
+    monkeypatch.setattr(IncrementalDualSolver, "add_rows", recorded_add_rows)
+    monkeypatch.setattr(instance, "column_key", counted_key)
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(drawn) == 5
+    assert len(drawn) == len(given) == 5
     assert sum(drawn) <= 8000
+    assert len(keyed) <= 1000
+    for rows in given.values():
+        assert len({frozenset(r.coeffs.items()) for r in rows}) == len(rows)
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
