@@ -414,8 +414,10 @@ def _rungs(u: Universe, base, max_depth: int):
     with both classes in the family of depth g-1 (need 2), the pairs
     touching it (need 1), then every pair (need 0).  The closure round
     that grows the family of depth g runs only when the first rung of
-    that depth is asked for, so only after every earlier rung has failed;
-    a round that hits the family cap ends the ladder short of max_depth."""
+    that depth is asked for, so only after every earlier rung has failed.
+    A round that hits the family cap yields None for the family and ends
+    the ladder short of max_depth.  A round that adds no class ends it,
+    as every deeper rung would repeat the unrestricted one that failed."""
     bases = (0, *sorted(base, reverse=True))
     fam = frozenset(base)
     yield fam, (), (), 0, 1
@@ -423,6 +425,9 @@ def _rungs(u: Universe, base, max_depth: int):
     for depth in range(2, max_depth + 1):
         grown, done = closure_round(u, fam, FAMILY_CAP)
         if not done:
+            yield None, bases, (), 0, depth - 1
+            return
+        if len(grown) == len(fam):
             return
         prev, fam = fam, frozenset(grown)
         yield fam, bases, prev, 2, depth
@@ -440,8 +445,9 @@ def check_row(
     by closure rounds up to max_depth generations; each round runs only
     once every earlier rung has failed.  Valid rows report the
     generation that certified them and a rational witness; rows that
-    exhaust the ladder come back unverified (never invalid).  Each rung
-    tried logs one DEBUG line of its sizes and outcome.
+    exhaust the ladder come back unverified (never invalid), at depth
+    max_depth also when a round that adds no class ends it early.  Each
+    rung tried logs one DEBUG line of its sizes and outcome.
     """
     if not 0 <= index < len(cert.rows):
         raise CertificateError(f"row index {index} out of range")
@@ -457,9 +463,9 @@ def check_row(
     for cap in storage_and_bandwidth_caps(u):
         cols += cap.coeffs
     base = {col for col in cols if col not in RESERVED_COLUMNS}
-    depth_seen = 1
     for fam_masks, bases, anchors, need, depth in _rungs(u, base, max_depth):
-        depth_seen = depth
+        if fam_masks is None:
+            return RowCheck(index, "unverified", depth, detail="family size cap exceeded")
         search = _try_pool if len(fam_masks) <= 24 else _try_pool_active
         witness = search(u, fam_masks, anchors, need, bases, expr)
         if log.isEnabledFor(logging.DEBUG):
@@ -475,9 +481,7 @@ def check_row(
             )
         if witness is not None:
             return RowCheck(index, "valid", depth, witness)
-    # only a capped closure round stops the ladder short of max_depth
-    detail = "family size cap exceeded" if depth_seen < max_depth else "pool exhausted"
-    return RowCheck(index, "unverified", depth_seen, detail=detail)
+    return RowCheck(index, "unverified", max_depth, detail="pool exhausted")
 
 
 # -- whole-certificate verification ------------------------------------

@@ -423,10 +423,10 @@ def cmd_region(opts) -> int:
     if opts["builtin-eq1"]:
         if (n, k) not in ((None, None), (5, 4)) or opts["d"] not in (None, 4):
             _fail("the built-in region is for n=5, k=4, d=4")
-        planes += [(j, w, 1) for j, w in facets(5, 4, 4).facets]
+        planes += facets(5, 4, 4)
         certs += [(f"bundled {name}", load_bundled(name)) for name in ("prop1", "prop2")]
     if opts["cutset"]:
-        planes += [(j, w, 1) for j, w in _cutset(opts, "--cutset needs --n and --k").facets]
+        planes += _cutset(opts, "--cutset needs --n and --k")
     asked = (n, k, opts["d"])
     shown = 2 if opts["d"] is None else 3  # (n,k), or (n,k,d) once --d is given
     for path in opts["cert"]:
@@ -468,9 +468,9 @@ def cmd_region(opts) -> int:
 
 def cmd_cutset(opts) -> int:
     cs = _cutset(opts)
-    for j, w in cs.facets:
-        print(f"facet: {format_plane(int(j), int(w), 1)}")
-    region = from_halfplanes([(j, w, 1) for j, w in cs.facets])
+    for plane in cs:
+        print(f"facet: {format_plane(*plane)}")
+    region = from_halfplanes(cs)
     for x, y in region.vertices:
         print(f"vertex: ({x}, {y})")
     _plots(region, opts)

@@ -11,27 +11,12 @@ not the whole story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 
-
-@dataclass(frozen=True)
-class CutsetBound:
-    n: int
-    k: int
-    d: int
-    facets: tuple  # ((j, w_j) as (Fraction, Fraction) coefficient pairs)
-
-
-def facets(n: int, k: int, d: int | None = None) -> CutsetBound:
-    """The k+1 linear facets j*alpha + w_j*beta >= 1, j = 0..k,
-    with w_j = sum of (d-i) for i = j..k-1."""
+def facets(n: int, k: int, d: int | None = None) -> tuple:
+    """The k+1 linear facets j*alpha + w_j*beta >= 1, j = 0..k, as
+    (j, w_j, 1) int triples, with w_j = sum of (d-i) for i = j..k-1."""
     if d is None:
         d = n - 1
     if not (1 <= k < n and k <= d < n):
         raise ValueError(f"invalid parameters (n={n}, k={k}, d={d})")
-    out = []
-    for j in range(k + 1):
-        wj = sum(d - i for i in range(j, k))
-        out.append((Fraction(j), Fraction(wj)))
-    return CutsetBound(n, k, d, tuple(out))
+    return tuple((j, sum(d - i for i in range(j, k)), 1) for j in range(k + 1))

@@ -44,13 +44,6 @@ class LinExpr:
     coeffs: dict
     kind: str = ""
 
-    def signature(self) -> tuple:
-        # column keys are distinct, so the coefficients never decide the order
-        return tuple(sorted((column_key(c), v) for c, v in self.coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __repr__(self) -> str:
         parts = []
         for col in sorted(self.coeffs, key=column_key):
@@ -186,7 +179,7 @@ def enumerate_rows(u: Universe, fam_masks, anchors=(), need=0, bases=()) -> list
     # A row's key is the sorted tuple of its entries rank·5 + coeff + 2,
     # a column's rank being its position in pool_columns.  A descriptor's
     # coefficients lie in -2..2, so entries sort as (rank, coeff) pairs do
-    # and keys order rows as their signatures do.
+    # and keys order rows as their sorted (column_key, coeff) pairs do.
     cols = pool_columns(fam_masks)
     plus = {col: 5 * r + 3 for r, col in enumerate(cols)}
     minus = {col: 5 * r + 1 for r, col in enumerate(cols)}

@@ -53,12 +53,13 @@ def default_family(
 
     Base classes: every singleton variable; every proper node-only
     subset; every such subset augmented by one repair message into a
-    missing node; the seeds, each a tuple of variable tokens.  Then
-    `depth` rounds of pairwise union/intersection closure over
-    (representative, orbit member) pairs, so the family stays a union of
-    full symmetry orbits rather than depending on which member is
-    canonical.  Spanning sets are never stored; they are represented by
-    the reserved spanning column wherever a constraint touches one.
+    missing node; the seeds, each a tuple of variable tokens.  Then up
+    to `depth` rounds (the first that adds no class ends them) of pairwise
+    union/intersection closure over (representative, orbit member)
+    pairs, so the family stays a union of full symmetry orbits rather
+    than depending on which member is canonical.  Spanning sets are
+    never stored; they are represented by the reserved spanning column
+    wherever a constraint touches one.
     """
     if depth < 0:
         raise FamilyError("depth must be nonnegative")
@@ -96,9 +97,12 @@ def default_family(
         raise FamilyError(f"{len(masks)} base classes exceed the family size cap {cap}")
 
     for round_no in range(1, depth + 1):
-        masks, completed = closure_round(u, masks, cap)
+        grown, completed = closure_round(u, masks, cap)
         if not completed:
             raise FamilyError(f"family size cap exceeded in closure round {round_no}")
+        if len(grown) == len(masks):
+            break  # closed, so every later round returns it unchanged
+        masks = grown
 
     return frozenset(masks)
 

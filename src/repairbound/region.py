@@ -3,9 +3,11 @@ intersection, corner enumeration, and CSV/SVG emission.
 
 Regions here are intersections of half-planes a*alpha + b*beta >= c
 with a, b >= 0 and c > 0, so they are closed under increasing either
-coordinate and their boundary is a single convex polyline between two
-axis-parallel tails.  All arithmetic is rational; emitted bytes depend
-only on the region and the plot window.
+coordinate and their boundary is a single convex polyline between a
+tail along the steepest plane and a tail along the flattest, each
+axis-parallel only when a vertical or a horizontal plane is kept.  All
+arithmetic is rational; emitted bytes depend only on the region and the
+plot window.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class HalfPlane:
 @dataclass(frozen=True)
 class Region2D:
     """Non-redundant half-planes in boundary order (steepest first) and
-    the corner points sorted by increasing alpha.  Recession is always
-    the two positive axes.  Both orders are canonical, so two regions
+    the corner points sorted by increasing alpha; the first and the last
+    plane carry the two tails.  Both orders are canonical, so two regions
     built by from_halfplanes are equal sets exactly when they are ==."""
 
     halfplanes: tuple
@@ -75,26 +77,16 @@ def _vertices(planes) -> tuple:
     return tuple(sorted(pts))
 
 
-def _min_over(planes, phi_a: int, phi_b: int):
-    """Exact minimum of phi over the intersection of `planes`, or None
-    when unbounded below.  Normals and phi sit in the closed first
-    quadrant, so the minimum is finite exactly when phi lies in the
-    cone of the normals, attained at a corner or on a parallel face."""
-    finite = any(h.a * phi_b - h.b * phi_a <= 0 for h in planes) and any(
-        h.a * phi_b - h.b * phi_a >= 0 for h in planes
-    )
-    if not finite:
-        return None
-    verts = _vertices(planes)
-    if verts:
-        return min(phi_a * x + phi_b * y for x, y in verts)
-    # no corner: every normal is parallel to phi
-    return max(Fraction(h.c) * max(phi_a, phi_b) / max(h.a, h.b) for h in planes)
+def _steepness(h: HalfPlane) -> Fraction:
+    # a/(a+b) orders normals as a/b does, with vertical planes steepest
+    return Fraction(h.a, h.a + h.b)
 
 
 def from_halfplanes(planes) -> Region2D:
-    """Normalize, deduplicate, drop redundant half-planes, and collect
-    feasible pairwise intersections as the corner list."""
+    """Normalize and deduplicate, find the corners once, and walk the
+    boundary: the steepest plane tight at the first corner, the one plane
+    tight at each pair of adjacent corners, the flattest tight at the last.
+    A plane tight at one corner or at none supports no edge."""
     if not planes:
         raise ValueError("need at least one half-plane")
     norm = []
@@ -108,19 +100,16 @@ def from_halfplanes(planes) -> Region2D:
         if h not in norm:
             norm.append(h)
 
-    kept = []
-    for i, h in enumerate(norm):
-        others = norm[:i] + norm[i + 1 :]
-        if not others:
-            kept.append(h)
-            continue
-        low = _min_over(others, h.a, h.b)
-        if low is None or low < h.c:
-            kept.append(h)
-
-    # steepest wall first: verticals, then by descending a/b
-    kept.sort(key=lambda h: (h.b != 0, -Fraction(h.a, h.b) if h.b else 0))
-    return Region2D(tuple(kept), _vertices(kept))
+    verts = _vertices(norm)
+    if not verts:
+        # no corner: every normal is parallel, and the farthest plane
+        # implies the others
+        return Region2D((max(norm, key=lambda h: Fraction(h.c, h.a + h.b)),), ())
+    kept = [max((h for h in norm if h.tight(*verts[0])), key=_steepness)]
+    for p, q in zip(verts, verts[1:]):
+        kept.append(next(h for h in norm if h.tight(*p) and h.tight(*q)))
+    kept.append(min((h for h in norm if h.tight(*verts[-1])), key=_steepness))
+    return Region2D(tuple(kept), verts)
 
 
 def _dec(x, places: int = 6) -> str:

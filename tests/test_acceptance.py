@@ -120,10 +120,7 @@ def test_criterion_5_known_facets():
 
 
 def test_criterion_6_region_assembly():
-    cs = facets(5, 4)
-    assembled = from_halfplanes(
-        [(j, w, 1) for j, w in cs.facets] + [(15, 10, 6), (5, 10, 3)]
-    )
+    assembled = from_halfplanes(facets(5, 4) + ((15, 10, 6), (5, 10, 3)))
     exact = from_halfplanes(EXACT_54)
     assert assembled == exact
     assert exact.vertices == (
@@ -200,12 +197,11 @@ def test_criterion_8_separation_beyond_cutset():
     fam = default_family(u, depth=1)
     pb = prove(u, fam, (4, 6))
     assert verify(u, pb.certificate).overall == "VALID"
-    cs = facets(4, 3)
-    cut_region = from_halfplanes([(j, w, 1) for j, w in cs.facets])
+    cut_region = from_halfplanes(facets(4, 3))
     witnesses = [
         (x, y)
         for x, y in cut_region.vertices
-        if feasible(cs, x, y) and 4 * x + 6 * y < pb.value
+        if feasible(3, 3, x, y) and 4 * x + 6 * y < pb.value
     ]
     assert witnesses, "no cut-set point falls outside the proved bound"
     x, y = witnesses[0]

@@ -52,6 +52,12 @@ def monotonicity(u, a, b):
     return instance_row((key(u, mb), 0, key(u, ma), 0), kind)
 
 
+def signature(row) -> tuple:
+    # the row's (column_key, coefficient) pairs in column order; column
+    # keys are distinct, so the coefficients never decide the order
+    return tuple(sorted((column_key(c), v) for c, v in row.coeffs.items()))
+
+
 def evaluate(row, values):
     # the row's left-hand side at a point given as column -> value
     return sum(
@@ -95,7 +101,7 @@ def test_submodularity_spanning_union_hits_bigb():
 def test_submodularity_identity_is_zero_row():
     u = build_universe(5, 4)
     a = closed(u, "W1", "W2")
-    assert submodularity(u, a, a).is_zero()
+    assert not submodularity(u, a, a).coeffs
 
 
 def test_monotonicity_rows():
@@ -106,7 +112,7 @@ def test_monotonicity_rows():
     top = monotonicity(u, w1, range(u.num_vars))
     assert top.kind == "spanning-value"
     assert top.coeffs[BIGB] == 1
-    assert monotonicity(u, w1, w1).is_zero()
+    assert not monotonicity(u, w1, w1).coeffs
 
 
 def test_rows_nonnegative_on_replication_and_zero_vectors():
@@ -157,8 +163,8 @@ def test_enumerate_rows_deterministic_and_deduped():
     }
     r1 = enumerate_rows(u, fam, bases=[0, *fam])
     r2 = enumerate_rows(u, sorted(fam), bases=sorted([0, *fam]))
-    assert [r.signature() for r in r1] == [r.signature() for r in r2]
-    sigs = [r.signature() for r in r1]
+    assert [signature(r) for r in r1] == [signature(r) for r in r2]
+    sigs = [signature(r) for r in r1]
     assert len(sigs) == len(set(sigs))
 
 
@@ -203,7 +209,7 @@ def test_column_key_matches_size_and_index_tuple_order():
 def test_linexpr_helpers():
     row = LinExpr({ALPHA: Fraction(2), BETA: Fraction(-1)}, "storage-cap")
     assert evaluate(row, {ALPHA: Fraction(1), BETA: Fraction(1)}) == 1
-    assert not row.is_zero()
+    assert row.coeffs
 
 
 def test_random_submodularity_instances_sound():
@@ -295,16 +301,16 @@ def test_pools_are_pinned():
     for m in fam:
         mono = instance_row((m, 0, 0, 0), "monotonicity")
         span = instance_row((BIGB, 0, m, 0), "spanning-value")
-        per_class |= {mono.signature(), span.signature()}
+        per_class |= {signature(mono), signature(span)}
     generated: dict = {}
     for desc in instances(u54, fam, base, 1, sorted(bases, reverse=True)):
         row = instance_row(desc)
-        if not row.is_zero():
-            generated.setdefault(row.signature(), row)
+        if row.coeffs:
+            generated.setdefault(signature(row), row)
     assert sorted(
         (r.kind, sig) for sig, r in generated.items() if sig not in per_class
     ) == sorted(
-        (r.kind, r.signature()) for r in rows if r.signature() not in per_class
+        (r.kind, signature(r)) for r in rows if signature(r) not in per_class
     )
 
 
@@ -456,8 +462,8 @@ def reference_enumerate_rows(u, fam_masks, anchors=(), need=0, bases=()):
         rows.append(instance_row(desc))
     seen = {}
     for row in rows:
-        if not row.is_zero():
-            seen.setdefault(row.signature(), row)
+        if row.coeffs:
+            seen.setdefault(signature(row), row)
     order = sorted(seen, key=lambda sig: (KIND_ORDER[seen[sig].kind], sig))
     return [seen[sig] for sig in order]
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repairbound import prover
 from repairbound.certificate import CertificateError, check_sum, load_terms, serialize, verify
 from repairbound.prover import FamilyError, build_lp, default_family, pool_rows, prove
 from repairbound.ratlp import solve
@@ -57,6 +58,24 @@ def test_default_family_cap_names_the_round(u54):
         default_family(u54, depth=1, cap=10)
     with pytest.raises(FamilyError, match="base classes"):
         default_family(u54, cap=3)
+
+
+def test_default_family_stops_once_a_round_adds_no_class(monkeypatch):
+    # the (3,2) depth-0 family is closed after two rounds; a third finds
+    # nothing new and ends the growth however many rounds were asked for
+    rounds = []
+    closure_round = prover.closure_round
+
+    def counted(*args):
+        rounds.append(len(args[1]))
+        return closure_round(*args)
+
+    monkeypatch.setattr(prover, "closure_round", counted)
+    u = build_universe(3, 2)
+    closed = default_family(u, depth=2)
+    rounds.clear()
+    assert default_family(u, depth=32) == closed
+    assert rounds == [2, 7, 9]
 
 
 def test_load_seed_terms_accepts_certificates_too():

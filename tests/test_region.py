@@ -1,7 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from repairbound import region as region_module
 from repairbound.region import (
     DEFAULT_WINDOW,
     HalfPlane,
@@ -137,3 +140,103 @@ def test_window_clamps_rendering_only():
     assert text.count("<circle") == 3
     assert isinstance(region, Region2D)
     assert region.vertices == EXACT_54_VERTICES  # untouched by the window
+
+
+def reference_vertices(planes) -> tuple:
+    # every feasible pairwise intersection, by Cramer's rule
+    pts = set()
+    for i, h1 in enumerate(planes):
+        for h2 in planes[i + 1 :]:
+            det = h1.a * h2.b - h1.b * h2.a
+            if det:
+                x = Fraction(h1.c * h2.b - h1.b * h2.c, det)
+                y = Fraction(h1.a * h2.c - h1.c * h2.a, det)
+                if all(h.holds(x, y) for h in planes):
+                    pts.add((x, y))
+    return tuple(sorted(pts))
+
+
+def reference_min_over(planes, phi_a, phi_b):
+    # exact minimum of phi over the planes' intersection, or None when
+    # unbounded below: finite exactly when phi lies in the cone of the
+    # normals, attained at a corner or, with no corner, on a parallel face
+    finite = any(h.a * phi_b - h.b * phi_a <= 0 for h in planes) and any(
+        h.a * phi_b - h.b * phi_a >= 0 for h in planes
+    )
+    if not finite:
+        return None
+    verts = reference_vertices(planes)
+    if verts:
+        return min(phi_a * x + phi_b * y for x, y in verts)
+    return max(Fraction(h.c) * max(phi_a, phi_b) / max(h.a, h.b) for h in planes)
+
+
+def reference_region(planes) -> Region2D:
+    # one LP per plane: keep a plane when the others reach below its
+    # right-hand side; then sort steepest first
+    norm = list(dict.fromkeys(HalfPlane.make(*p) for p in planes))
+    kept = []
+    for i, h in enumerate(norm):
+        others = norm[:i] + norm[i + 1 :]
+        low = reference_min_over(others, h.a, h.b) if others else None
+        if low is None or low < h.c:
+            kept.append(h)
+    kept.sort(key=lambda h: (h.b != 0, -Fraction(h.a, h.b) if h.b else 0))
+    return Region2D(tuple(kept), reference_vertices(kept))
+
+
+def random_planes(rng):
+    # 1-6 planes with a, b in 0..5 (not both 0) and c in 1..7; some are
+    # scaled copies of an earlier plane, some parallel to one
+    planes = []
+    for _ in range(rng.randint(1, 6)):
+        pick = rng.random()
+        if planes and pick < 0.15:
+            a, b, c = rng.choice(planes)
+            t = rng.randint(1, 3)
+            planes.append((t * a, t * b, t * c))
+        elif planes and pick < 0.3:
+            a, b, _ = rng.choice(planes)
+            planes.append((a, b, rng.randint(1, 7)))
+        else:
+            a, b = rng.randint(0, 5), rng.randint(0, 5)
+            if a == b == 0:
+                a = rng.randint(1, 5)
+            planes.append((a, b, rng.randint(1, 7)))
+    return planes
+
+
+def test_boundary_walk_matches_one_lp_per_plane():
+    rng = random.Random(2019)
+    seen = {"vertical": 0, "horizontal": 0, "parallel": 0, "duplicate": 0, "none": 0}
+    for trial in range(2500):
+        planes = random_planes(rng)
+        norm = [HalfPlane.make(*p) for p in planes]
+        seen["vertical"] += any(h.b == 0 for h in norm)
+        seen["horizontal"] += any(h.a == 0 for h in norm)
+        seen["duplicate"] += len(set(norm)) < len(norm)
+        normals = {(h.a // math.gcd(h.a, h.b), h.b // math.gcd(h.a, h.b)) for h in norm}
+        seen["parallel"] += len(normals) < len(set(norm))
+        got, want = from_halfplanes(planes), reference_region(planes)
+        seen["none"] += not got.vertices
+        assert got.halfplanes == want.halfplanes, (trial, planes)
+        assert got.vertices == want.vertices, (trial, planes)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_from_halfplanes_finds_the_corners_once(monkeypatch):
+    calls = []
+    vertices = region_module._vertices
+
+    def counted(planes):
+        calls.append(len(planes))
+        return vertices(planes)
+
+    monkeypatch.setattr(region_module, "_vertices", counted)
+    rng = random.Random(5)
+    for planes in [EXACT_54, CUTSET_54 + EXACT_54, [(1, 0, 1)], [(1, 2, 1), (2, 4, 3)]] + [
+        random_planes(rng) for _ in range(50)
+    ]:
+        calls.clear()
+        from_halfplanes(planes)
+        assert len(calls) == 1, planes

@@ -235,6 +235,35 @@ def test_family_cap_leaves_a_row_unverified(monkeypatch):
     assert (rc.status, rc.detail) == ("unverified", "family size cap exceeded")
 
 
+# row 0 claims H(S1->2) >= H(W1) for (3,2,2), which is false; its family
+# stops growing after the depth-3 round, at 9 classes
+SATURATING_CERT = (
+    '{"problem":{"n":3,"k":2,"d":2},"terms":[{"id":"T1","vars":["W1"]},'
+    '{"id":"T2","vars":["S1->2"]}],"rows":[{"coeffs":{"T2":1,"T1":-1}},'
+    '{"coeffs":{"T1":1,"T2":-1,"alpha":1}}],"target":{"coeffs":{"alpha":1}}}'
+)
+
+
+def test_ladder_stops_once_a_closure_round_adds_no_class(monkeypatch):
+    # every rung past a round that adds no class would repeat the
+    # unrestricted rung that just failed, so the ladder stops there and
+    # the row still reports the whole depth budget; trying every depth
+    # up to 32 made 95 rung attempts
+    attempts = []
+    for name in ("_try_pool", "_try_pool_active"):
+        search = getattr(certificate, name)
+
+        def counted(*args, search=search):
+            attempts.append(len(args[1]))  # the rung's family size
+            return search(*args)
+
+        monkeypatch.setattr(certificate, name, counted)
+    cert = certificate.parse(SATURATING_CERT)
+    rc = check_row(build_universe(3, 2), cert, 0, max_depth=32)
+    assert (rc.status, rc.depth, rc.detail) == ("unverified", 32, "pool exhausted")
+    assert len(attempts) <= 8, attempts
+
+
 # the rows of the shipped certificates that need a closure round
 DEPTH_TWO_ROWS = {"prop1": (4, 10, 12), "prop2": (0, 4)}
 
