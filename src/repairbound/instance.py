@@ -12,6 +12,7 @@ never mentions two names for one entropy value.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -109,42 +110,42 @@ def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
     key[0] = 0
     key[u.full_mask] = BIGB
     closure = u.closure_mask
+    # the positions of the anchored classes in fam, and those classes
+    held_at = [i for i, r in enumerate(fam) if r in anchors] if need else []
+    held = [fam[i] for i in held_at]
     for ai, ra in enumerate(fam):
-        for rb in fam[ai:]:
-            if need and (ra in anchors) + (rb in anchors) < need:
-                continue
-            for m in orbits[rb]:
-                if m == ra:
-                    continue
-                # ra and m are closed, and so is ra & m: a closure rule
-                # whose premise holds in the intersection holds in both
-                # sets, so its conclusion lies in both
-                inter = ra & m
-                ki = key.get(inter)
-                if ki is None:
+        # how many of the pair's anchors rb must still supply
+        left = need - (ra in anchors) if need else 0
+        if left > 1:
+            continue
+        for rb in held[bisect_left(held_at, ai):] if left == 1 else fam[ai:]:
+            orbit = orbits[rb]
+            # ra and m are closed, and so is ra & m: a closure rule whose
+            # premise holds in the intersection holds in both sets, so its
+            # conclusion lies in both
+            for m, ki in zip(orbit, map(key.get, map(ra.__and__, orbit))):
+                if ki is None or m == ra:
                     continue
                 ku = key.get(closure(ra | m))
                 if ku is None:
                     continue
                 yield (ra, rb, ku, ki)
                 # never ra ⊊ m: m ≤ rb (the maximum of its orbit) ≤ ra
-                if inter == m:
+                if ra & m == m:
                     yield (ra, 0, rb, 0)
 
-    nv = u.num_vars
     for c_mask in bases:
-        outside = [v for v in range(nv) if not c_mask >> (nv - 1 - v) & 1]
-        for xi, x in enumerate(outside):
-            bx = u.var_bit(x)
-            kx = key.get(closure(c_mask | bx))
+        bits = [b for b in map(u.var_bit, range(u.num_vars)) if not c_mask & b]
+        # the class of C+x, for each variable x outside C
+        grown = [key.get(closure(c_mask | b)) for b in bits]
+        for xi, kx in enumerate(grown):
             if kx is None:
                 continue
-            for y in outside[xi + 1:]:
-                by = u.var_bit(y)
-                ky = key.get(closure(c_mask | by))
+            cx = c_mask | bits[xi]
+            for by, ky in zip(bits[xi + 1:], grown[xi + 1:]):
                 if ky is None:
                     continue
-                kxy = key.get(closure(c_mask | bx | by))
+                kxy = key.get(closure(cx | by))
                 if kxy is None:
                     continue
                 yield (kx, ky, kxy, c_mask)

@@ -395,6 +395,68 @@ def test_instances_match_canonicalizing_reference():
     assert within_yields == {4, 5}
 
 
+def scan_every_pair_instances(u, fam_masks, anchors=(), need=0, bases=()):
+    # the generator that tests the pair rule on every (ra, rb) pair and
+    # closes C+y once per (x, y) pair: instances must give its exact
+    # descriptor sequence, which the verifier's working rows follow
+    fam = sorted(fam_masks, reverse=True)
+    orbits = {r: u.orbit_masks(r) for r in fam}
+    keys = {m: r for r, orbit in orbits.items() for m in orbit}
+    keys[0] = 0
+    keys[u.full_mask] = BIGB
+    for ai, ra in enumerate(fam):
+        for rb in fam[ai:]:
+            if need and (ra in anchors) + (rb in anchors) < need:
+                continue
+            for m in orbits[rb]:
+                if m == ra:
+                    continue
+                inter = ra & m
+                ki = keys.get(inter)
+                if ki is None:
+                    continue
+                ku = keys.get(u.closure_mask(ra | m))
+                if ku is None:
+                    continue
+                yield (ra, rb, ku, ki)
+                if inter == m:
+                    yield (ra, 0, rb, 0)
+    nv = u.num_vars
+    for c_mask in bases:
+        outside = [v for v in range(nv) if not c_mask >> (nv - 1 - v) & 1]
+        for xi, x in enumerate(outside):
+            bx = u.var_bit(x)
+            kx = keys.get(u.closure_mask(c_mask | bx))
+            if kx is None:
+                continue
+            for y in outside[xi + 1:]:
+                by = u.var_bit(y)
+                ky = keys.get(u.closure_mask(c_mask | by))
+                if ky is None:
+                    continue
+                kxy = keys.get(u.closure_mask(c_mask | bx | by))
+                if kxy is None:
+                    continue
+                yield (kx, ky, kxy, c_mask)
+
+
+def test_instances_match_the_every_pair_scan():
+    # the same descriptors in the same order, for every pair rule, with
+    # and without elemental bases, anchors drawn from the family
+    rng = random.Random(2020)
+    for n, k, size in ((4, 3, 10), (5, 4, 8)):
+        for trial in range(6):
+            u = build_universe(n, k)
+            fam = random_family(u, rng, size)
+            anchors = frozenset(rng.sample(sorted(fam), rng.randrange(1, size)))
+            for bases in ((), sorted(rng.sample(sorted(fam | {0}), 3), reverse=True)):
+                for held, need in (((), 0), (anchors, 1), (anchors, 2)):
+                    got = list(instances(u, fam, held, need, bases))
+                    want = list(scan_every_pair_instances(u, fam, held, need, bases))
+                    assert got == want, (n, k, trial, bases, need)
+                    assert got or need == 2, (n, k, trial, bases, need)
+
+
 def test_pair_rules_nest_over_a_closure_round():
     # over a family grown from random classes, with the old family as
     # anchors: each rule keeps exactly the descriptors of the pairs it

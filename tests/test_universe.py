@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+import sys
 
 import pytest
 
@@ -107,7 +108,7 @@ def test_closure_of_k_nodes_spans():
 
 def test_closure_axioms_match_naive_oracle():
     rng = random.Random(101)
-    for n, k in ((3, 2), (4, 2), (4, 3), (5, 4)):
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 4), (6, 3), (6, 5)):
         u = build_universe(n, k)
         for _ in range(60):
             toks = random_token_set(rng, n)
@@ -192,9 +193,10 @@ def test_intersection_of_closed_masks_is_closed():
 
 def test_byte_tables_match_apply_perm_mask():
     # the table images, in permutation order, against the per-variable
-    # relabeling; n = 3 and 6 have a partly filled top byte
+    # relabeling, for every slot width: 2 bytes at n = 3 and 4 (n = 4
+    # fills its 16 bits exactly), 4 bytes at n = 5, 8 bytes at n = 6
     rng = random.Random(707)
-    for n, k in ((3, 2), (6, 5)):
+    for n, k in ((3, 2), (4, 3), (5, 4), (6, 5)):
         u = build_universe(n, k)
         perms = list(itertools.permutations(range(1, n + 1)))
         for _ in range(8):
@@ -226,6 +228,21 @@ def test_orbit_tables_stay_small_and_lazy():
     # 9 chunks x 16 chunk values x 720 permutations = 103,680 images
     entries = sum(len(t) for t in u._perm_tables) * len(u._perms)
     assert entries <= 150_000
+    # packed into 8-byte slots, about 0.83 MB
+    assert deep_size(u._perm_tables) <= 1_000_000
+
+
+def deep_size(obj, seen=None) -> int:
+    # bytes held by obj and by the lists and tuples it reaches, each
+    # object counted once
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple)):
+        size += sum(deep_size(x, seen) for x in obj)
+    return size
 
 
 def test_is_spanning():
