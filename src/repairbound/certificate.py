@@ -291,27 +291,28 @@ def _row_expr(row: dict, term_cols: dict) -> LinExpr:
     return LinExpr({c: v for c, v in coeffs.items() if v}, "certificate-row")
 
 
-def _lp_row(row: LinExpr) -> LPRow:
-    # The two capacity rows are pinned to equality, every other row is
-    # >= 0.  Pinning is sound for tabulated bounds, whose targets carry
-    # nonnegative alpha and beta weight, so slack in either cap only
-    # loosens the bound; rows are free to spend cap slack against entropy
-    # terms (some shipped rows carry negative cap coefficients).
-    rel = "=" if row.kind.endswith("-cap") else ">="
-    return LPRow(row.coeffs, 0, rel)
+def _pinned_caps(u: Universe) -> list:
+    """Each capacity row, then its negation: together they pin the cap
+    to equality.  Pinning is sound for tabulated bounds, whose targets
+    carry nonnegative alpha and beta weight, so slack in either cap only
+    loosens the bound; rows are free to spend cap slack against entropy
+    terms (some shipped rows carry negative cap coefficients)."""
+    rows = []
+    for cap in storage_and_bandwidth_caps(u):
+        neg = LinExpr({c: -v for c, v in cap.coeffs.items()}, "negated-" + cap.kind)
+        rows += (cap, neg)
+    return rows
 
 
 def _try_pool(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
     """Minimize the row over the cone cut out by the rung's pool and the
     pinned caps.  Returns a witness list when the minimum is zero, else None."""
     all_rows = enumerate_rows(u, fam_masks, anchors, need, bases)
-    all_rows += storage_and_bandwidth_caps(u)
-    columns = pool_columns(fam_masks)
+    all_rows += _pinned_caps(u)
     lp = LPProblem(
-        columns=columns,
+        columns=pool_columns(fam_masks),
         objective=dict(expr.coeffs),
-        rows=[_lp_row(r) for r in all_rows],
-        nonneg=set(columns),
+        rows=[LPRow(r.coeffs) for r in all_rows],
     )
     sol = solve(lp)
     if sol.status == "unbounded":
@@ -341,7 +342,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
     start = enumerate_rows(u, [b for b in bases if b], bases=bases)
     for m in sorted(fam_masks, reverse=True):
         start.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
-    start += storage_and_bandwidth_caps(u)
+    start += _pinned_caps(u)
 
     # Monotonicity instances are cheap (two nonzeros) and prune most of the
     # degenerate corners the boxed relaxation would otherwise wander through,
@@ -359,10 +360,10 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
         active.setdefault(frozenset(row.coeffs.items()), row)
 
     columns = pool_columns(fam_masks)
-    box = [LPRow({c: -1}, 1, ">=") for c in columns]
+    box = [LPRow({c: -1}, 1) for c in columns]
     n_box = len(box)
     solver = IncrementalDualSolver(
-        columns, dict(expr.coeffs), box + [_lp_row(r) for r in active.values()], set(columns)
+        columns, dict(expr.coeffs), box + [LPRow(r.coeffs) for r in active.values()]
     )
 
     batch = 200
@@ -398,7 +399,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
             key = frozenset(row.coeffs.items())
             if key not in active:
                 active[key] = row
-                fresh.append(_lp_row(row))
+                fresh.append(LPRow(row.coeffs))
         if not fresh:
             raise CertificateError("separation produced only duplicate rows")
         solver.add_rows(fresh)

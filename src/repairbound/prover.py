@@ -108,10 +108,11 @@ def default_family(
 
 
 def _check_direction(direction) -> tuple:
+    """The direction as two Fractions and the lcm of their denominators."""
     ca, cb = (Fraction(x) for x in direction)
     if ca < 0 or cb < 0 or (ca == 0 and cb == 0):
         raise ValueError("direction must be nonnegative and not both zero")
-    return ca, cb
+    return ca, cb, math.lcm(ca.denominator, cb.denominator)
 
 
 def pool_rows(u: Universe, fam: frozenset) -> list:
@@ -126,20 +127,21 @@ def pool_rows(u: Universe, fam: frozenset) -> list:
         const = coeffs.get(BIGB, 0)
         if const:
             coeffs = {c: v for c, v in coeffs.items() if c != BIGB}
-        lprows.append(LPRow(coeffs, const, ">="))
+        lprows.append(LPRow(coeffs, const))
     return lprows
 
 
 def build_lp(u: Universe, fam: frozenset, direction, rows=None) -> LPProblem:
     """The family-restricted bound LP with the spanning value fixed at
-    one: minimize the direction over alpha, beta and the family's class
-    entropies subject to every pooled constraint.  rows, when given, are
-    the family's pool_rows, built once for several directions."""
-    ca, cb = _check_direction(direction)
+    one: minimize the direction, scaled by the lcm of its denominators,
+    over alpha, beta and the family's class entropies subject to every
+    pooled constraint.  rows, when given, are the family's pool_rows,
+    built once for several directions."""
+    ca, cb, s = _check_direction(direction)
     if rows is None:
         rows = pool_rows(u, fam)
     columns = [c for c in pool_columns(fam) if c != BIGB]
-    return LPProblem(columns, {ALPHA: ca, BETA: cb}, rows, set(columns))
+    return LPProblem(columns, {ALPHA: int(ca * s), BETA: int(cb * s)}, rows)
 
 
 def _display_order(coeffs: dict) -> list:
@@ -159,13 +161,15 @@ def prove(
     gcd, and written out pre-multiplied; reduced costs on columns the
     optimum left out of play become one trailing all-positive row.  The
     result is re-verified before return.  rows are passed on to build_lp.
+    The target is built from build_lp's integer objective, and the LP's
+    value is divided by the direction's scale for the proved value.
     """
     lp = build_lp(u, fam, direction, rows)
-    ca, cb = lp.objective[ALPHA], lp.objective[BETA]
+    ca, cb, s = _check_direction(direction)
     sol = solve(lp)
     if sol.status != "optimal":
         raise LPError(f"bound LP came back {sol.status}")
-    value = sol.value
+    value = sol.value / s
 
     reduced = dict(lp.objective)
     for lam, row in zip(sol.duals, lp.rows):
@@ -203,7 +207,11 @@ def prove(
         rows_json.append(row_json)
 
     scale = Fraction(lcm, g)
-    target_full = {BETA: cb * scale, ALPHA: ca * scale, BIGB: -value * scale}
+    target_full = {
+        BETA: lp.objective[BETA] * scale,
+        ALPHA: lp.objective[ALPHA] * scale,
+        BIGB: -sol.value * scale,
+    }
     target = {}
     for col, v in target_full.items():
         if v:

@@ -1,17 +1,16 @@
 """Exact rational linear programming with certified dual multipliers.
 
-Minimizes a sparse rational objective over rows of the form
-``coeffs . x + const >= 0`` (or ``= 0``) with a declared set of
-nonnegative columns.  Every objective value, coefficient and constant is
-an int or a fractions.Fraction, read through ``.numerator`` and
-``.denominator`` and never re-wrapped; the package's own rows are all
-integers.  An optimal answer is accepted only after an exact certificate
-check (primal feasibility, dual feasibility, equal objective values),
-made in integers over common denominators, so a returned "optimal" is a
-proof, not an estimate.
+Solves one form: minimize a sparse integer objective over ``x >= 0``
+subject to integer rows ``coeffs . x + const >= 0``.  An equality is
+written as a row and its negation, a free column as the difference of
+two nonnegative ones, and rational data are scaled to integers by the
+caller; every objective value, coefficient and constant must be an int.
+An optimal answer is accepted only after an exact certificate check
+(primal feasibility, dual feasibility, equal objective values), made in
+integers over common denominators, so a returned "optimal" is a proof,
+not an estimate.
 
-The solver is a two-phase revised simplex over Python integers.  Each
-standard-form row is scaled once by the lcm of its denominators, and the
+The solver is a two-phase revised simplex over Python integers.  The
 basis inverse is kept fraction-free (Edmonds 1967; Bareiss 1968) as the
 integer matrix ``M = D·B⁻¹`` over one common denominator
 ``D = |det B|``, updated by exact integer division at every pivot.  Each
@@ -41,12 +40,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 ZERO = Fraction(0)
-RATIONAL = (int, Fraction)
 
 log = logging.getLogger("repairbound.ratlp")
 
@@ -57,21 +55,21 @@ class LPError(ValueError):
 
 @dataclass
 class LPRow:
-    """The row coeffs . x + const >= 0 (rel ">=") or = 0 (rel "=").  The
-    solvers only read a row, never mutate it, so its coeffs dict may be
-    shared with the caller's own rows."""
+    """The row coeffs . x + const >= 0, in integers.  The solvers only
+    read a row, never mutate it, so its coeffs dict may be shared with
+    the caller's own rows."""
 
     coeffs: dict
-    const: int | Fraction = 0
-    rel: str = ">="
+    const: int = 0
 
 
 @dataclass
 class LPProblem:
+    """Minimize objective . x over x >= 0 subject to every row."""
+
     columns: list
     objective: dict
     rows: list
-    nonneg: set = field(default_factory=set)
 
 
 @dataclass
@@ -89,43 +87,34 @@ def _validate(lp: LPProblem):
     for c, v in lp.objective.items():
         if c not in colset:
             raise LPError(f"objective references unknown column {c!r}")
-        if not isinstance(v, RATIONAL):
-            raise LPError(f"objective value {v!r} of column {c!r} is not rational")
-    for c in lp.nonneg:
-        if c not in colset:
-            raise LPError(f"nonneg references unknown column {c!r}")
+        if not isinstance(v, int):
+            raise LPError(f"objective value {v!r} of column {c!r} is not an int")
     for i, r in enumerate(lp.rows):
-        if r.rel not in (">=", "="):
-            raise LPError(f"row {i} has unknown relation {r.rel!r}")
-        if not isinstance(r.const, RATIONAL):
-            raise LPError(f"row {i} constant {r.const!r} is not rational")
+        if not isinstance(r.const, int):
+            raise LPError(f"row {i} constant {r.const!r} is not an int")
         for c, v in r.coeffs.items():
             if c not in colset:
                 raise LPError(f"row {i} references unknown column {c!r}")
-            if not isinstance(v, RATIONAL):
-                raise LPError(f"row {i} coefficient {v!r} of column {c!r} is not rational")
+            if not isinstance(v, int):
+                raise LPError(f"row {i} coefficient {v!r} of column {c!r} is not an int")
 
 
 class _Simplex:
     """Standard form of the explicit dual of an LPProblem and a simplex
     basis over it, in integers.
 
-    Row p of the dual is column p of the problem: ``Σ_i a_ip·y_i <= c_p``,
-    an inequality for a nonneg column and an equality for a free one.
-    Column i of the dual is y_i, the multiplier of row i of the problem,
-    with cost ``const_i``, split in two halves (free) for an equality row.
-    The y columns come first, in row order, then the slacks of the
-    inequality rows, in column order, then the artificials.  Row p is
-    signed by ``rsign[p]`` so its right-hand side is nonnegative and a
-    slack on a zero side is +1, and scaled by ``rscale[p] > 0`` so its
-    entries are integers; every starting basic column is +rscale[p] in
-    row p.  The basis is held as ``M = D·B⁻¹`` and ``xb = D·x_B``, both
-    integer, with ``D = |det B|``; row r of M is a dict {i: entry} of
-    its nonzero entries.  ``run`` carries the duals ``y = cost_B·M``
-    through each pivot instead of recomputing them.  ``lex`` stays True
-    while every row at zero leads with a positive entry of M.  ``cost``
-    is the phase-2 cost times ``cscale``, in integers; it stays None
-    when the dual is infeasible.
+    Row p of the dual is column p of the problem: ``Σ_i a_ip·y_i <= c_p``.
+    Column i of the dual is y_i >= 0, the multiplier of row i of the
+    problem, with cost ``const_i``.  The y columns come first, in row
+    order, then the slack of each dual row, then the artificials.  Row p is signed by ``rsign[p]`` so its right-hand side
+    is nonnegative and a slack on a zero side is +1; every starting basic
+    column is +1 in its row p.  The basis is held as ``M = D·B⁻¹`` and
+    ``xb = D·x_B``, both integer, with ``D = |det B|``; row r of M is a
+    dict {i: entry} of its nonzero entries.  ``run`` carries the duals
+    ``y = cost_B·M`` through each pivot instead of recomputing them.
+    ``lex`` stays True while every row at zero leads with a positive
+    entry of M.  ``cost`` is the phase-2 cost; it stays None when the
+    dual is infeasible.
     """
 
     def __init__(self, lp: LPProblem):
@@ -133,73 +122,47 @@ class _Simplex:
         self.m = m
         self.colpos = {col: p for p, col in enumerate(lp.columns)}
         obj = [lp.objective.get(col, 0) for col in lp.columns]
-        self.rscale = [c.denominator for c in obj]
-        for r in lp.rows:
-            for col, v in r.coeffs.items():
-                if v.denominator != 1:
-                    p = self.colpos[col]
-                    self.rscale[p] = math.lcm(self.rscale[p], v.denominator)
-        # makes -c_p >= 0, and +1 the slack of a nonneg column with c_p = 0
-        self.rsign = [-1 if c > 0 or c == 0 and col in lp.nonneg else 1
-                      for c, col in zip(obj, lp.columns)]
-        b = [-s * c.numerator * (scale // c.denominator)
-             for s, c, scale in zip(self.rsign, obj, self.rscale)]
-        self.svars, self.cols, self.is_art = [], [], []  # svars: (kind, payload, sign)
+        # makes -c_p >= 0, and +1 the slack of a column with c_p = 0
+        self.rsign = [-1 if c >= 0 else 1 for c in obj]
+        self.svars, self.cols, self.is_art = [], [], []  # svars: (kind, payload)
         self.append_rows(lp.rows, 0)
-        slack = {}
-        for p, col in enumerate(lp.columns):
-            if col in lp.nonneg:
-                slack[p] = len(self.svars)
-                self._add("slack", p, 1, [(p, -self.rsign[p] * self.rscale[p])])
-        # the starting basis is positive diagonal: M is its adjugate
-        self.D = math.prod(self.rscale)
+        slacks = len(self.svars)
+        for p in range(m):
+            self._add("slack", p, [(p, -self.rsign[p])])
+        # the starting basis is the identity, so M is too
+        self.D = 1
         self.basis = [-1] * m
         self.M = [None] * m
-        self.xb = [0] * m
+        self.xb = [abs(c) for c in obj]
         for p in range(m):
-            j = slack.get(p)
-            # a slack starts the basis when its entry is +rscale
-            if j is None or self.rsign[p] > 0:
+            j = slacks + p
+            if self.rsign[p] > 0:  # the slack is -1: an artificial starts
                 j = len(self.svars)
-                self._add("art", p, 1, [(p, self.rscale[p])])
+                self._add("art", p, [(p, 1)])
             self.basis[p] = j
-            self.M[p] = {p: self.D // self.rscale[p]}
-            self.xb[p] = self.D // self.rscale[p] * b[p]
+            self.M[p] = {p: 1}
         self.basis_set = set(self.basis)
         # every row starts lexicographically positive: M[p][p] > 0
         self.lex = True
         self.cost = None
-        self.cscale = 1
         self.reset_counts()
 
-    def _add(self, kind, payload, sign, entries):
-        self.svars.append((kind, payload, sign))
+    def _add(self, kind, payload, entries):
+        self.svars.append((kind, payload))
         self.cols.append(entries)
         self.is_art.append(kind == "art")
 
     def append_rows(self, rows, first):
         """Append rows first, first+1, ... of the problem as the dual
-        columns y_i, each entry v of column p scaled to the integer
-        -v·rsign[p]·rscale[p].  Raises LPError, appending nothing, when
-        an entry of the batch is not an integer at that scale."""
-        scaled = []
+        columns y_i, each entry v of column p signed to -v·rsign[p]."""
+        colpos, rsign = self.colpos, self.rsign
         for i, r in enumerate(rows, first):
             entries = []
             for col, v in r.coeffs.items():
                 if v:
-                    p = self.colpos[col]
-                    e, rem = divmod(-v.numerator * self.rsign[p] * self.rscale[p], v.denominator)
-                    if rem:
-                        raise LPError(
-                            f"row {i} entry {v} for column {col!r} is not "
-                            "integral at the scale of its dual row"
-                        )
-                    entries.append((p, e))
-            scaled.append((i, r.rel, entries))
-        for i, rel, entries in scaled:
-            self._add("y", i, 1, entries)
-            if rel == "=":
-                self._add("y", i, -1, [(p, -e) for p, e in entries])
+                    p = colpos[col]
+                    entries.append((p, -v * rsign[p]))
+            self._add("y", i, entries)
 
     def reset_counts(self):
         """Start the deterministic counters: pivots, degenerate pivots,
@@ -384,20 +347,19 @@ class _Simplex:
     def value(self):
         """The phase-2 objective at the current basis."""
         num = sum(self.cost[j] * x for j, x in zip(self.basis, self.xb))
-        return Fraction(num, self.D * self.cscale)
+        return Fraction(num, self.D)
 
     def basic_columns(self):
-        """(row index i, signed value) of every basic y column."""
+        """(row index i, value) of every basic y column."""
         for j, x in zip(self.basis, self.xb):
-            kind, i, sgn = self.svars[j]
+            kind, i = self.svars[j]
             if kind == "y":
-                yield i, Fraction(sgn * x, self.D)
+                yield i, Fraction(x, self.D)
 
     def duals(self):
         """The phase-2 simplex multipliers, one per column of the problem,
         in the units of its sign-normalized dual rows."""
-        den = self.D * self.cscale
-        return [Fraction(z * s, den) for z, s in zip(self._duals(self.cost), self.rscale)]
+        return [Fraction(z, self.D) for z in self._duals(self.cost)]
 
 
 def _phase1(lp: LPProblem) -> _Simplex:
@@ -412,9 +374,7 @@ def _phase1(lp: LPProblem) -> _Simplex:
         if sx.artificial_positive():
             return sx
     sx.drive_out_artificials()
-    cost = [sgn * lp.rows[i].const if kind == "y" else 0 for kind, i, sgn in sx.svars]
-    sx.cscale = scale = math.lcm(*(c.denominator for c in cost))
-    sx.cost = [c.numerator * (scale // c.denominator) for c in cost]
+    sx.cost = [lp.rows[i].const if kind == "y" else 0 for kind, i in sx.svars]
     return sx
 
 
@@ -440,7 +400,7 @@ def _dual_answer(lp: LPProblem, sx: _Simplex) -> LPSolution:
     Certified against lp itself before return."""
     duals = [ZERO] * len(lp.rows)
     for i, v in sx.basic_columns():
-        duals[i] += v
+        duals[i] = v
     y = sx.duals()
     primal = {col: y[p] * sx.rsign[p] for p, col in enumerate(lp.columns)}
     sol = LPSolution("optimal", -sx.value(), primal, duals)
@@ -458,15 +418,14 @@ class IncrementalDualSolver:
     feasible and each re-solve costs marginal pivots instead of a run
     from scratch.  The row set must keep the problem feasible and
     bounded at every stage (e.g. a cone intersected with a box); a stage
-    that is not raises LPError.  Appended rows must be inequalities with
-    zero constant whose rational entries stay integral at the scale of
-    their dual rows, as integer coefficients always do; add_rows raises
-    LPError on a batch with any other row and appends none of it.  Every
-    solve() is certified exactly before return.
+    that is not raises LPError.  The data are those of an LPProblem, and
+    appended rows must also have zero constant; add_rows raises LPError
+    on a batch with any other row and appends none of it.  Every solve()
+    is certified exactly before return.
     """
 
-    def __init__(self, columns, objective, rows, nonneg):
-        self._plp = LPProblem(list(columns), dict(objective), list(rows), set(nonneg))
+    def __init__(self, columns, objective, rows):
+        self._plp = LPProblem(list(columns), dict(objective), list(rows))
         _validate(self._plp)
         self._sx = _phase1(self._plp)
         # the solves keep lowest-index ties: with lexicographic ones the
@@ -479,8 +438,8 @@ class IncrementalDualSolver:
     def add_rows(self, rows):
         rows = list(rows)
         _validate(LPProblem(self._plp.columns, {}, rows))
-        if any(r.rel != ">=" or r.const for r in rows):
-            raise LPError("appended rows must be homogeneous inequalities")
+        if any(r.const for r in rows):
+            raise LPError("appended rows must be homogeneous")
         sx = self._sx
         sx.append_rows(rows, len(self._plp.rows))
         self._plp.rows += rows
@@ -497,7 +456,7 @@ class IncrementalDualSolver:
 
 def _zero_is_feasible(lp: LPProblem) -> bool:
     """Whether x = 0 satisfies every row, as it does on a cone."""
-    return all(r.const >= 0 if r.rel == ">=" else r.const == 0 for r in lp.rows)
+    return all(r.const >= 0 for r in lp.rows)
 
 
 def solve(lp: LPProblem) -> LPSolution:
@@ -519,7 +478,7 @@ def solve(lp: LPProblem) -> LPSolution:
         # dual infeasible: lp is unbounded if it is feasible at all.  The
         # dual of lp's zero-objective form is feasible at y = 0 and is
         # bounded exactly when lp is feasible.
-        probe = _phase1(LPProblem(lp.columns, {}, lp.rows, lp.nonneg))
+        probe = _phase1(LPProblem(lp.columns, {}, lp.rows))
         runs.append(probe)
         bounded = probe.run(probe.cost, ban_art=True) == "optimal"
         sol = LPSolution("unbounded" if bounded else "infeasible", None, {}, [])
@@ -533,13 +492,12 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     all in one pass over the rows.
 
     The primal is taken over the lcm X of its denominators, and each
-    row's feasibility is read from X times the row at x: an integer on
-    an integer row, a Fraction on any other.  Each row with λ != 0 is
-    scaled by the lcm s of its own denominators (1 for an integer row),
-    and the reduced costs are summed in integers over the lcm L of the
-    denominators of the multipliers λ/s and compared with the objective
-    by cross-multiplication.  On integer rows, Fractions appear once per
-    row with λ != 0 and once per objective value."""
+    row's feasibility is read from X times the row at x.  The reduced
+    costs are summed over the lcm L of the denominators of the
+    multipliers λ and compared with L times the objective.  On integer
+    data every sum is an integer, and the only new Fractions are the two
+    objective values compared; on rational data, which solve refuses,
+    the same sums stay exact in Fractions, only slower."""
     if sol.status != "optimal" or sol.value is None:
         return False
     if len(sol.duals) != len(lp.rows):
@@ -547,40 +505,28 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     x = {c: sol.primal.get(c, 0) for c in lp.columns}
     X = math.lcm(*(v.denominator for v in x.values()))
     x = {c: v.numerator * (X // v.denominator) for c, v in x.items()}
-    for c in lp.nonneg:
-        if x[c] < 0:
-            return False
-    support = []  # (λ/s, s·const, s·coeffs) of every row with λ != 0
+    if any(v < 0 for v in x.values()):
+        return False
+    support = []  # (λ, row) of every row with λ != 0
     for r, lam in zip(lp.rows, sol.duals):
-        const, coeffs = r.const, r.coeffs
-        v = const * X  # X times the row at x: an int on an integer row
-        for c, cv in coeffs.items():
+        v = r.const * X  # X times the row at x
+        for c, cv in r.coeffs.items():
             v += cv * x[c]
         sign = lam.numerator
-        if r.rel == ">=":
-            if v < 0 or sign < 0:
-                return False
-        elif v:
+        if v < 0 or sign < 0:
             return False
         if sign:
-            s = math.lcm(const.denominator, *(cv.denominator for cv in coeffs.values()))
-            support.append((
-                Fraction(sign, lam.denominator * s),
-                const.numerator * (s // const.denominator),
-                [(c, cv.numerator * (s // cv.denominator)) for c, cv in coeffs.items()],
-            ))
-    L = math.lcm(*(q.denominator for q, _, _ in support))
+            support.append((lam, r))
+    L = math.lcm(*(lam.denominator for lam, _ in support))
     rc = dict.fromkeys(lp.columns, 0)  # L · Σ λ·row, per column
     dval = 0  # L · Σ -λ·const
-    for q, const, coeffs in support:
-        m = q.numerator * (L // q.denominator)
-        dval -= m * const
-        for c, cv in coeffs:
+    for lam, r in support:
+        m = lam.numerator * (L // lam.denominator)
+        dval -= m * r.const
+        for c, cv in r.coeffs.items():
             rc[c] += m * cv
     for c, v in rc.items():
-        o = lp.objective.get(c, 0)
-        v = o.numerator * L - v * o.denominator  # the reduced cost's sign
-        if v < 0 if c in lp.nonneg else v:
+        if lp.objective.get(c, 0) * L < v:
             return False
     pval = Fraction(sum(v * x[c] for c, v in lp.objective.items()), X)
     return pval == Fraction(dval, L) == sol.value

@@ -167,17 +167,18 @@ def test_criterion_7_property_suites():
             assert sum(row.values()) >= 0
 
     # exact strong duality against a brute-force vertex oracle
-    from test_ratlp import brute_force_box_min, random_lp
+    from test_ratlp import brute_force_box_min, canonical, random_lp
 
     oracle_rng = random.Random(2026)
     checked = 0
     for _ in range(40):
         lp = random_lp(oracle_rng, max_cols=4, max_rows=6)
-        sol = solve(lp)
+        one_form, back = canonical(lp)
+        sol = solve(one_form)
         if sol.status != "optimal":
             continue
-        assert check_duals(lp, sol)
-        assert brute_force_box_min(lp, 10**9) == sol.value
+        assert check_duals(one_form, sol)
+        assert brute_force_box_min(lp, 10**9) == back(sol).value
         checked += 1
     assert checked >= 10
 

@@ -161,6 +161,25 @@ def test_prove_scale_equivariance(u54, base54):
     assert check_sum(two.certificate)[1] == check_sum(one.certificate)[1] == (3, 1, 1)
 
 
+def test_prove_fractional_direction_matches_its_integer_multiple():
+    # build_lp scales (1/2, 1/3) by 6 to the integer objective (3, 2), so
+    # both directions solve one LP: the same rows, terms and target, at
+    # one sixth of the value
+    u = build_universe(4, 3)
+    fam = default_family(u, depth=1)
+    rows = pool_rows(u, fam)
+    half_third = (Fraction(1, 2), Fraction(1, 3))
+    assert build_lp(u, fam, half_third, rows).objective == {"alpha": 3, "beta": 2}
+    frac = prove(u, fam, half_third, rows=rows)
+    whole = prove(u, fam, (3, 2), rows=rows)
+    c, w = frac.certificate, whole.certificate
+    assert (c.rows, c.terms, c.target) == (w.rows, w.terms, w.target)
+    assert frac.value == whole.value / 6
+    assert frac.direction == half_third
+    assert c.meta["direction"] == ["1/2", "1/3"]
+    assert c.meta["value"] == str(frac.value)
+
+
 def test_prove_union_family_facets(u54, union54):
     pb = prove(u54, union54, (15, 10))
     assert pb.value == 6

@@ -97,6 +97,32 @@ def test_check_row_uses_equality_anchors():
     assert check_row(u, cert, 1).status == "valid"
 
 
+def one_row_cert(tokens, row):
+    return Certificate(5, 4, 4, {"T1": tokens}, [row], dict(row))
+
+
+def test_witness_multipliers_are_positive():
+    # each cap is pinned as the cap row and then its negation, so every
+    # witness is a positive combination of rows that are each >= 0
+    u = build_universe(5, 4)
+    for name in ("prop1", "prop2"):
+        report = verify(u, load(DATA / f"{name}.cert.json"))
+        assert report.overall == "VALID"
+        for rc in report.row_status:
+            assert all(lam > 0 for lam, _ in rc.witness), (name, rc.index)
+    for tokens, row, cap in (
+        (("W1",), {"T1": 1, "alpha": -1}, "negated-storage-cap"),
+        (("W1",), {"T1": 2, "alpha": -1}, "negated-storage-cap"),
+        (("S1->2",), {"T1": 1, "beta": -1}, "negated-bandwidth-cap"),
+    ):
+        rc = check_row(u, one_row_cert(tokens, row), 0)
+        assert (rc.status, rc.depth) == ("valid", 1), row
+        assert all(lam > 0 for lam, _ in rc.witness), row
+        assert cap in [r.kind for _, r in rc.witness], row
+    rc = check_row(u, one_row_cert(("W1",), {"T1": 1, "alpha": -2}), 0)
+    assert rc.status == "unverified"
+
+
 def test_verify_unverified_overall():
     u = build_universe(5, 4)
     rows = CHAIN_ROWS + [{"T2": 1, "T1": -2}, {"T1": 2, "T2": -1}]
@@ -338,9 +364,9 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
     init, add_rows = IncrementalDualSolver.__init__, IncrementalDualSolver.add_rows
 
-    def recorded_init(solver, columns, objective, rows, nonneg):
+    def recorded_init(solver, columns, objective, rows):
         given[solver] = list(rows)
-        init(solver, columns, objective, rows, nonneg)
+        init(solver, columns, objective, rows)
 
     def recorded_add_rows(solver, rows):
         rows = list(rows)
