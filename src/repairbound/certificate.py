@@ -366,7 +366,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
         columns, dict(expr.coeffs), box + [LPRow(r.coeffs) for r in active.values()]
     )
 
-    batch = 200
+    batch = 100
     for _ in range(200):
         sol = solver.solve()
         if sol.value == 0:

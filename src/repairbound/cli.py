@@ -154,7 +154,7 @@ OPTIONS = (
 def _read_config(path) -> dict:
     """Parse a key=value file; repeated keys accumulate in order."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         _fail(f"cannot read config file: {e}")
     values: dict = {}
@@ -239,7 +239,7 @@ def provenance(opts: dict) -> list:
                 lines.append(f"{name}={','.join(str(x) for x in v)}")
             elif v is not None and v is not False and v != "":
                 lines.append(f"{name}={v}")
-    lines.append(f"log-level={os.environ.get('REPAIRBOUND_LOG', 'WARNING').upper()}")
+    lines.append(f"log-level={_log_level()}")
     return lines
 
 
@@ -419,21 +419,24 @@ def cmd_solve(opts) -> int:
 def cmd_region(opts) -> int:
     planes = []
     certs = []  # (source, certificate); each plane is used only once verified
-    n, k = opts["n"], opts["k"]
+    # every source is for one problem: the one the flags give, else the
+    # built-in one, else the first certificate's
+    problem = (opts["n"], opts["k"], opts["d"])
     if opts["builtin-eq1"]:
-        if (n, k) not in ((None, None), (5, 4)) or opts["d"] not in (None, 4):
+        if problem[:2] not in ((None, None), (5, 4)) or problem[2] not in (None, 4):
             _fail("the built-in region is for n=5, k=4, d=4")
-        planes += facets(5, 4, 4)
+        problem = (5, 4, 4)
+        planes += facets(*problem)
         certs += [(f"bundled {name}", load_bundled(name)) for name in ("prop1", "prop2")]
     if opts["cutset"]:
         planes += _cutset(opts, "--cutset needs --n and --k")
-    asked = (n, k, opts["d"])
-    shown = 2 if opts["d"] is None else 3  # (n,k), or (n,k,d) once --d is given
     for path in opts["cert"]:
         cert = _load(load, path)
-        if any(a is not None and a != c for a, c in zip(asked, cert.problem)):
-            have, want = (",".join(map(str, p[:shown])) for p in (cert.problem, asked))
+        if any(a is not None and a != c for a, c in zip(problem, cert.problem)):
+            shown = 3 if cert.problem[:2] == problem[:2] else 2  # d only when it differs
+            have, want = (",".join(map(str, p[:shown])) for p in (cert.problem, problem))
             _fail(f"{path}: certificate is for ({have}), not ({want})")
+        problem = tuple(c if a is None else a for a, c in zip(problem, cert.problem))
         certs.append((path, cert))
     universes = {}  # one per problem, shared by its certificates
     for source, cert in certs:
@@ -513,16 +516,21 @@ class _StderrHandler(logging.StreamHandler):
         pass
 
 
+def _log_level() -> str:
+    """The level that REPAIRBOUND_LOG names; a name that is not a level
+    means WARNING."""
+    name = os.environ.get("REPAIRBOUND_LOG", "WARNING").upper()
+    return name if isinstance(getattr(logging, name, None), int) else "WARNING"
+
+
 def _configure_logging():
     """Give the package logger its one stderr handler, and take its level
-    from REPAIRBOUND_LOG on every call; a name that is not a level means
-    WARNING."""
+    from REPAIRBOUND_LOG on every call."""
     if not any(isinstance(h, _StderrHandler) for h in log.handlers):
         handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
         log.addHandler(handler)
-    level = getattr(logging, os.environ.get("REPAIRBOUND_LOG", "WARNING").upper(), None)
-    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    log.setLevel(_log_level())
 
 
 def main(argv=None) -> int:

@@ -19,16 +19,14 @@ basis stores, not m², and the integer duals ``y = cost_B·M`` are computed
 once per run and then carried through each pivot by the same exact step.
 Pricing and ratio tests compare integers, so each pivot is the one exact
 rational arithmetic would choose; fractions appear only where an answer
-is read back.  Pricing is partial most-negative.  Phase 1 of both
-solvers and phase 2 of ``solve`` break ratio ties lexicographically
-(Dantzig, Orden & Wolfe 1955), which cannot cycle and halves the pivots
-on the degenerate bound LPs.  A phase 2 after an artificial was driven
-out, whose pivot may be negative, and every
-``IncrementalDualSolver.solve``, where lexicographic ties made
-separation append more rows, break ties by lowest basic index, with a
-Bland interlude after a long stall.  The tie rule picks which optimal
-vertex is reached, so a certificate may list different rows for the
-same bound.  Every run is deterministic.  Every problem is solved
+is read back.  Pricing is partial most-negative.  Every run breaks
+ratio ties lexicographically (Dantzig, Orden & Wolfe 1955), which
+cannot cycle and halves the pivots on the degenerate bound LPs.  The
+order is anchored at the starting basis and again after an artificial
+is driven out, and an ``IncrementalDualSolver`` keeps its anchor across
+appended rows and solves.  The tie rule picks which optimal vertex is
+reached, so a certificate may list different rows for the same bound.
+Every run is deterministic.  Every problem is solved
 through its explicit dual, built in standard form straight from the
 problem: its simplex basis has one row per column of the problem and so
 stays small on the tall bound LPs, and each row of the problem, given or
@@ -112,8 +110,8 @@ class _Simplex:
     ``xb = D·x_B``, both integer, with ``D = |det B|``; row r of M is a
     dict {i: entry} of its nonzero entries.  ``run`` carries the duals
     ``y = cost_B·M`` through each pivot instead of recomputing them.
-    ``lex`` stays True while every row at zero leads with a positive
-    entry of M.  ``cost`` is the phase-2 cost; it stays None when the
+    Ratio ties are broken by the rows of M·B_a for the anchor basis B_a
+    (``_anchor``).  ``cost`` is the phase-2 cost; it stays None when the
     dual is infeasible.
     """
 
@@ -142,8 +140,7 @@ class _Simplex:
             self.basis[p] = j
             self.M[p] = {p: 1}
         self.basis_set = set(self.basis)
-        # every row starts lexicographically positive: M[p][p] > 0
-        self.lex = True
+        self._anchor()
         self.cost = None
         self.reset_counts()
 
@@ -165,9 +162,9 @@ class _Simplex:
             self._add("y", i, entries)
 
     def reset_counts(self):
-        """Start the deterministic counters: pivots, degenerate pivots,
-        switches to Bland's rule, and the largest bit length of D."""
-        self.pivots = self.degenerate = self.bland_switches = 0
+        """Start the deterministic counters: pivots, degenerate pivots and
+        the largest bit length of D."""
+        self.pivots = self.degenerate = 0
         self.det_bits = self.D.bit_length()
 
     def _duals(self, cost):
@@ -248,41 +245,47 @@ class _Simplex:
                     break
         return enter, best
 
+    def _anchor(self):
+        """Order ratio ties from the current basis B_a on: by the rows of
+        M·B_a, read in increasing position s of B_a.  ``anchor[s]`` is the
+        column of B_a at s and ``touch[i]`` the positions whose column has
+        an entry in row i, so a row of M·B_a is read where that row of M
+        is stored.  At B_a every row is D·e_r."""
+        self.anchor = [self.cols[j] for j in self.basis]
+        self.touch = [[] for _ in range(self.m)]
+        for s, col in enumerate(self.anchor):
+            for i, _ in col:
+                self.touch[i].append(s)
+
     def _lex_less(self, r, l, ur, ul):
-        """Whether M[r]/ur precedes M[l]/ul lexicographically, read in
-        increasing k and compared by cross products.  Two rows of the
-        nonsingular M never compare equal."""
-        a, b = self.M[r], self.M[l]
-        for k in sorted(a.keys() | b.keys()):
-            x, z = a.get(k, 0) * ul, b.get(k, 0) * ur
+        """Whether row r of M·B_a over ur precedes row l over ul
+        lexicographically, compared by cross products.  Two rows of the
+        nonsingular M·B_a never compare equal."""
+        a, b, touch = self.M[r], self.M[l], self.touch
+        for s in sorted({s for i in a.keys() | b.keys() for s in touch[i]}):
+            x = z = 0
+            for i, v in self.anchor[s]:
+                x += a.get(i, 0) * v
+                z += b.get(i, 0) * v
+            x, z = x * ul, z * ur
             if x != z:
                 return x < z
         return False
 
     def run(self, cost, ban_art):
         # Partial most-negative pricing moves fast through degenerate
-        # stretches.  A run from a lexicographically positive basis
-        # (self.lex) breaks ratio ties by the rows of M, which is the ratio
-        # test of the right-hand side perturbed by B0·(ε, ε², …) for the
-        # starting basis B0, so every row stays positive in the perturbed
-        # order and the run cannot cycle.  Any other run breaks ties by
-        # lowest basic index, and a strict Bland interlude after a long
-        # stall keeps it cycle-free.  Deterministic throughout.  The
-        # duals y = cost_B·M are computed once and then carried through
-        # each pivot by the same exact step as the rows of M.
-        lex = self.lex
-        stall_limit = 2 * self.m + 16
+        # stretches.  Ratio ties are broken by the rows of M·B_a, which is
+        # the ratio test of the right-hand side perturbed by B_a·(ε, ε², …)
+        # for the anchor basis B_a: every row starts and stays positive in
+        # the perturbed order, so the run cannot cycle.  The duals
+        # y = cost_B·M are computed once and then carried through each
+        # pivot by the same exact step as the rows of M.
         batch = 24
         start = 0
-        stall = 0
-        bland = False
-        xb, basis = self.xb, self.basis
+        xb = self.xb
         y = self._duals(cost)
         while True:
-            if bland:  # Bland's rule: the lowest-index improving column
-                enter, rc = self._price_partial(cost, y, ban_art, 0, 1)
-            else:
-                enter, rc = self._price_partial(cost, y, ban_art, start, batch)
+            enter, rc = self._price_partial(cost, y, ban_art, start, batch)
             if enter < 0:
                 return "optimal"
             start = enter + 1
@@ -295,14 +298,10 @@ class _Simplex:
                         leave = r
                         continue
                     lhs, rhs = xb[r] * u[leave], xb[leave] * ur
-                    if lhs < rhs or lhs == rhs and (
-                        self._lex_less(r, leave, ur, u[leave]) if lex
-                        else basis[r] < basis[leave]
-                    ):
+                    if lhs < rhs or lhs == rhs and self._lex_less(r, leave, ur, u[leave]):
                         leave = r
             if leave < 0:
                 return "unbounded"
-            degenerate = not xb[leave]
             d = self.D
             self._pivot(leave, enter, u)
             # y' = (p·y + rc·M'[leave]) / D, with p and M'[leave] the new
@@ -312,22 +311,13 @@ class _Simplex:
             for k, c in self.M[leave].items():
                 y[k] += rc * c
             y = [v // d for v in y]
-            if lex:
-                continue
-            if degenerate:
-                stall += 1
-                if stall > stall_limit and not bland:
-                    bland = True
-                    self.bland_switches += 1
-            else:
-                stall = 0
-                bland = False
 
     def artificial_positive(self):
         """True when some artificial is basic at a nonzero value."""
         return any(x for j, x in zip(self.basis, self.xb) if self.is_art[j])
 
     def drive_out_artificials(self):
+        pivots = self.pivots
         for r in range(self.m):
             if not self.is_art[self.basis[r]]:
                 continue
@@ -338,9 +328,12 @@ class _Simplex:
                 if sum(row.get(i, 0) * v for i, v in self.cols[j]):
                     # degenerate pivot: the artificial sits at zero, so
                     # the basic solution is unchanged
-                    self.lex = False  # the pivot may be negative
                     self._pivot(r, j, self._column_in_basis_frame(j))
                     break
+        if self.pivots != pivots:
+            # the pivot may be negative; at the new anchor every row is
+            # positive again
+            self._anchor()
 
     # -- answers, read back in fractions ----------------------------------
 
@@ -383,13 +376,12 @@ def _log_counts(what: str, lp: LPProblem, runs):
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "%s: %d rows, %d columns, %d pivots (%d degenerate), "
-            "%d Bland switches, determinant bits %d",
+            "determinant bits %d",
             what,
             len(lp.rows),
             len(lp.columns),
             sum(sx.pivots for sx in runs),
             sum(sx.degenerate for sx in runs),
-            sum(sx.bland_switches for sx in runs),
             max(sx.det_bits for sx in runs),
         )
 
@@ -418,19 +410,17 @@ class IncrementalDualSolver:
     feasible and each re-solve costs marginal pivots instead of a run
     from scratch.  The row set must keep the problem feasible and
     bounded at every stage (e.g. a cone intersected with a box); a stage
-    that is not raises LPError.  The data are those of an LPProblem, and
-    appended rows must also have zero constant; add_rows raises LPError
-    on a batch with any other row and appends none of it.  Every solve()
-    is certified exactly before return.
+    that is not raises LPError.  The data are those of an LPProblem,
+    given or appended, and an appended row's constant is the cost of its
+    dual column; add_rows raises LPError on a batch with a malformed row
+    and appends none of it.  Every solve() is certified exactly before
+    return.
     """
 
     def __init__(self, columns, objective, rows):
         self._plp = LPProblem(list(columns), dict(objective), list(rows))
         _validate(self._plp)
         self._sx = _phase1(self._plp)
-        # the solves keep lowest-index ties: with lexicographic ones the
-        # verifier's separation appends more rows before it stops
-        self._sx.lex = False
         _log_counts("incremental phase 1 (dual)", self._plp, [self._sx])
         if self._sx.cost is None:
             raise LPError("unbounded stage in incremental solver")
@@ -438,12 +428,10 @@ class IncrementalDualSolver:
     def add_rows(self, rows):
         rows = list(rows)
         _validate(LPProblem(self._plp.columns, {}, rows))
-        if any(r.const for r in rows):
-            raise LPError("appended rows must be homogeneous")
         sx = self._sx
         sx.append_rows(rows, len(self._plp.rows))
         self._plp.rows += rows
-        sx.cost += [0] * len(rows)
+        sx.cost += [r.const for r in rows]
 
     def solve(self) -> LPSolution:
         sx = self._sx

@@ -402,6 +402,17 @@ def test_region_rejects_certificate_for_another_d(capsys):
     assert "certificate is for (5,4,4), not (5,4,3)" in err
 
 
+def test_region_sources_are_for_one_problem(capsys, tmp_path, monkeypatch):
+    # without --n and --k the problem is (5,4,4) under --builtin-eq1, else
+    # the first certificate's: a (4,3,3) certificate mixes in neither
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "solve", "--n", "4", "--k", "3", "--dir", "1,0", "--out", "433.json")[0] == 0
+    for argv in (("--builtin-eq1",), ("--cert", PROP1)):
+        code, out, err = run(capsys, "region", *argv, "--cert", "433.json")
+        assert (code, out) == (3, "")
+        assert err == "error: 433.json: certificate is for (4,3), not (5,4)\n"
+
+
 def test_solve_checks_its_output_directory_first(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ("solve", "--n", "4", "--k", "3", "--dir", "1,0", "--out", "nodir/x.json")
@@ -505,6 +516,9 @@ def test_unknown_config_key_is_ignored(capsys, tmp_path):
     code, out, err = run(capsys, "cutset", "--config", str(cfg))
     assert (code, out, err) == run(capsys, "cutset", "--n", "4", "--k", "3")
     assert code == 0 and out.startswith("facet: ")
+    # a byte-order mark is not part of the first key
+    cfg.write_bytes(b"\xef\xbb\xbfn=4\nk=3\n")
+    assert run(capsys, "cutset", "--config", str(cfg)) == (code, out, err)
 
 
 def test_bad_config_boolean(capsys, tmp_path):
@@ -735,9 +749,12 @@ def test_logging_follows_the_current_stderr(capsys, monkeypatch):
 
 
 def test_unknown_log_level_means_warning(capsys, monkeypatch):
-    # BASIC_FORMAT names a logging attribute that is not a level
-    for name in ("basic_format", "nonsense"):
+    # BASIC_FORMAT names a logging attribute that is not a level; the run
+    # configuration records the level the run logged at
+    for name in ("basic_format", "nonsense", "30"):
         monkeypatch.setenv("REPAIRBOUND_LOG", name)
         code, out, _ = run(capsys, "cutset", "--n", "4", "--k", "3")
         assert code == 0 and out
         assert logging.getLogger("repairbound").level == logging.WARNING
+        code, out, _ = run(capsys, "export-latex", PROP1)
+        assert code == 0 and "% log-level=WARNING\n" in out

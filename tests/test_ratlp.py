@@ -369,7 +369,7 @@ def test_answers_are_pinned():
         lp, _ = canonical(random_lp(rng))
         digest.update(repr(solve(lp)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "c82a6762e19f8f8e1675f04cfe45dba2f3dc0576226ef2f09eab1c743be96a8a"
+        "836d400731edb334f6c73f8e0dfbf8d3d743f6b29dfff2a51155b99843419cf3"
     )
 
 
@@ -502,13 +502,15 @@ def integral(row):
     return LPRow({c: int(v * scale) for c, v in row.coeffs.items()}, int(row.const * scale))
 
 
-def incremental_runs(rng, count, dens=None):
-    """Verifier-shaped problems: the box 0 <= x <= 1 plus random
-    homogeneous rows, appended in batches.  Rational data are scaled to
-    integers, the objective by the lcm of its denominators and each row
-    by the lcm of its own.  Every stage's answer is certified against the
-    rows given so far; yields the last answer and a cold solve of the
-    whole problem."""
+def incremental_runs(rng, count, dens=None, const_hi=0):
+    """Verifier-shaped problems: the box 0 <= x <= 1 plus random rows,
+    appended in batches.  The rows are homogeneous unless const_hi is
+    set; then each takes a constant drawn from range(const_hi), so x = 0
+    stays feasible, and an unset const_hi draws nothing extra.  Rational
+    data are scaled to integers, the objective by the lcm of its
+    denominators and each row by the lcm of its own.  Every stage's
+    answer is certified against the rows given so far; yields the last
+    answer and a cold solve of the whole problem."""
     for _ in range(count):
         cols = [f"c{i}" for i in range(rng.randrange(2, 7))]
         objective = {c: random_value(rng, -4, 5, dens) for c in cols}
@@ -516,7 +518,12 @@ def incremental_runs(rng, count, dens=None):
         objective = {c: int(v * s) for c, v in objective.items()}
         box = [LPRow({c: -1}, 1) for c in cols]
         rows = [
-            integral(LPRow({c: random_value(rng, -3, 4, dens) for c in cols if rng.random() < 0.6}))
+            integral(
+                LPRow(
+                    {c: random_value(rng, -3, 4, dens) for c in cols if rng.random() < 0.6},
+                    rng.randrange(const_hi) if const_hi else 0,
+                )
+            )
             for _ in range(rng.randrange(1, 16))
         ]
         done = rng.randrange(0, len(rows) + 1)
@@ -534,7 +541,11 @@ def incremental_runs(rng, count, dens=None):
 
 def test_incremental_solver_matches_cold_dual_solve():
     zero_optimum = set()
-    for sol, cold in incremental_runs(random.Random(4711), 40):
+    runs = itertools.chain(
+        incremental_runs(random.Random(4711), 40),
+        incremental_runs(random.Random(4713), 40, const_hi=4),
+    )
+    for sol, cold in runs:
         assert (sol.status, sol.value) == (cold.status, cold.value)
         zero_optimum.add(sol.value == 0)
     # x = 0 is always feasible: the sample holds both a zero optimum (a
@@ -597,8 +608,8 @@ def test_solvers_never_mutate_rows():
 
 
 def test_pivot_counters_are_pinned(caplog):
-    # sha256 over the DEBUG counter lines (pivots, degenerate pivots,
-    # Bland switches, determinant bits) of the LPs of
+    # sha256 over the DEBUG counter lines (pivots, degenerate pivots and
+    # determinant bits) of the LPs of
     # test_answers_are_pinned and of cold and incremental runs: a change
     # of any pivot moves it even where the answers stay the same
     with caplog.at_level(logging.DEBUG, logger="repairbound.ratlp"):
@@ -613,7 +624,7 @@ def test_pivot_counters_are_pinned(caplog):
     assert len(lines) > 300
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "9a98d50c51d100f54edc8afb5a072591b668082eb6282c646fc7023583fd484b"
+        "0c889a81a7c347df36b9c332a08ff9736082fbc666d79f026fc5a0235046aefc"
     )
 
 
@@ -733,31 +744,96 @@ def bound_lps_433():
     return [build_lp(u, fam, d, rows) for d in ((1, 0), (2, 1), (4, 6), (1, 3), (0, 1))]
 
 
-def lex_positive(sx):
-    """xb >= 0, and every row with xb[r] = 0 leads, read in increasing k,
-    with a positive M[r][k]."""
+def lex_positive(sx, anchor):
+    """xb >= 0, and every row with xb[r] = 0 leads, read in increasing
+    position s of the anchor basis, with a positive entry of M·B_a, where
+    column s of B_a is column anchor[s] of the standard form."""
+    cols = [sx.cols[j] for j in anchor]
     for x, row in zip(sx.xb, sx.M):
-        k = min(row)
-        if x < 0 or x == 0 and row[k] < 0:
+        lead = next(v for col in cols if (v := sum(row.get(i, 0) * a for i, a in col)))
+        if x < 0 or x == 0 and lead < 0:
             return False
     return True
 
 
+def bland_reference(lp):
+    """(status, value) of a one-form LP from a dense two-phase primal
+    tableau in fractions with Bland's rule (Bland 1977): the lowest
+    improving column enters, and ratio ties leave by the lowest basic
+    column.  Short, slow and independent of ratlp."""
+    n, m = len(lp.columns), len(lp.rows)
+    # row i is a_i·x - s_i = -const_i over the columns x, s and one
+    # artificial per row with const_i < 0, which starts on it; any other
+    # row is negated and starts on its slack
+    arts = [i for i, r in enumerate(lp.rows) if r.const < 0]
+    tab, basis = [], []
+    for i, r in enumerate(lp.rows):
+        sign = 1 if r.const < 0 else -1
+        row = [F(sign * r.coeffs.get(c, 0)) for c in lp.columns]
+        row += [F(-sign * (j == i)) for j in range(m)] + [F(j == i) for j in arts]
+        tab.append(row + [F(-sign * r.const)])
+        basis.append(n + m + arts.index(i) if r.const < 0 else n + i)
+
+    def pivot(leave, enter):
+        tab[leave] = [v / tab[leave][enter] for v in tab[leave]]
+        for i, t in enumerate(tab):
+            if i != leave and t[enter]:
+                tab[i] = [a - t[enter] * b for a, b in zip(t, tab[leave])]
+        basis[leave] = enter
+
+    def run(cost):
+        """The least value of cost, or None when it is unbounded below."""
+        z = cost + [F(0)]  # reduced costs, then minus the value
+        for b, t in zip(basis, tab):
+            z = [a - z[b] * v for a, v in zip(z, t)]
+        while True:
+            enter = next((j for j, rc in enumerate(z[:-1]) if rc < 0), None)
+            if enter is None:
+                return -z[-1]
+            rows = [i for i, t in enumerate(tab) if t[enter] > 0]
+            if not rows:
+                return None
+            leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+            pivot(leave, enter)
+            z = [a - z[enter] * v for a, v in zip(z, tab[leave])]
+
+    if arts:
+        if run([F(0)] * (n + m) + [F(1)] * len(arts)):
+            return "infeasible", None
+        for i, t in enumerate(tab):  # artificials at zero leave on any entry
+            if basis[i] >= n + m:
+                j = next((j for j in range(n + m) if t[j]), None)
+                if j is not None:
+                    pivot(i, j)
+        # a row still on its artificial is zero on x and s: drop it, and
+        # every artificial column
+        keep = [i for i, b in enumerate(basis) if b < n + m]
+        tab[:] = [tab[i][: n + m] + tab[i][-1:] for i in keep]
+        basis[:] = [basis[i] for i in keep]
+    value = run([F(lp.objective.get(c, 0)) for c in lp.columns] + [F(0)] * m)
+    return ("unbounded", None) if value is None else ("optimal", value)
+
+
+def active_sets(lp):
+    """The active sets that the vertex oracle of a GeneralLP enumerates."""
+    cons = len(lp.rows) + sum(r.rel == "=" for r in lp.rows) + 2 * len(lp.columns)
+    return math.comb(cons, len(lp.columns))
+
+
 def test_lexicographic_ties_match_lowest_index_ties(monkeypatch):
-    # the fast path against the slow one: with lexicographic ratio ties
-    # and with every run forced onto lowest-index ties (and their Bland
-    # interlude), solve gives the same status and value, and both answers
-    # pass check_duals, on the LPs of test_answers_are_pinned, the
-    # fractional LPs of test_fractional_lps_match_vertex_oracle and the
-    # (4,3,3) bound LPs
+    # the one tie rule against references that do not share it, on the
+    # LPs of test_answers_are_pinned, the fractional LPs of
+    # test_fractional_lps_match_vertex_oracle and the (4,3,3) bound LPs.
+    # Every random LP gives the status and value of bland_reference, whose
+    # ratio ties go to the lowest basic index, and of the vertex oracle
+    # where that enumerates at most 100 active sets (89 of the 340; the
+    # others need up to 735,471).  The bound LPs give the values of
+    # Tian's (4,3,3) region, in which 3α, 2α+β, 4α+6β and α+3β are at
+    # least 1, 1, 3 and 1, and β is at least 0
     rng = random.Random(20260418)
-    lps = [canonical(random_lp(rng))[0] for _ in range(300)]
+    general = [random_lp(rng) for _ in range(300)]
     rng = random.Random(2718)
-    lps += [
-        canonical(random_lp(rng, max_cols=4, max_rows=6, dens=(1, 2, 3, 4, 6)))[0]
-        for _ in range(40)
-    ]
-    lps += bound_lps_433()
+    general += [random_lp(rng, max_cols=4, max_rows=6, dens=(1, 2, 3, 4, 6)) for _ in range(40)]
     ties = []
     lex_less = ratlp._Simplex._lex_less
 
@@ -766,51 +842,70 @@ def test_lexicographic_ties_match_lowest_index_ties(monkeypatch):
         return lex_less(sx, r, l, ur, ul)
 
     monkeypatch.setattr(ratlp._Simplex, "_lex_less", counted)
-    fast = [solve(lp) for lp in lps]
-    init = ratlp._Simplex.__init__
-
-    def lowest_index(sx, lp):
-        init(sx, lp)
-        sx.lex = False
-
-    monkeypatch.setattr(ratlp._Simplex, "__init__", lowest_index)
-    ties_before = len(ties)
-    slow = [solve(lp) for lp in lps]
-    assert len(ties) == ties_before > 500
-    for lp, a, b in zip(lps, fast, slow):
-        assert (a.status, a.value) == (b.status, b.value)
-        if a.status == "optimal":
-            assert check_duals(lp, a) and check_duals(lp, b)
-    # the two rules reach different optimal answers on five of the LPs,
-    # four of them bound LPs
-    assert sum(repr(a) != repr(b) for a, b in zip(fast, slow)) > 0
+    oracle = 0
+    for lp in general:
+        one_form, back = canonical(lp)
+        sol = solve(one_form)
+        assert (sol.status, sol.value) == bland_reference(one_form)
+        if sol.status == "optimal":
+            assert check_duals(one_form, sol)
+        if active_sets(lp) <= 100:
+            assert_matches_vertex_oracle(lp, back(sol))
+            oracle += 1
+    assert oracle == 89
+    values = [solve(lp).value for lp in bound_lps_433()]
+    assert values == [F(1, 3), 1, 3, 1, 0]
+    assert len(ties) > 500
 
 
 def test_lexicographic_runs_keep_rows_positive(monkeypatch):
-    # checked at the start of every run and after every pivot: xb >= 0
-    # always, and in a lexicographic run every row at zero leads with a
-    # positive entry of M.  Runs after an artificial was driven out
-    # fall back to lowest-index ties: y_above_x drives its artificial out
-    # on a -1 pivot, and its phase 2 starts without the invariant
-    starts = []
-    seen = {"lex pivot": 0, "fallback pivot": 0}
-    run, pivot = ratlp._Simplex.run, ratlp._Simplex._pivot
+    # checked at the start of every run and after every pivot of a run:
+    # xb >= 0, and every row at zero leads with a positive entry of M·B_a
+    # for the anchor basis B_a.  The anchor is the starting basis, and the
+    # basis after drive_out_artificials has pivoted: y_above_x drives its
+    # artificial out on a -1 pivot, which is positive at the new anchor.
+    # An incremental solver keeps its anchor across appended rows
+    anchors = {}  # id of a simplex -> (anchor basis, whether re-anchored)
+    driving = []
+    seen = {"runs": 0, "re-anchored runs": 0, "pivots": 0, "re-anchored pivots": 0}
+    init, run, pivot = ratlp._Simplex.__init__, ratlp._Simplex.run, ratlp._Simplex._pivot
+    drive_out = ratlp._Simplex.drive_out_artificials
+
+    def anchored_init(sx, lp):
+        init(sx, lp)
+        anchors[id(sx)] = (list(sx.basis), False)
+
+    def re_anchored(sx):
+        pivots = sx.pivots
+        driving.append(sx)
+        drive_out(sx)
+        driving.pop()
+        if sx.pivots != pivots:
+            anchors[id(sx)] = (list(sx.basis), True)
 
     def checked_run(sx, cost, ban_art):
-        starts.append((sx.lex, lex_positive(sx)))
+        anchor, moved = anchors[id(sx)]
+        assert lex_positive(sx, anchor)
+        seen["re-anchored runs" if moved else "runs"] += 1
         return run(sx, cost, ban_art)
 
     def checked_pivot(sx, leave, enter, u):
         pivot(sx, leave, enter, u)
         assert min(sx.xb) >= 0
-        if sx.lex:
-            assert lex_positive(sx)
-        seen["lex pivot" if sx.lex else "fallback pivot"] += 1
+        if not driving:
+            anchor, moved = anchors[id(sx)]
+            assert lex_positive(sx, anchor)
+            seen["re-anchored pivots" if moved else "pivots"] += 1
 
+    monkeypatch.setattr(ratlp._Simplex, "__init__", anchored_init)
+    monkeypatch.setattr(ratlp._Simplex, "drive_out_artificials", re_anchored)
     monkeypatch.setattr(ratlp._Simplex, "run", checked_run)
     monkeypatch.setattr(ratlp._Simplex, "_pivot", checked_pivot)
     assert solve(lp_y_above_x()).value == 1
-    assert starts == [(True, True), (False, False)]
+    assert (seen["runs"], seen["re-anchored runs"]) == (1, 1)
+    rng = random.Random(20260418)
+    for _ in range(300):
+        solve(canonical(random_lp(rng))[0])
     rng = random.Random(1968)
     for dens in (None, (1, 2, 3, 4)):
         for _ in range(30):
@@ -819,7 +914,6 @@ def test_lexicographic_runs_keep_rows_positive(monkeypatch):
         pass
     for lp in bound_lps_433():
         solve(lp)
-    assert all(ok for lex, ok in starts if lex)
     assert min(seen.values()) > 0, seen
 
 
@@ -864,15 +958,15 @@ def test_solve_logs_deterministic_counters(caplog):
         solver.solve()
     assert [r.getMessage() for r in caplog.records] == [
         "solve (dual): 1 rows, 1 columns, 1 pivots (0 degenerate), "
-        "0 Bland switches, determinant bits 1",
+        "determinant bits 1",
         "incremental phase 1 (dual): 1 rows, 1 columns, 0 pivots (0 degenerate), "
-        "0 Bland switches, determinant bits 1",
+        "determinant bits 1",
         "incremental solve (dual): 1 rows, 1 columns, 1 pivots (0 degenerate), "
-        "0 Bland switches, determinant bits 1",
+        "determinant bits 1",
         "incremental phase 1 (dual): 2 rows, 3 columns, 1 pivots (0 degenerate), "
-        "0 Bland switches, determinant bits 1",
+        "determinant bits 1",
         "incremental solve (dual): 2 rows, 3 columns, 2 pivots (1 degenerate), "
-        "0 Bland switches, determinant bits 1",
+        "determinant bits 1",
     ]
 
 
