@@ -337,23 +337,16 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
     """
     descriptors = list(dict.fromkeys(instances(u, fam_masks, anchors, need, bases)))
 
-    # start from the pool over the elemental bases, one spanning row per
-    # class and the pinned caps
-    start = enumerate_rows(u, [b for b in bases if b], bases=bases)
-    for m in sorted(fam_masks, reverse=True):
-        start.append(instance_row((BIGB, 0, m, 0), "spanning-value"))
+    # start from one spanning row per class and the pinned caps
+    fam = sorted(fam_masks, reverse=True)
+    start = [instance_row((BIGB, 0, m, 0), "spanning-value") for m in fam]
     start += _pinned_caps(u)
 
     # Monotonicity instances are cheap (two nonzeros) and prune most of the
     # degenerate corners the boxed relaxation would otherwise wander through,
     # so start with all of them in the working set.
-    submod_descriptors = []
-    for desc in descriptors:
-        if desc[1] == 0:
-            start.append(instance_row(desc))
-        else:
-            submod_descriptors.append(desc)
-    descriptors = submod_descriptors
+    start += [instance_row(desc) for desc in descriptors if desc[1] == 0]
+    descriptors = [desc for desc in descriptors if desc[1]]
 
     active = {}  # the working rows by their coefficients, in LP row order
     for row in start:
@@ -378,7 +371,7 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
             )
 
         den = math.lcm(*(v.denominator for v in sol.primal.values()))
-        val = {col: int(v * den) for col, v in sol.primal.items()}
+        val = {col: v.numerator * (den // v.denominator) for col, v in sol.primal.items()}
         val[0] = 0
 
         violated = []

@@ -433,8 +433,14 @@ def cmd_region(opts) -> int:
     for path in opts["cert"]:
         cert = _load(load, path)
         if any(a is not None and a != c for a, c in zip(problem, cert.problem)):
-            shown = 3 if cert.problem[:2] == problem[:2] else 2  # d only when it differs
-            have, want = (",".join(map(str, p[:shown])) for p in (cert.problem, problem))
+            # the parts given, d only when n and k agree, named unless n and k are
+            shown = [i for i, a in enumerate(problem) if a is not None]
+            if any(problem[i] != cert.problem[i] for i in shown if i < 2):
+                shown = [i for i in shown if i < 2]
+            tag = ("n=", "k=", "d=") if None in problem[:2] else ("",) * 3
+            have, want = (
+                ",".join(tag[i] + str(p[i]) for i in shown) for p in (cert.problem, problem)
+            )
             _fail(f"{path}: certificate is for ({have}), not ({want})")
         problem = tuple(c if a is None else a for a, c in zip(problem, cert.problem))
         certs.append((path, cert))

@@ -100,15 +100,15 @@ def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
     mask set anchors: need 0 keeps every pair, need 1 the pairs touching
     the anchors, need 2 the pairs inside them.  Descriptors may repeat.
 
-    Keys are read from a map of every orbit member of the family to its
-    class, so a closed mask outside the family is skipped without ever
-    being canonicalized.
+    Keys are read from the universe's member index, which orbit_masks
+    fills with every member of each family class, through the family's
+    class set: a closed mask outside the family is never canonicalized.
     """
     fam = sorted(fam_masks, reverse=True)
     orbits = {r: u.orbit_masks(r) for r in fam}
-    key = {m: r for r, orbit in orbits.items() for m in orbit}
-    key[0] = 0
-    key[u.full_mask] = BIGB
+    in_fam = set(fam)
+    get = u.class_of.get
+    full = u.full_mask
     closure = u.closure_mask
     # the positions of the anchored classes in fam, and those classes
     held_at = [i for i, r in enumerate(fam) if r in anchors] if need else []
@@ -123,21 +123,33 @@ def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
             # ra and m are closed, and so is ra & m: a closure rule whose
             # premise holds in the intersection holds in both sets, so its
             # conclusion lies in both
-            for m, ki in zip(orbit, map(key.get, map(ra.__and__, orbit))):
-                if ki is None or m == ra:
+            for m, ki in zip(orbit, map(get, map(ra.__and__, orbit))):
+                if m == ra:
                     continue
-                ku = key.get(closure(ra | m))
-                if ku is None:
-                    continue
+                if ki not in in_fam:
+                    if ra & m:
+                        continue
+                    ki = 0
+                un = closure(ra | m)
+                ku = get(un)
+                if ku not in in_fam:
+                    if un != full:
+                        continue
+                    ku = BIGB
                 yield (ra, rb, ku, ki)
                 # never ra ⊊ m: m ≤ rb (the maximum of its orbit) ≤ ra
                 if ra & m == m:
                     yield (ra, 0, rb, 0)
 
+    def key(closed):
+        # BIGB for the full mask, else the class if it is in the family
+        c = get(closed)
+        return c if c in in_fam else BIGB if closed == full else None
+
     for c_mask in bases:
         bits = [b for b in map(u.var_bit, range(u.num_vars)) if not c_mask & b]
         # the class of C+x, for each variable x outside C
-        grown = [key.get(closure(c_mask | b)) for b in bits]
+        grown = [key(closure(c_mask | b)) for b in bits]
         for xi, kx in enumerate(grown):
             if kx is None:
                 continue
@@ -145,7 +157,7 @@ def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
             for by, ky in zip(bits[xi + 1:], grown[xi + 1:]):
                 if ky is None:
                     continue
-                kxy = key.get(closure(cx | by))
+                kxy = key(closure(cx | by))
                 if kxy is None:
                     continue
                 yield (kx, ky, kxy, c_mask)

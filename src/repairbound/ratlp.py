@@ -349,11 +349,6 @@ class _Simplex:
             if kind == "y":
                 yield i, Fraction(x, self.D)
 
-    def duals(self):
-        """The phase-2 simplex multipliers, one per column of the problem,
-        in the units of its sign-normalized dual rows."""
-        return [Fraction(z, self.D) for z in self._duals(self.cost)]
-
 
 def _phase1(lp: LPProblem) -> _Simplex:
     """Standard form of the dual of lp at a feasible basis with the
@@ -393,8 +388,8 @@ def _dual_answer(lp: LPProblem, sx: _Simplex) -> LPSolution:
     duals = [ZERO] * len(lp.rows)
     for i, v in sx.basic_columns():
         duals[i] = v
-    y = sx.duals()
-    primal = {col: y[p] * sx.rsign[p] for p, col in enumerate(lp.columns)}
+    y, rsign = sx._duals(sx.cost), sx.rsign
+    primal = {col: Fraction(y[p] * rsign[p], sx.D) for p, col in enumerate(lp.columns)}
     sol = LPSolution("optimal", -sx.value(), primal, duals)
     if not check_duals(lp, sol):
         raise LPError("internal certificate check failed")

@@ -80,6 +80,9 @@ class Universe:
     0.05 MB at n = 5 and 0.83 MB at n = 6.  Closure, canonicalization, and
     orbit results are memoized; caches are only ever appended to, so
     concurrent readers at worst recompute.
+
+    class_of is the member index: it maps each member of every orbit
+    canonicalized so far to its class, and it only grows.
     """
 
     def __init__(self, n: int, k: int):
@@ -112,7 +115,7 @@ class Universe:
         self._packed_bytes = array(self._slot).itemsize * len(self._perms)
         self._perm_tables = None
         self._closure_cache: dict[int, int] = {}
-        self._canon_cache: dict[int, int] = {}
+        self.class_of: dict[int, int] = {}
         self._orbit_cache: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
@@ -208,12 +211,12 @@ class Universe:
 
     def canon_mask(self, mask: int) -> int:
         closed = self.closure_mask(mask)
-        cached = self._canon_cache.get(closed)
+        cached = self.class_of.get(closed)
         if cached is not None:
             return cached
         images = sorted(set(self._images(closed)), reverse=True)
         best = images[0]
-        self._canon_cache.update(dict.fromkeys(images, best))
+        self.class_of.update(dict.fromkeys(images, best))
         self._orbit_cache[best] = tuple(images)
         return best
 
@@ -272,10 +275,11 @@ def _log_round(u: Universe, fam, out, pairs: int, orbits_known: int, done: bool)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "closure round: %d classes in, %d classes out, %d pairs scanned, "
-            "%d canon_mask misses%s",
+            "%d canon_mask misses, %d orbit members indexed%s",
             len(fam),
             len(out),
             pairs,
             len(u._orbit_cache) - orbits_known,
+            len(u.class_of),
             "" if done else ", stopped at the cap",
         )

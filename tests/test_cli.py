@@ -411,6 +411,11 @@ def test_region_sources_are_for_one_problem(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, "region", *argv, "--cert", "433.json")
         assert (code, out) == (3, "")
         assert err == "error: 433.json: certificate is for (4,3), not (5,4)\n"
+    # a flag that names part of the problem shows only that part
+    for argv, want in ((("--n", "4"), "(n=5), not (n=4)"), (("--k", "3"), "(k=4), not (k=3)")):
+        code, out, err = run(capsys, "region", *argv, "--cert", PROP1)
+        assert (code, out) == (3, "")
+        assert err == f"error: {PROP1}: certificate is for {want}\n"
 
 
 def test_solve_checks_its_output_directory_first(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -457,6 +458,50 @@ def test_instances_match_the_every_pair_scan():
                     assert got or need == 2, (n, k, trial, bases, need)
 
 
+def test_instances_read_only_the_family_from_a_full_member_index():
+    # instances reads the universe's member index, which also holds the
+    # orbits of classes outside the family: here every union and
+    # intersection class of a closure round, random extra classes, and
+    # the empty and full masks.  It must still give the exact descriptor
+    # sequence of the every-pair scan on a fresh universe
+    rng = random.Random(2323)
+    for n, k, size in ((4, 3, 8), (5, 4, 6)):
+        for trial in range(4):
+            u = build_universe(n, k)
+            fam = random_family(u, rng, size)
+            closure_round(u, fam, 400)
+            for m in (0, u.full_mask, *(rng.getrandbits(u.num_vars) for _ in range(20))):
+                u.canon_mask(m)
+            assert len(set(u.class_of.values()) - fam) > len(fam), (n, k, trial)
+            anchors = frozenset(rng.sample(sorted(fam), rng.randrange(1, size)))
+            for bases in ((), sorted(rng.sample(sorted(fam | {0}), 3), reverse=True)):
+                for held, need in (((), 0), (anchors, 1), (anchors, 2)):
+                    got = list(instances(u, fam, held, need, bases))
+                    fresh = build_universe(n, k)
+                    want = list(scan_every_pair_instances(fresh, fam, held, need, bases))
+                    assert got == want, (n, k, trial, bases, need)
+
+
+def test_instances_hold_no_member_map_of_their_own():
+    # a work guard on memory: the within rung's scan of the 148-class
+    # depth-2 family of prop1's row 12 (12,254 orbit members), right after
+    # the closure round that grew it, peaks at 17,544 traced bytes; a
+    # per-call map from every member to its class peaked at 891,936
+    u = build_universe(5, 4)
+    cert = load(DATA / "prop1.cert.json")
+    base = {_term_column(u, cert.terms[t]) for t in cert.rows[12] if t.startswith("T")}
+    base |= {c for cap in storage_and_bandwidth_caps(u) for c in cap.coeffs if type(c) is int}
+    fam, done = closure_round(u, base, 5000)
+    assert done and len(fam) == 148
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in instances(u, fam, base, 2)) == 794
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000
+
+
 def test_pair_rules_nest_over_a_closure_round():
     # over a family grown from random classes, with the old family as
     # anchors: each rule keeps exactly the descriptors of the pairs it
@@ -491,9 +536,10 @@ def test_instances_canonicalize_no_mask_outside_the_family():
     u = build_universe(5, 4)
     fam = random_family(u, random.Random(9), 6)
     orbits_before = dict(u._orbit_cache)
+    members_before = dict(u.class_of)
     descs = list(instances(u, fam, bases=[0, max(fam)]))
     assert descs
-    assert u._orbit_cache == orbits_before
+    assert u._orbit_cache == orbits_before and u.class_of == members_before
     # the slow path does canonicalize masks outside the family
     assert list(reference_instances(u, fam, bases=[0, max(fam)])) == descs
     assert len(u._orbit_cache) > len(orbits_before)

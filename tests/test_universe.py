@@ -296,8 +296,11 @@ def test_closure_round_logs_family_growth(caplog):
         _, done = closure_round(u, base, 6)
     assert not done
     lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.universe"]
+    # the member index ends holding every member of the 20 classes out
     assert lines[:2] == [
         "closure round: 4 classes in, 20 classes out, 114 pairs scanned, "
-        "16 canon_mask misses"
+        "16 canon_mask misses, 304 orbit members indexed"
     ] * 2
-    assert len(lines) == 3 and lines[2].endswith(", stopped at the cap")
+    assert len(lines) == 3 and lines[2].endswith(
+        ", 94 orbit members indexed, stopped at the cap"
+    )

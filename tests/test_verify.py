@@ -394,10 +394,10 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
-    # a work count in place of a timing: summed over the 370 pivots made
+    # a work count in place of a timing: summed over the 341 pivots made
     # while both shipped certificates verify, the entries that M = D·B⁻¹
-    # stores before each pivot are 29,668, bounded here with a margin of
-    # about 100%; dense rows would hold all 1,407,881 cells
+    # stores before each pivot are 23,711, bounded here with a margin of
+    # about 150%; dense rows would hold all 1,251,281 cells
     stored = []
     pivot = ratlp._Simplex._pivot
 
@@ -409,7 +409,7 @@ def test_pivots_store_few_basis_entries(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(stored) == 370
+    assert len(stored) == 341
     assert sum(stored) <= 60000
 
 
@@ -418,10 +418,10 @@ def test_active_set_rungs_that_fail_add_few_rows(monkeypatch):
     # reaches: six unanchored depth-2 rungs on families of 43 to 89
     # classes (the cap classes and two random classes, grown one round),
     # each over a row that sums three pool instances and takes away one
-    # class.  The rows that separation adds are 2,427, bounded here with
-    # a margin of about 13%; picking 200 rows a round instead of 100 they
-    # are 3,741, without the strided picks 4,461, and without the
-    # elemental start pool 2,252
+    # class.  The rows that separation adds are 2,252, bounded here with
+    # a margin of about 22%; picking 200 rows a round instead of 100 they
+    # are 3,927, without the strided picks 5,077, and with the elemental
+    # instances of the bases in the start set 2,427
     added = []
     add_rows = IncrementalDualSolver.add_rows
 
