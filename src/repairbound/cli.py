@@ -323,8 +323,8 @@ def _cutset(opts, missing="--n and --k are required"):
 
 
 def _proved(opts, max_depth: int):
-    """Prove each --dir direction on the family the options grow;
-    yields (universe, ProvedBound) per direction."""
+    """Prove each distinct --dir direction, in the order given, on the
+    family the options grow; yields (universe, ProvedBound) per direction."""
     u = _universe(_problem(opts))
     seeds = [toks for path in opts["seeds"] for toks in _load(load_terms, path, u.n)]
     try:
@@ -333,7 +333,7 @@ def _proved(opts, max_depth: int):
         _fail(str(e))
     log.info("family has %d classes", len(fam))
     rows = pool_rows(u, fam)  # one pool for every direction
-    for ca, cb in opts["dir"]:
+    for ca, cb in dict.fromkeys(opts["dir"]):
         try:
             proved = prove(u, fam, (ca, cb), max_depth=max_depth, rows=rows)
         except (LPError, CertificateError, ValueError) as e:
@@ -402,7 +402,7 @@ def cmd_verify(opts) -> int:
 def cmd_solve(opts) -> int:
     if not opts["dir"]:
         _fail("at least one --dir is required")
-    if opts["out"] and len(opts["dir"]) > 1:
+    if opts["out"] and len(set(opts["dir"])) > 1:
         _fail("--out only works with a single --dir")
     for u, proved in _proved(opts, opts["max-depth"]):
         ca, cb = proved.direction

@@ -19,9 +19,11 @@ basis stores, not m², and the integer duals ``y = cost_B·M`` are computed
 once per run and then carried through each pivot by the same exact step.
 Pricing and ratio tests compare integers, so each pivot is the one exact
 rational arithmetic would choose; fractions appear only where an answer
-is read back.  Pricing is partial most-negative.  Every run breaks
-ratio ties lexicographically (Dantzig, Orden & Wolfe 1955), which
-cannot cycle and halves the pivots on the degenerate bound LPs.  The
+is read back.  Pricing is multiple: the improving columns that a
+partial scan finds are repriced, the most negative entering, until none
+improves.  Every run breaks ratio ties lexicographically (Dantzig,
+Orden & Wolfe 1955), which cannot cycle and halves the pivots on the
+degenerate bound LPs.  The
 order is anchored at the starting basis and again after an artificial
 is driven out, and an ``IncrementalDualSolver`` keeps its anchor across
 appended rows and solves.  The tie rule picks which optimal vertex is
@@ -162,9 +164,9 @@ class _Simplex:
             self._add("y", i, entries)
 
     def reset_counts(self):
-        """Start the deterministic counters: pivots, degenerate pivots and
-        the largest bit length of D."""
-        self.pivots = self.degenerate = 0
+        """Start the deterministic counters: pivots, degenerate pivots,
+        reduced costs evaluated and the largest bit length of D."""
+        self.pivots = self.degenerate = self.priced = 0
         self.det_bits = self.D.bit_length()
 
     def _duals(self, cost):
@@ -220,30 +222,27 @@ class _Simplex:
         self.basis_set.add(enter)
         self.basis[leave] = enter
 
-    def _price_partial(self, cost, y, ban_art, start, batch):
-        """Most negative reduced cost among the first `batch` eligible
-        negatives met on a cyclic scan from `start`; ties to lowest index.
-        Reduced costs are compared as cost_j·D − y·a_j.  Returns the
-        entering column and its reduced cost, (-1, 0) at an optimum."""
+    def _price(self, cost, y, ban_art, scan, batch):
+        """(rc, j) of each of the first `batch` eligible columns of `scan`
+        with a negative reduced cost, compared as cost_j·D − y·a_j.  Adds
+        the reduced costs it evaluates to ``self.priced``."""
         basis_set, is_art, cols = self.basis_set, self.is_art, self.cols
         d = self.D
-        enter = -1
-        best = 0
-        seen = 0
-        for j in chain(range(start, len(cols)), range(start)):
+        found = []
+        priced = 0
+        for j in scan:
             if j in basis_set or (ban_art and is_art[j]):
                 continue
+            priced += 1
             rc = cost[j] * d
             for i, v in cols[j]:
                 rc -= y[i] * v
             if rc < 0:
-                if rc < best or (rc == best and j < enter):
-                    best = rc
-                    enter = j
-                seen += 1
-                if seen >= batch:
+                found.append((rc, j))
+                if len(found) >= batch:
                     break
-        return enter, best
+        self.priced += priced
+        return found
 
     def _anchor(self):
         """Order ratio ties from the current basis B_a on: by the rows of
@@ -273,22 +272,31 @@ class _Simplex:
         return False
 
     def run(self, cost, ban_art):
-        # Partial most-negative pricing moves fast through degenerate
-        # stretches.  Ratio ties are broken by the rows of M·B_a, which is
-        # the ratio test of the right-hand side perturbed by B_a·(ε, ε², …)
-        # for the anchor basis B_a: every row starts and stays positive in
-        # the perturbed order, so the run cannot cycle.  The duals
+        # Multiple pricing (Maros 2003, ch. 9): a major pass keeps the
+        # first `batch` improving columns of a cyclic scan, and until none
+        # of them improves any more only they are repriced, the most
+        # negative entering; "optimal" needs a major pass that finds none.
+        # Ratio ties are broken by the rows of M·B_a, which is the ratio
+        # test of the right-hand side perturbed by B_a·(ε, ε², …) for the
+        # anchor basis B_a: every row starts and stays positive in the
+        # perturbed order, so the run cannot cycle.  The duals
         # y = cost_B·M are computed once and then carried through each
         # pivot by the same exact step as the rows of M.
         batch = 24
         start = 0
         xb = self.xb
         y = self._duals(cost)
+        found = []
         while True:
-            enter, rc = self._price_partial(cost, y, ban_art, start, batch)
-            if enter < 0:
-                return "optimal"
-            start = enter + 1
+            if found:  # reprice the candidates of the last major pass
+                found = self._price(cost, y, ban_art, [j for _, j in found], batch)
+            if not found:  # a major pass: the first negatives from start on
+                n = len(self.cols)
+                found = self._price(cost, y, ban_art, chain(range(start, n), range(start)), batch)
+                if not found:
+                    return "optimal"
+                start = found[-1][1] + 1
+            rc, enter = min(found)
             u = self._column_in_basis_frame(enter)
             # the least ratio xb[r]/u[r] over u[r] > 0, by cross products
             leave = -1
@@ -371,12 +379,13 @@ def _log_counts(what: str, lp: LPProblem, runs):
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "%s: %d rows, %d columns, %d pivots (%d degenerate), "
-            "determinant bits %d",
+            "%d reduced costs, determinant bits %d",
             what,
             len(lp.rows),
             len(lp.columns),
             sum(sx.pivots for sx in runs),
             sum(sx.degenerate for sx in runs),
+            sum(sx.priced for sx in runs),
             max(sx.det_bits for sx in runs),
         )
 

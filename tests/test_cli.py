@@ -210,6 +210,26 @@ def test_solve_builds_the_family_pool_once(capsys, tmp_path, monkeypatch):
     assert len(pools) == 1
 
 
+def test_solve_proves_each_distinct_direction_once(capsys, tmp_path, monkeypatch):
+    # a repeated direction, in any spelling, is proved and written once,
+    # in the order the directions were first given
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--n", "4", "--k", "3"]
+    for d in ("1,0", "0,1", "1,0", "1.0,0"):
+        argv += ["--dir", d]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "bound: 3α ≥ 1B",
+        "wrote bound-n4-k3-d3-1-0.cert.json",
+        "bound: 1β ≥ 0B",
+        "wrote bound-n4-k3-d3-0-1.cert.json",
+    ]
+    code, out, _ = run(capsys, "solve", "--n", "4", "--k", "3", "--dir", "1,0", "--dir", "1,0",
+                       "--out", "433.json")
+    assert code == 0 and out.splitlines() == ["bound: 3α ≥ 1B", "wrote 433.json"]
+
+
 def test_solve_writes_verifiable_certificate(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "solve", "--n", "5", "--k", "4", "--dir", "1,0")

@@ -369,7 +369,7 @@ def test_answers_are_pinned():
         lp, _ = canonical(random_lp(rng))
         digest.update(repr(solve(lp)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "836d400731edb334f6c73f8e0dfbf8d3d743f6b29dfff2a51155b99843419cf3"
+        "c82a6762e19f8f8e1675f04cfe45dba2f3dc0576226ef2f09eab1c743be96a8a"
     )
 
 
@@ -608,8 +608,8 @@ def test_solvers_never_mutate_rows():
 
 
 def test_pivot_counters_are_pinned(caplog):
-    # sha256 over the DEBUG counter lines (pivots, degenerate pivots and
-    # determinant bits) of the LPs of
+    # sha256 over the DEBUG counter lines (pivots, degenerate pivots,
+    # reduced costs and determinant bits) of the LPs of
     # test_answers_are_pinned and of cold and incremental runs: a change
     # of any pivot moves it even where the answers stay the same
     with caplog.at_level(logging.DEBUG, logger="repairbound.ratlp"):
@@ -624,7 +624,7 @@ def test_pivot_counters_are_pinned(caplog):
     assert len(lines) > 300
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "0c889a81a7c347df36b9c332a08ff9736082fbc666d79f026fc5a0235046aefc"
+        "d7f394a8032d563f7141fe723f262d211b6a9fd92f9429d4dbf63e2eb733444e"
     )
 
 
@@ -706,21 +706,22 @@ def test_carried_duals_match_fresh_duals(monkeypatch):
     # that run carried through its pivots equals cost_B·M computed afresh,
     # on the LPs of test_answers_are_pinned, on integer and fractional
     # incremental runs and after an artificial driven out on a -1 pivot.
-    # Each run prices once on a fresh y, then once after each pivot.
+    # Each run prices once on a fresh y, then, after each pivot, reprices
+    # its candidates and makes a major pass when none of them improves.
     seen = {"runs": 0, "priced": 0}
-    run, price = ratlp._Simplex.run, ratlp._Simplex._price_partial
+    run, price = ratlp._Simplex.run, ratlp._Simplex._price
 
     def counted_run(sx, cost, ban_art):
         seen["runs"] += 1
         return run(sx, cost, ban_art)
 
-    def checked_price(sx, cost, y, ban_art, start, batch):
+    def checked_price(sx, cost, y, ban_art, scan, batch):
         assert y == sx._duals(cost)
         seen["priced"] += 1
-        return price(sx, cost, y, ban_art, start, batch)
+        return price(sx, cost, y, ban_art, scan, batch)
 
     monkeypatch.setattr(ratlp._Simplex, "run", counted_run)
-    monkeypatch.setattr(ratlp._Simplex, "_price_partial", checked_price)
+    monkeypatch.setattr(ratlp._Simplex, "_price", checked_price)
     rng = random.Random(20260418)
     for _ in range(300):
         solve(canonical(random_lp(rng))[0])
@@ -730,6 +731,53 @@ def test_carried_duals_match_fresh_duals(monkeypatch):
         pass
     assert solve(lp_y_above_x()).value == 1
     assert seen["priced"] - seen["runs"] > 1000, seen
+
+
+def test_candidate_pricing_matches_full_pricing(monkeypatch):
+    # the candidate list against pricing every column from cost_B·M
+    # computed afresh: inside a run each entering column has a negative
+    # reduced cost, and at each "optimal" return no eligible nonbasic
+    # column has one, on the LPs of test_answers_are_pinned, integer and
+    # fractional incremental runs, the (4,3,3) bound LPs and y_above_x
+    running = []  # (cost, ban_art) of the run in progress
+    seen = {"entered": 0, "optimal": 0}
+    run, pivot = ratlp._Simplex.run, ratlp._Simplex._pivot
+
+    def reduced_cost(sx, cost, y, j):
+        return cost[j] * sx.D - sum(y[i] * v for i, v in sx.cols[j])
+
+    def checked_run(sx, cost, ban_art):
+        running.append((cost, ban_art))
+        status = run(sx, cost, ban_art)
+        running.pop()
+        if status == "optimal":
+            y = sx._duals(cost)
+            for j in range(len(sx.cols)):
+                if j not in sx.basis_set and not (ban_art and sx.is_art[j]):
+                    assert reduced_cost(sx, cost, y, j) >= 0
+            seen["optimal"] += 1
+        return status
+
+    def checked_pivot(sx, leave, enter, u):
+        if running:
+            cost, _ = running[-1]
+            assert reduced_cost(sx, cost, sx._duals(cost), enter) < 0
+            seen["entered"] += 1
+        return pivot(sx, leave, enter, u)
+
+    monkeypatch.setattr(ratlp._Simplex, "run", checked_run)
+    monkeypatch.setattr(ratlp._Simplex, "_pivot", checked_pivot)
+    rng = random.Random(20260418)
+    for _ in range(300):
+        solve(canonical(random_lp(rng))[0])
+    for _ in incremental_runs(random.Random(4711), 40):
+        pass
+    for _ in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
+        pass
+    for lp in bound_lps_433():
+        solve(lp)
+    assert solve(lp_y_above_x()).value == 1
+    assert seen["entered"] > 1000 and seen["optimal"] > 500, seen
 
 
 # -- lexicographic ratio ties ---------------------------------------------
@@ -919,11 +967,11 @@ def test_lexicographic_runs_keep_rows_positive(monkeypatch):
 
 def test_bound_lps_take_few_pivots(monkeypatch):
     # a work count in place of a timing, bounded here with a margin of
-    # about 15-25%: lexicographic ratio ties make the five (4,3,3) bound
-    # LPs take 290 pivots in all (37, 37, 79, 81 and 56), where
-    # lowest-index ties took 563, and the unseeded depth-1 (5,4,4) bound
-    # LP of 3,326 rows take 130 pivots in direction 15,10, where
-    # lowest-index ties took 356
+    # about 10%: lexicographic ratio ties and multiple pricing make the
+    # five (4,3,3) bound LPs take 297 pivots in all (43, 43, 78, 80 and
+    # 53), where lowest-index ties took 563, and the unseeded depth-1
+    # (5,4,4) bound LP of 3,326 rows take 148 pivots in direction 15,10,
+    # where lowest-index ties took 356
     pivots = []
     pivot = ratlp._Simplex._pivot
 
@@ -958,15 +1006,15 @@ def test_solve_logs_deterministic_counters(caplog):
         solver.solve()
     assert [r.getMessage() for r in caplog.records] == [
         "solve (dual): 1 rows, 1 columns, 1 pivots (0 degenerate), "
-        "determinant bits 1",
+        "2 reduced costs, determinant bits 1",
         "incremental phase 1 (dual): 1 rows, 1 columns, 0 pivots (0 degenerate), "
-        "determinant bits 1",
+        "0 reduced costs, determinant bits 1",
         "incremental solve (dual): 1 rows, 1 columns, 1 pivots (0 degenerate), "
-        "determinant bits 1",
+        "2 reduced costs, determinant bits 1",
         "incremental phase 1 (dual): 2 rows, 3 columns, 1 pivots (0 degenerate), "
-        "determinant bits 1",
+        "7 reduced costs, determinant bits 1",
         "incremental solve (dual): 2 rows, 3 columns, 2 pivots (1 degenerate), "
-        "determinant bits 1",
+        "5 reduced costs, determinant bits 1",
     ]
 
 

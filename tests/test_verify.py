@@ -394,10 +394,10 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
-    # a work count in place of a timing: summed over the 341 pivots made
+    # a work count in place of a timing: summed over the 306 pivots made
     # while both shipped certificates verify, the entries that M = D·B⁻¹
-    # stores before each pivot are 23,711, bounded here with a margin of
-    # about 150%; dense rows would hold all 1,251,281 cells
+    # stores before each pivot are 21,567, bounded here with a margin of
+    # about 180%; dense rows would hold all 1,301,789 cells
     stored = []
     pivot = ratlp._Simplex._pivot
 
@@ -409,7 +409,7 @@ def test_pivots_store_few_basis_entries(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(stored) == 341
+    assert len(stored) == 306
     assert sum(stored) <= 60000
 
 
