@@ -13,7 +13,10 @@ prover's working.
 This module alone reads the certificate format; load_terms reads the
 term table of a bare term file or a certificate, for the prover's seeds.
 
-Row verification escalates through a ladder: pairwise submodularity
+A row that is one row of the first rung's pool times a positive
+multiplier, or that has no negative coefficient, is certified by a
+direct match, with no pool and no LP.  Every other row escalates
+through a ladder: pairwise submodularity
 over the row's classes, then single-variable-growth instances, then
 families grown by union/intersection closure rounds.  Each grown family
 is tried with three pair rules in turn: the pairs inside the previous
@@ -31,6 +34,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import resources
 
 from .instance import (
@@ -304,6 +308,31 @@ def _pinned_caps(u: Universe) -> list:
     return rows
 
 
+def _one_pool_row(u: Universe, fam_masks, expr: LinExpr):
+    """Decide, without an LP, a row that the first rung would certify with
+    one row of its pool: () for a row with no negative coefficient (x >= 0
+    alone bounds it), ((multiplier, pool row),) for a positive multiple of
+    a spanning row or a pinned cap, or of an instance over a pair of the
+    row's own classes, and None otherwise.  Rows and candidates are
+    compared divided by the gcd of their own coefficients.  Every
+    candidate is a row of the first rung's pool or a pinned cap, so the
+    first rung's LP would certify a matched row too: the match only skips
+    work, and a row it declines goes on through the ladder."""
+    if all(v > 0 for v in expr.coeffs.values()):
+        return ()
+    classes = frozenset(c for c in expr.coeffs if type(c) is int)
+    g = math.gcd(*expr.coeffs.values())
+    want = {c: v // g for c, v in expr.coeffs.items()}
+    candidates = [instance_row((BIGB, 0, c, 0), "spanning-value") for c in classes]
+    candidates += _pinned_caps(u)
+    candidates += map(instance_row, instances(u, fam_masks, classes, 2))
+    for row in candidates:
+        h = math.gcd(*row.coeffs.values())
+        if {c: v // h for c, v in row.coeffs.items()} == want:
+            return ((Fraction(g, h), row),)
+    return None
+
+
 def _try_pool(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
     """Minimize the row over the cone cut out by the rung's pool and the
     pinned caps.  Returns a witness list when the minimum is zero, else None."""
@@ -440,8 +469,9 @@ def check_row(
     once every earlier rung has failed.  Valid rows report the
     generation that certified them and a rational witness; rows that
     exhaust the ladder come back unverified (never invalid), at depth
-    max_depth also when a round that adds no class ends it early.  Each
-    rung tried logs one DEBUG line of its sizes and outcome.
+    max_depth also when a round that adds no class ends it early.  A row
+    that _one_pool_row matches skips the ladder.  Each rung tried, or the
+    match, logs one DEBUG line of its sizes and outcome.
     """
     if not 0 <= index < len(cert.rows):
         raise CertificateError(f"row index {index} out of range")
@@ -457,6 +487,15 @@ def check_row(
     for cap in storage_and_bandwidth_caps(u):
         cols += cap.coeffs
     base = {col for col in cols if col not in RESERVED_COLUMNS}
+    witness = _one_pool_row(u, frozenset(base), expr)
+    if witness is not None:
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "row %d, depth 1: %s",
+                index,
+                f"one pool row ({witness[0][1].kind})" if witness else "no negative coefficient",
+            )
+        return RowCheck(index, "valid", 1, witness)
     for fam_masks, bases, anchors, need, depth in _rungs(u, base, max_depth):
         if fam_masks is None:
             return RowCheck(index, "unverified", depth, detail="family size cap exceeded")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repairbound import certificate, instance, ratlp
+from repairbound import certificate, cli, instance, ratlp
 from repairbound.certificate import (
     Certificate,
     CertificateError,
@@ -12,12 +12,22 @@ from repairbound.certificate import (
     _rungs,
     _term_column,
     _try_pool,
+    _one_pool_row,
     _try_pool_active,
     check_row,
     load,
     verify,
 )
-from repairbound.instance import BIGB, LinExpr, instance_row, instances
+from repairbound.instance import (
+    ALPHA,
+    BETA,
+    BIGB,
+    LinExpr,
+    enumerate_rows,
+    instance_row,
+    instances,
+    storage_and_bandwidth_caps,
+)
 from repairbound.ratlp import IncrementalDualSolver
 from repairbound.universe import (
     build_universe,
@@ -349,17 +359,29 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
     # work counts in place of a timing while both shipped certificates
     # verify: the descriptors that active-set rungs draw are 5,468,
     # bounded here with a margin of about 45%; a ladder that tried the
-    # touching rung before the within rung would draw 62,711.  column_key
-    # runs 771 times, once per class of each pool_columns call, bounded
-    # with a margin of about 30%; keying working rows by signature made
+    # touching rung before the within rung would draw 62,711.  Only the
+    # active-set rungs' draws count, not the small ones of the one-row
+    # match.  column_key runs 500 times, once per class of each
+    # pool_columns call (750 before the match took the rows that are one
+    # pool row off the LP rungs); keying working rows by signature made
     # 3,190 calls.  No solver is given two rows with equal coefficients.
     drawn = []
     given = {}  # solver -> every row given to it
     keyed = []
+    in_active = []
+    try_pool_active = certificate._try_pool_active
+
+    def active(*args):
+        in_active.append(True)
+        try:
+            return try_pool_active(*args)
+        finally:
+            in_active.pop()
 
     def counted(*args):
         descs = list(instances(*args))
-        drawn.append(len(descs))
+        if in_active:
+            drawn.append(len(descs))
         return iter(descs)
 
     init, add_rows = IncrementalDualSolver.__init__, IncrementalDualSolver.add_rows
@@ -380,6 +402,7 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
         return column_key(col)
 
     monkeypatch.setattr(certificate, "instances", counted)
+    monkeypatch.setattr(certificate, "_try_pool_active", active)
     monkeypatch.setattr(IncrementalDualSolver, "__init__", recorded_init)
     monkeypatch.setattr(IncrementalDualSolver, "add_rows", recorded_add_rows)
     monkeypatch.setattr(instance, "column_key", counted_key)
@@ -394,10 +417,10 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
-    # a work count in place of a timing: summed over the 306 pivots made
+    # a work count in place of a timing: summed over the 245 pivots made
     # while both shipped certificates verify, the entries that M = D·B⁻¹
-    # stores before each pivot are 21,567, bounded here with a margin of
-    # about 180%; dense rows would hold all 1,301,789 cells
+    # stores before each pivot are 20,927, bounded here with a margin of
+    # about 185%; dense rows would hold all 1,297,556 cells
     stored = []
     pivot = ratlp._Simplex._pivot
 
@@ -409,7 +432,7 @@ def test_pivots_store_few_basis_entries(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(stored) == 306
+    assert len(stored) == 245
     assert sum(stored) <= 60000
 
 
@@ -459,16 +482,17 @@ def test_active_set_rungs_that_fail_add_few_rows(monkeypatch):
 
 
 def row_certificate(u, coeffs):
-    # a one-row certificate over class masks and B, one term per class
+    # a one-row certificate over class masks and the reserved columns,
+    # one term per class
     terms, row = {}, {}
     for col, v in coeffs.items():
-        if col == BIGB:
-            row[BIGB] = v
+        if col in (ALPHA, BETA, BIGB):
+            row[col] = v
         else:
             tid = f"T{len(terms) + 1}"
             terms[tid] = tuple(token_for_index(u.n, i) for i in u.indices_of(col))
             row[tid] = v
-    return Certificate(5, 4, 4, terms, [row], dict(row))
+    return Certificate(u.n, u.k, u.d, terms, [row], dict(row))
 
 
 def test_touching_rung_certifies_a_row_the_within_rung_misses(monkeypatch):
@@ -511,3 +535,147 @@ def test_touching_rung_certifies_a_row_the_within_rung_misses(monkeypatch):
     assert (rc.status, rc.depth) == ("valid", 2)
     term_cols = {tid: _term_column(u, toks) for tid, toks in cert.terms.items()}
     assert recombined(rc.witness) == _row_expr(cert.rows[0], term_cols).coeffs
+
+
+def first_rung_family(u, coeffs):
+    # the family of check_row's first rung: the row's classes and the caps'
+    cols = [*coeffs]
+    for cap in storage_and_bandwidth_caps(u):
+        cols += cap.coeffs
+    return frozenset(c for c in cols if type(c) is int)
+
+
+def random_pool_row_draws(rng, u, pool, columns):
+    # rows drawn around a rung-1 pool: (shape, coefficients)
+    shape = rng.choice(("multiple", "nonnegative", "changed", "sum", "negated"))
+    row = dict(rng.choice(pool).coeffs)
+    if shape == "multiple":
+        lam = rng.randint(1, 4)
+        row = {c: lam * v for c, v in row.items()}
+    elif shape == "nonnegative":
+        row = {c: rng.randint(1, 3) for c in rng.sample(columns, rng.randint(1, 3))}
+    elif shape == "changed":
+        col = rng.choice(columns)
+        row[col] = row.get(col, 0) + rng.choice((-2, -1, 1, 2))
+    elif shape == "sum":
+        for col, v in rng.choice(pool).coeffs.items():
+            row[col] = row.get(col, 0) + v
+    else:
+        row = {c: -v for c, v in row.items()}
+    return shape, {c: v for c, v in row.items() if v}
+
+
+def test_one_pool_row_match_agrees_with_the_first_rung(monkeypatch):
+    # the match before the ladder is a fast path of the first rung.  On
+    # seeded rows around small families' pools: a row it accepts is
+    # certified by the rung-1 LP too, with the ladder's status and depth,
+    # and its witness adds up to the row (or is empty for a row with no
+    # negative coefficient); a row it declines gets the ladder's result
+    # unchanged, witness included; every multiple of a pool row is
+    # accepted.  A match that skipped the gcd division would decline the
+    # multiples, and one that accepted negated instances would certify
+    # rows the ladder leaves unverified.
+    rng = random.Random(2501)
+    seen = set()
+    for n, k in ((4, 3), (5, 4)):
+        u = build_universe(n, k)
+        caps = first_rung_family(u, {})
+        for _ in range(16):
+            base = set(caps)
+            while len(base) < len(caps) + 2:
+                m = u.closure_mask(u.mask_of(rng.sample(range(u.num_vars), rng.randrange(1, 5))))
+                if m != u.full_mask:
+                    base.add(u.canon_mask(m))
+            pool = enumerate_rows(u, base) + certificate._pinned_caps(u)
+            columns = [ALPHA, BETA, BIGB, *sorted(base)]
+            for _ in range(16):
+                shape, coeffs = random_pool_row_draws(rng, u, pool, columns)
+                if not coeffs:
+                    continue
+                cert = row_certificate(u, coeffs)
+                fast = check_row(u, cert, 0, max_depth=1)
+                with monkeypatch.context() as m:
+                    m.setattr(certificate, "_one_pool_row", lambda *args: None)
+                    slow = check_row(u, cert, 0, max_depth=1)
+                expr = LinExpr(coeffs)
+                fam = first_rung_family(u, coeffs)
+                witness = _one_pool_row(u, fam, expr)
+                seen.add((shape, witness is not None))
+                if witness is None:
+                    assert shape != "multiple", coeffs
+                    assert fast == slow, coeffs
+                    continue
+                assert (fast.status, fast.depth, fast.detail) == ("valid", 1, "")
+                assert (slow.status, slow.depth, slow.detail) == ("valid", 1, ""), coeffs
+                assert fast.witness == witness
+                assert _try_pool(u, fam, (), 0, (), expr) is not None
+                if witness:
+                    assert len(witness) == 1 and witness[0][0] > 0
+                    assert recombined(witness) == coeffs
+                else:
+                    assert min(coeffs.values()) > 0
+    # accepted multiples and nonnegative rows, and declined rows of the
+    # other shapes, all occur
+    assert {
+        ("multiple", True),
+        ("nonnegative", True),
+        ("changed", False),
+        ("sum", False),
+        ("negated", False),
+    } <= seen, seen
+
+
+def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
+    # a work count in place of a timing: every row of the seven
+    # certificates that the benchmark's prove workload writes is one pool
+    # row times a multiplier, so verifying them solves no LP at all, and
+    # verifying both shipped certificates makes 20 cold solves (43 before
+    # the match took its rows off the LP rungs)
+    monkeypatch.chdir(tmp_path)
+    for d in ("1,0", "2,1", "4,6", "1,3", "0,1"):
+        assert cli.main(["solve", "--n", "4", "--k", "3", "--depth", "1", "--dir", d]) == 0
+    assert cli.main(["solve", "--n", "5", "--k", "4", "--dir", "1,0", "--dir", "15,10"]) == 0
+    paths = sorted(tmp_path.glob("bound-*.cert.json"))
+    assert len(paths) == 7
+    solves = []
+    solve = certificate.solve
+
+    def counted(lp):
+        solves.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(certificate, "solve", counted)
+    monkeypatch.setattr(certificate, "IncrementalDualSolver", None)  # no rung may run
+    universes = {(4, 3): build_universe(4, 3), (5, 4): build_universe(5, 4)}
+    for path in paths:
+        cert = load(path)
+        report = verify(universes[cert.n, cert.k], cert)
+        assert report.overall == "VALID", path
+        assert {(rc.status, rc.depth) for rc in report.row_status} == {("valid", 1)}
+    assert solves == []
+    monkeypatch.undo()
+    monkeypatch.setattr(certificate, "solve", counted)
+    for name in ("prop1", "prop2"):
+        assert verify(universes[5, 4], load(DATA / f"{name}.cert.json")).overall == "VALID"
+    assert len(solves) == 20
+
+
+def test_matched_rows_log_one_line(caplog):
+    # a row that the match certifies logs one line in the rung lines'
+    # place, naming the pool row's kind; prop1 rows 5, 7, 8, 9 and 11 are
+    # each one submodularity instance
+    u = build_universe(5, 4)
+    with caplog.at_level(logging.DEBUG, logger="repairbound.certificate"):
+        assert verify(u, load(DATA / "prop1.cert.json")).overall == "VALID"
+        check_row(u, one_row_cert(("W1",), {"T1": 2, "beta": 1}), 0)
+        check_row(u, one_row_cert(("W1",), {"T1": 3, "alpha": -3}), 0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.certificate"]
+    matched = [line for line in lines if ": one pool row (" in line]
+    assert matched == [
+        f"row {i}, depth 1: one pool row (submodularity)" for i in (5, 7, 8, 9, 11)
+    ] + ["row 0, depth 1: one pool row (negated-storage-cap)"]
+    assert lines.count("row 0, depth 1: no negative coefficient") == 1
+    for i in (5, 7, 8, 9, 11):
+        assert [line for line in lines if line.startswith(f"row {i}, ")] == [
+            f"row {i}, depth 1: one pool row (submodularity)"
+        ]
