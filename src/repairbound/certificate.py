@@ -5,10 +5,10 @@ A certificate asserts one linear storage-bandwidth bound as a short
 table: a list of entropy terms, integer coefficient rows, and a target
 row.  Soundness rests on two independent checks.  First, the rows must
 sum column by column to the target, exactly.  Second, every row must
-itself be a valid information inequality; the verifier rebuilds a
-constraint pool from the row's own term sets and searches for a
-nonnegative rational combination with an exact LP, never trusting the
-prover's working.
+itself be a valid information inequality; the verifier searches the
+Shannon instances over the row's own term classes for a nonnegative
+rational combination, with an exact LP that grows its rows by
+separation, never trusting the prover's working.
 
 This module alone reads the certificate format; load_terms reads the
 term table of a bare term file or a certificate, for the prover's seeds.
@@ -16,15 +16,15 @@ term table of a bare term file or a certificate, for the prover's seeds.
 A row that is one row of the first rung's pool times a positive
 multiplier, or that has no negative coefficient, is certified by a
 direct match, with no pool and no LP.  Every other row escalates
-through a ladder: pairwise submodularity
-over the row's classes, then single-variable-growth instances, then
-families grown by union/intersection closure rounds.  Each grown family
-is tried with three pair rules in turn: the pairs inside the previous
-family (those its closure round just scanned), the pairs touching it,
-then every pair.
-A closure round runs only after every earlier rung has failed.  A row
-that exhausts the ladder is reported unverified, never invalid; only a
-failed sum check or a malformed target makes a certificate invalid.
+through a ladder: pairwise submodularity over the row's classes, then
+single-variable-growth instances, then families grown by
+union/intersection closure rounds.  Each grown family is tried with
+three pair rules in turn: the pairs inside the previous family (those
+its closure round just scanned), the pairs touching it, then every
+pair.  Every rung makes the same active-set search.  A closure round
+runs only after every earlier rung has failed.  A row that exhausts the
+ladder is reported unverified, never invalid; only a failed sum check
+or a malformed target makes a certificate invalid.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ from .instance import (
     BETA,
     BIGB,
     LinExpr,
-    enumerate_rows,
     instance_row,
     instances,
     pool_columns,
     storage_and_bandwidth_caps,
 )
-from .ratlp import IncrementalDualSolver, LPProblem, LPRow, solve
+from .ratlp import IncrementalDualSolver, LPRow
 from .universe import Universe, closure_round, index_for_token
 
 log = logging.getLogger("repairbound.certificate")
@@ -333,32 +332,14 @@ def _one_pool_row(u: Universe, fam_masks, expr: LinExpr):
     return None
 
 
-def _try_pool(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
-    """Minimize the row over the cone cut out by the rung's pool and the
-    pinned caps.  Returns a witness list when the minimum is zero, else None."""
-    all_rows = enumerate_rows(u, fam_masks, anchors, need, bases)
-    all_rows += _pinned_caps(u)
-    lp = LPProblem(
-        columns=pool_columns(fam_masks),
-        objective=dict(expr.coeffs),
-        rows=[LPRow(r.coeffs) for r in all_rows],
-    )
-    sol = solve(lp)
-    if sol.status == "unbounded":
-        return None
-    if sol.status != "optimal" or sol.value != 0:
-        raise CertificateError(f"row LP reported {sol.status}: solver invariant broken")
-    return tuple(
-        (lam, all_rows[i]) for i, lam in enumerate(sol.duals) if lam
-    )
-
-
 def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
-    """Active-set variant of _try_pool for large families: solve a boxed
-    relaxation over a small working row set, separate violated instances
-    at the optimum, repeat with a warm basis.  Exactly the same answer
-    as enumerating the whole pool, since separation scans the identical
-    instance space.
+    """Minimize the row over the cone cut out by the rung's pool and the
+    pinned caps; return a witness list when the minimum is zero, else
+    None.  This is every rung's search: solve a boxed relaxation over a
+    small working row set, separate the instances that its optimum
+    violates, and repeat with a warm basis.  Separation scans the rung's
+    whole instance space, so the answer is that of an LP over the whole
+    pool, which is never built.
 
     At a boxed optimum of zero the box multipliers vanish (their sum is
     the optimum itself), so the boxed duals restricted to pool rows and
@@ -499,17 +480,15 @@ def check_row(
     for fam_masks, bases, anchors, need, depth in _rungs(u, base, max_depth):
         if fam_masks is None:
             return RowCheck(index, "unverified", depth, detail="family size cap exceeded")
-        search = _try_pool if len(fam_masks) <= 24 else _try_pool_active
-        witness = search(u, fam_masks, anchors, need, bases, expr)
+        witness = _try_pool_active(u, fam_masks, anchors, need, bases, expr)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
-                "row %d, depth %d: %d classes, %d elemental bases, %s, %s: %s",
+                "row %d, depth %d: %d classes, %s, %d elemental bases: %s",
                 index,
                 depth,
                 len(fam_masks),
-                len(bases),
                 ("unanchored", "anchored", "within")[need],
-                "full pool" if search is _try_pool else "active set",
+                len(bases),
                 "no witness" if witness is None else "valid",
             )
         if witness is not None:

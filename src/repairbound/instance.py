@@ -163,20 +163,14 @@ def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
                 yield (kx, ky, kxy, c_mask)
 
 
-def enumerate_rows(u: Universe, fam_masks, anchors=(), need=0, bases=()) -> list[LinExpr]:
+def enumerate_rows(u: Universe, fam_masks) -> list[LinExpr]:
     """Deterministic, deduplicated constraint pool over a family of
     canonical class masks.
 
     Emits H(A) >= 0 and BIGB - H(A) >= 0 per class and the rows of every
-    descriptor that ``instances`` generates over the family, with the
-    elementals of the given bases only; the capacity rows are not
+    descriptor that ``instances`` generates over every pair of the
+    family, with no elemental instances; the capacity rows are not
     included.  The pool never references a class it was not given.
-
-    anchors and need restrict submodularity as in ``instances``.  After a
-    closure round grows a family, the verifier's ladder passes the
-    previous family as anchors, first with need 2 (the pairs the round
-    just scanned), then with need 1 (pairs touching it), before it tries
-    every pair.
     """
     fam_masks = sorted(set(fam_masks), reverse=True)
     for m in fam_masks:
@@ -184,10 +178,6 @@ def enumerate_rows(u: Universe, fam_masks, anchors=(), need=0, bases=()) -> list
             raise ValueError("family must hold proper nonempty classes")
         if u.canon_mask(m) != m:
             raise ValueError("family members must be canonical classes")
-    bases = sorted(set(bases), reverse=True)
-    allowed = set(fam_masks) | {0, u.full_mask}
-    if any(c not in allowed for c in bases):
-        raise ValueError("elemental bases must come from the family")
 
     # A row's key is the sorted tuple of its entries rank·5 + coeff + 2,
     # a column's rank being its position in pool_columns.  A descriptor's
@@ -201,7 +191,7 @@ def enumerate_rows(u: Universe, fam_masks, anchors=(), need=0, bases=()) -> list
     for m in fam_masks:
         seen.setdefault((plus[m],), KIND_ORDER["monotonicity"])
         seen.setdefault((plus[BIGB], minus[m]), KIND_ORDER["spanning-value"])
-    descs = Counter(instances(u, fam_masks, anchors, need, bases))
+    descs = Counter(instances(u, fam_masks))
     for desc in descs:
         ka, kb, ku, ki = desc
         if kb and ki and len(set(desc)) == 4:

@@ -122,7 +122,8 @@ def test_rows_nonnegative_on_replication_and_zero_vectors():
         u.canon_mask(u.mask_of_tokens(t))
         for t in (["W1"], ["S1->2"], ["W1", "W2"], ["W1", "S3->2"])
     }
-    rows = enumerate_rows(u, fam, bases=[0, *fam])
+    rows = enumerate_rows(u, fam)
+    rows += [instance_row(d) for d in instances(u, fam, bases=[0, *fam])]
     assert rows
     for row in rows:
         assert replication_value(row) >= 0
@@ -135,7 +136,9 @@ def test_rows_reference_only_family_classes():
         u.canon_mask(u.mask_of_tokens(t))
         for t in (["W1"], ["S1->2"], ["W1", "W2"])
     }
-    for row in enumerate_rows(u, fam, bases=[0, *fam]):
+    rows = enumerate_rows(u, fam)
+    rows += [instance_row(d) for d in instances(u, fam, bases=[0, *fam])]
+    for row in rows:
         for col in row.coeffs:
             if col in (ALPHA, BETA, BIGB):
                 continue
@@ -162,11 +165,14 @@ def test_enumerate_rows_deterministic_and_deduped():
         u.canon_mask(u.mask_of_tokens(t))
         for t in (["W1"], ["S1->2"], ["W1", "W2"], ["W1", "S4->3"])
     }
-    r1 = enumerate_rows(u, fam, bases=[0, *fam])
-    r2 = enumerate_rows(u, sorted(fam), bases=sorted([0, *fam]))
+    r1 = enumerate_rows(u, fam)
+    r2 = enumerate_rows(u, sorted(fam))
     assert [signature(r) for r in r1] == [signature(r) for r in r2]
     sigs = [signature(r) for r in r1]
     assert len(sigs) == len(set(sigs))
+    # the elemental instances too, for bases given in one order
+    bases = sorted([0, *fam], reverse=True)
+    assert list(instances(u, fam, bases=bases)) == list(instances(u, sorted(fam), bases=bases))
 
 
 def test_enumerate_rows_rejects_bad_family():
@@ -252,8 +258,9 @@ def assert_integer_rows(rows):
 
 
 def test_pools_are_pinned():
-    # digests of pools that the prover and the verifier build; a change
-    # in any row, kind, order or dedup winner changes them
+    # digests of two pools that the prover builds and of one rung's pool
+    # that the verifier's separation searches; a change in any row, kind,
+    # order or dedup winner changes them
     u54 = build_universe(5, 4)
     seeds = load_terms(DATA / "prop1.terms.json", 5) + load_terms(DATA / "prop2.terms.json", 5)
     masks = default_family(u54, seeds=seeds)
@@ -273,7 +280,8 @@ def test_pools_are_pinned():
         "df0ff9bc8f6060b2a89e034f255a6b7238afa1c56a162e76a913f6fa387532cc"
     )
 
-    # the anchored depth-2 rung, elementals included, of prop2 row 12
+    # the anchored depth-2 rung, elementals included, of prop2 row 12, as
+    # the signature reference pools the instances its separation scans
     cert = load(DATA / "prop2.cert.json")
     term_cols = {tid: _term_column(u54, toks) for tid, toks in cert.terms.items()}
     base = {
@@ -287,7 +295,7 @@ def test_pools_are_pinned():
     fam, done = closure_round(u54, base, 5000)
     assert done and len(fam) == 20
     bases = [0] + sorted(base, reverse=True)
-    rows = enumerate_rows(u54, fam, anchors=base, need=1, bases=bases)
+    rows = reference_enumerate_rows(u54, fam, anchors=base, need=1, bases=bases)
     assert len(rows) == 282
     assert_integer_rows(rows)
     assert pool_digest(u54, rows) == (
@@ -559,7 +567,9 @@ def test_enumerate_rows_logs_pool_counts(caplog):
 
 def reference_enumerate_rows(u, fam_masks, anchors=(), need=0, bases=()):
     # the slow path: a LinExpr and a signature for every distinct
-    # descriptor, deduplicated and sorted on (kind, signature)
+    # descriptor, deduplicated and sorted on (kind, signature); it takes
+    # the pair rule and the elemental bases of instances, so it also
+    # builds a verifier rung's whole pool
     fam_masks = sorted(set(fam_masks), reverse=True)
     rows = []
     for m in fam_masks:
@@ -577,21 +587,18 @@ def reference_enumerate_rows(u, fam_masks, anchors=(), need=0, bases=()):
 
 
 def test_enumerate_rows_matches_signature_reference():
-    # every pair rule, with and without elemental bases: the same kinds,
-    # coefficients and order as deduplicating and sorting on signatures
+    # the same kinds, coefficients and order as deduplicating and sorting
+    # on signatures
     rng = random.Random(2017)
     for n, k, size in ((4, 3, 9), (5, 4, 7)):
         for trial in range(6):
             u = build_universe(n, k)
             fam = random_family(u, rng, size)
-            anchors = set(rng.sample(sorted(fam), 3))
-            for bases in ((), sorted(rng.sample(sorted(fam | {0}), 3), reverse=True)):
-                for held, need in (((), 0), (anchors, 1), (anchors, 2)):
-                    got = enumerate_rows(u, fam, held, need, bases)
-                    want = reference_enumerate_rows(u, fam, held, need, bases)
-                    assert [(r.kind, r.coeffs) for r in got] == [
-                        (r.kind, r.coeffs) for r in want
-                    ], (n, k, trial, bases, need)
+            got = enumerate_rows(u, fam)
+            want = reference_enumerate_rows(u, fam)
+            assert [(r.kind, r.coeffs) for r in got] == [
+                (r.kind, r.coeffs) for r in want
+            ], (n, k, trial)
 
 
 def test_enumerate_rows_keys_each_class_once(monkeypatch):

@@ -11,7 +11,6 @@ from repairbound.certificate import (
     _row_expr,
     _rungs,
     _term_column,
-    _try_pool,
     _one_pool_row,
     _try_pool_active,
     check_row,
@@ -26,15 +25,17 @@ from repairbound.instance import (
     enumerate_rows,
     instance_row,
     instances,
+    pool_columns,
     storage_and_bandwidth_caps,
 )
-from repairbound.ratlp import IncrementalDualSolver
+from repairbound.ratlp import IncrementalDualSolver, LPProblem, LPRow
 from repairbound.universe import (
     build_universe,
     closure_round,
     index_for_token,
     token_for_index,
 )
+from test_instance import reference_enumerate_rows
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -186,11 +187,36 @@ def recombined(witness) -> dict:
     return {col: v for col, v in total.items() if v}
 
 
+def full_pool_reference(u, fam, anchors, need, bases, expr):
+    # the slow path of a rung's search: the rung's whole pool and the
+    # pinned caps, built at once and solved cold; a witness list when
+    # the row's minimum over that cone is zero, else None
+    rows = reference_enumerate_rows(u, fam, anchors, need, bases) + certificate._pinned_caps(u)
+    lp = LPProblem(pool_columns(fam), dict(expr.coeffs), [LPRow(r.coeffs) for r in rows])
+    sol = ratlp.solve(lp)
+    if sol.status == "unbounded":
+        return None
+    assert (sol.status, sol.value) == ("optimal", 0)
+    return tuple((lam, rows[i]) for i, lam in enumerate(sol.duals) if lam)
+
+
+def both_searches(u, base, expr):
+    # on every rung of at most 24 classes up to depth 2, rungs after a
+    # success included: the rung's (depth, need, whether it has elemental
+    # bases), the reference's witness and the active set's, which must
+    # both exist or both be None
+    for fam, bases, anchors, need, depth in _rungs(u, base, 2):
+        if fam is not None and len(fam) <= 24:
+            full = full_pool_reference(u, fam, anchors, need, bases, expr)
+            active = _try_pool_active(u, fam, anchors, need, bases, expr)
+            assert (full is None) == (active is None), (expr, depth, need)
+            yield (depth, need, bool(bases)), full, active
+
+
 def test_full_pool_and_active_set_rungs_agree():
-    # both row-search paths stay (the family size picks one); on every
-    # small-family rung of randomly picked shipped rows they must find a
-    # witness together or fail together, and each witness must add up to
-    # the row exactly
+    # the active set is every rung's search; on every small-family rung of
+    # randomly picked shipped rows it must find a witness exactly when the
+    # full-pool reference does, and each witness must add up to the row
     rng = random.Random(606)
     u = build_universe(5, 4)
     w_cls = u.canon_mask(u.var_bit(0))
@@ -207,15 +233,10 @@ def test_full_pool_and_active_set_rungs_agree():
                 for key in row
                 if isinstance(term_cols.get(key), int)
             }
-            for fam, bases, anchors, need, depth in _rungs(u, base, 2):
-                if len(fam) > 24:
-                    continue
-                full = _try_pool(u, fam, anchors, need, bases, expr)
-                active = _try_pool_active(u, fam, anchors, need, bases, expr)
-                assert (full is None) == (active is None), (name, index, depth)
+            for (depth, _, _), full, active in both_searches(u, base, expr):
                 for witness in (full, active):
                     if witness is not None:
-                        assert recombined(witness) == expr.coeffs
+                        assert recombined(witness) == expr.coeffs, (name, index, depth)
                 outcomes.add((full is None, depth))
     # the sample covers rungs that fail, rungs that succeed, and a small
     # depth-2 family
@@ -286,14 +307,13 @@ def test_ladder_stops_once_a_closure_round_adds_no_class(monkeypatch):
     # the row still reports the whole depth budget; trying every depth
     # up to 32 made 95 rung attempts
     attempts = []
-    for name in ("_try_pool", "_try_pool_active"):
-        search = getattr(certificate, name)
+    search = certificate._try_pool_active
 
-        def counted(*args, search=search):
-            attempts.append(len(args[1]))  # the rung's family size
-            return search(*args)
+    def counted(*args):
+        attempts.append(len(args[1]))  # the rung's family size
+        return search(*args)
 
-        monkeypatch.setattr(certificate, name, counted)
+    monkeypatch.setattr(certificate, "_try_pool_active", counted)
     cert = certificate.parse(SATURATING_CERT)
     rc = check_row(build_universe(3, 2), cert, 0, max_depth=32)
     assert (rc.status, rc.depth, rc.detail) == ("unverified", 32, "pool exhausted")
@@ -357,14 +377,13 @@ def test_shipped_depth_two_rows_use_the_within_rung(monkeypatch):
 
 def test_active_set_rungs_draw_few_descriptors(monkeypatch):
     # work counts in place of a timing while both shipped certificates
-    # verify: the descriptors that active-set rungs draw are 5,468,
-    # bounded here with a margin of about 45%; a ladder that tried the
-    # touching rung before the within rung would draw 62,711.  Only the
-    # active-set rungs' draws count, not the small ones of the one-row
-    # match.  column_key runs 500 times, once per class of each
-    # pool_columns call (750 before the match took the rows that are one
-    # pool row off the LP rungs); keying working rows by signature made
-    # 3,190 calls.  No solver is given two rows with equal coefficients.
+    # verify: the 25 active-set rungs draw 7,291 descriptors, bounded
+    # here with a margin of about 10%; a ladder that tried the touching
+    # rung before the within rung would draw 62,711.  Only the active-set
+    # rungs' draws count, not the small ones of the one-row match.
+    # column_key runs 419 times, once per class of each pool_columns
+    # call; keying working rows by signature made 3,190 calls.  No solver
+    # is given two rows with equal coefficients.
     drawn = []
     given = {}  # solver -> every row given to it
     keyed = []
@@ -409,7 +428,7 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(drawn) == len(given) == 5
+    assert len(drawn) == len(given) == 25
     assert sum(drawn) <= 8000
     assert len(keyed) <= 1000
     for rows in given.values():
@@ -417,10 +436,10 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
-    # a work count in place of a timing: summed over the 245 pivots made
+    # a work count in place of a timing: summed over the 261 pivots made
     # while both shipped certificates verify, the entries that M = D·B⁻¹
-    # stores before each pivot are 20,927, bounded here with a margin of
-    # about 185%; dense rows would hold all 1,297,556 cells
+    # stores before each pivot are 20,918, bounded here with a margin of
+    # about 185%; dense rows would hold all 1,298,391 cells
     stored = []
     pivot = ratlp._Simplex._pivot
 
@@ -432,7 +451,7 @@ def test_pivots_store_few_basis_entries(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(stored) == 245
+    assert len(stored) == 261
     assert sum(stored) <= 60000
 
 
@@ -545,6 +564,16 @@ def first_rung_family(u, coeffs):
     return frozenset(c for c in cols if type(c) is int)
 
 
+def random_small_base(rng, u, caps):
+    # the cap classes and two random classes
+    base = set(caps)
+    while len(base) < len(caps) + 2:
+        m = u.closure_mask(u.mask_of(rng.sample(range(u.num_vars), rng.randrange(1, 5))))
+        if m != u.full_mask:
+            base.add(u.canon_mask(m))
+    return base
+
+
 def random_pool_row_draws(rng, u, pool, columns):
     # rows drawn around a rung-1 pool: (shape, coefficients)
     shape = rng.choice(("multiple", "nonnegative", "changed", "sum", "negated"))
@@ -581,11 +610,7 @@ def test_one_pool_row_match_agrees_with_the_first_rung(monkeypatch):
         u = build_universe(n, k)
         caps = first_rung_family(u, {})
         for _ in range(16):
-            base = set(caps)
-            while len(base) < len(caps) + 2:
-                m = u.closure_mask(u.mask_of(rng.sample(range(u.num_vars), rng.randrange(1, 5))))
-                if m != u.full_mask:
-                    base.add(u.canon_mask(m))
+            base = random_small_base(rng, u, caps)
             pool = enumerate_rows(u, base) + certificate._pinned_caps(u)
             columns = [ALPHA, BETA, BIGB, *sorted(base)]
             for _ in range(16):
@@ -608,7 +633,7 @@ def test_one_pool_row_match_agrees_with_the_first_rung(monkeypatch):
                 assert (fast.status, fast.depth, fast.detail) == ("valid", 1, "")
                 assert (slow.status, slow.depth, slow.detail) == ("valid", 1, ""), coeffs
                 assert fast.witness == witness
-                assert _try_pool(u, fam, (), 0, (), expr) is not None
+                assert full_pool_reference(u, fam, (), 0, (), expr) is not None
                 if witness:
                     assert len(witness) == 1 and witness[0][0] > 0
                     assert recombined(witness) == coeffs
@@ -625,12 +650,48 @@ def test_one_pool_row_match_agrees_with_the_first_rung(monkeypatch):
     } <= seen, seen
 
 
+def test_active_set_and_full_pool_agree_on_random_rows():
+    # the verifier's one row search against its slow path, on seeded rows
+    # around small families' rung-1 pools at (4,3) and (5,4): on every
+    # rung of at most 24 classes up to depth 2, the active set finds a
+    # witness exactly when the full-pool reference does.  Each
+    # witness has positive multipliers and adds up to the row less a
+    # slack with no negative coefficient, which x >= 0 covers; the slack
+    # is zero on the shipped rows, but on a row such as an instance plus
+    # H(A) the LP leaves H(A) in its reduced costs
+    rng = random.Random(2602)
+    seen = set()
+    for n, k in ((4, 3), (5, 4)):
+        u = build_universe(n, k)
+        caps = first_rung_family(u, {})
+        for _ in range(6):
+            base = random_small_base(rng, u, caps)
+            pool = enumerate_rows(u, base) + certificate._pinned_caps(u)
+            columns = [ALPHA, BETA, BIGB, *sorted(base)]
+            for _ in range(8):
+                _, coeffs = random_pool_row_draws(rng, u, pool, columns)
+                if not coeffs:
+                    continue
+                expr = LinExpr(coeffs)
+                for rung, full, active in both_searches(u, first_rung_family(u, coeffs), expr):
+                    for witness in (full, active):
+                        if witness is not None:
+                            assert all(lam > 0 for lam, _ in witness)
+                            total = recombined(witness)
+                            slack = [coeffs.get(c, 0) - total.get(c, 0) for c in {*coeffs, *total}]
+                            assert min(slack) >= 0, (coeffs, total)
+                    seen.add((n, *rung, active is not None))
+    # both sizes reach every rung kind, each with and without a witness
+    kinds = ((1, 0, False), (1, 0, True), (2, 2, True), (2, 1, True), (2, 0, True))
+    assert {(n, *kind, found) for n in (4, 5) for kind in kinds for found in (False, True)} <= seen
+
+
 def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
     # a work count in place of a timing: every row of the seven
     # certificates that the benchmark's prove workload writes is one pool
     # row times a multiplier, so verifying them solves no LP at all, and
-    # verifying both shipped certificates makes 20 cold solves (43 before
-    # the match took its rows off the LP rungs)
+    # verifying both shipped certificates builds 25 active-set solvers and
+    # makes no cold solve
     monkeypatch.chdir(tmp_path)
     for d in ("1,0", "2,1", "4,6", "1,3", "0,1"):
         assert cli.main(["solve", "--n", "4", "--k", "3", "--depth", "1", "--dir", d]) == 0
@@ -638,13 +699,16 @@ def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
     paths = sorted(tmp_path.glob("bound-*.cert.json"))
     assert len(paths) == 7
     solves = []
-    solve = certificate.solve
+    solve = ratlp.solve
+    # the verifier holds no name of its own for solve, so wrapping it in
+    # ratlp catches every call
+    assert solve not in vars(certificate).values()
 
     def counted(lp):
         solves.append(lp)
         return solve(lp)
 
-    monkeypatch.setattr(certificate, "solve", counted)
+    monkeypatch.setattr(ratlp, "solve", counted)
     monkeypatch.setattr(certificate, "IncrementalDualSolver", None)  # no rung may run
     universes = {(4, 3): build_universe(4, 3), (5, 4): build_universe(5, 4)}
     for path in paths:
@@ -654,10 +718,18 @@ def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
         assert {(rc.status, rc.depth) for rc in report.row_status} == {("valid", 1)}
     assert solves == []
     monkeypatch.undo()
-    monkeypatch.setattr(certificate, "solve", counted)
+    solvers = []
+    init = IncrementalDualSolver.__init__
+
+    def counted_init(solver, *args):
+        solvers.append(solver)
+        init(solver, *args)
+
+    monkeypatch.setattr(ratlp, "solve", counted)
+    monkeypatch.setattr(IncrementalDualSolver, "__init__", counted_init)
     for name in ("prop1", "prop2"):
         assert verify(universes[5, 4], load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(solves) == 20
+    assert (len(solves), len(solvers)) == (0, 25)
 
 
 def test_matched_rows_log_one_line(caplog):
