@@ -13,12 +13,12 @@ separation, never trusting the prover's working.
 This module alone reads the certificate format; load_terms reads the
 term table of a bare term file or a certificate, for the prover's seeds.
 
-A row that is one row of the first rung's pool times a positive
-multiplier, or that has no negative coefficient, is certified by a
-direct match, with no pool and no LP.  Every other row escalates
-through a ladder: pairwise submodularity over the row's classes, then
-single-variable-growth instances, then families grown by
-union/intersection closure rounds.  Each grown family is tried with
+A row that is a positive multiple of one row of the first rung's pool
+plus multiples of the pinned capacity rows, or that has no negative
+coefficient, is certified by a direct match, with no pool and no LP.
+Every other row escalates through a ladder: pairwise submodularity over
+the row's classes, then single-variable-growth instances, then families
+grown by union/intersection closure rounds.  Each grown family is tried with
 three pair rules in turn: the pairs inside the previous family (those
 its closure round just scanned), the pairs touching it, then every
 pair.  Every rung makes the same active-set search.  A closure round
@@ -307,29 +307,63 @@ def _pinned_caps(u: Universe) -> list:
     return rows
 
 
-def _one_pool_row(u: Universe, fam_masks, expr: LinExpr):
+def _one_pool_row(u: Universe, expr: LinExpr):
     """Decide, without an LP, a row that the first rung would certify with
-    one row of its pool: () for a row with no negative coefficient (x >= 0
-    alone bounds it), ((multiplier, pool row),) for a positive multiple of
-    a spanning row or a pinned cap, or of an instance over a pair of the
-    row's own classes, and None otherwise.  Rows and candidates are
-    compared divided by the gcd of their own coefficients.  Every
-    candidate is a row of the first rung's pool or a pinned cap, so the
-    first rung's LP would certify a matched row too: the match only skips
-    work, and a row it declines goes on through the ladder."""
+    at most one row of its pool plus pinned caps: () for a row with no
+    negative coefficient (x >= 0 alone bounds it), a witness of
+    (multiplier, row) pairs, or None.
+
+    The row's alpha and beta coefficients move onto the pinned caps, a
+    cap for a positive coefficient and its negation for a negative one.
+    A rest with a negative coefficient must then be, divided by its gcd,
+    a spanning row B - H(A) or one instance over a pair of its positive
+    classes (for the monotonicity shape H(A) - H(B), the pair (A, B)).
+    The witness is the instance row, if any, then the caps.  Every entry
+    is a row of the first rung's pool or a pinned cap, and the witness is
+    recombined before it is returned: it must leave the row a slack with
+    no negative coefficient, the first rung's own acceptance condition.
+    So that rung's LP would certify a matched row too; the match only
+    skips work, and a row it declines goes on through the ladder."""
     if all(v > 0 for v in expr.coeffs.values()):
         return ()
-    classes = frozenset(c for c in expr.coeffs if type(c) is int)
-    g = math.gcd(*expr.coeffs.values())
-    want = {c: v // g for c, v in expr.coeffs.items()}
-    candidates = [instance_row((BIGB, 0, c, 0), "spanning-value") for c in classes]
-    candidates += _pinned_caps(u)
-    candidates += map(instance_row, instances(u, fam_masks, classes, 2))
-    for row in candidates:
-        h = math.gcd(*row.coeffs.values())
-        if {c: v // h for c, v in row.coeffs.items()} == want:
-            return ((Fraction(g, h), row),)
-    return None
+    rest = dict(expr.coeffs)
+    caps = _pinned_caps(u)
+    pinned = []
+    for col, cap, neg in zip((ALPHA, BETA), caps[::2], caps[1::2]):
+        a = rest.get(col, 0)
+        if a:
+            for c, v in cap.coeffs.items():
+                rest[c] = rest.get(c, 0) - a * v
+            pinned.append((Fraction(a), cap) if a > 0 else (Fraction(-a), neg))
+    rest = {c: v for c, v in rest.items() if v}
+    witness = []
+    if any(v < 0 for v in rest.values()):
+        g = math.gcd(*rest.values())
+        want = {c: v // g for c, v in rest.items()}
+        classes = frozenset(c for c in want if c != BIGB)
+        pos = {c for c, v in want.items() if v > 0}
+        if BIGB in pos:
+            # only a spanning row has a positive B
+            candidates = [instance_row((BIGB, 0, c, 0), "spanning-value") for c in classes]
+        elif len(pos) <= 2:
+            # an instance row's positive part is {ka, kb}; a monotonicity
+            # row H(ka) - H(ku) is drawn from the pair (ka, ku)
+            anchors = classes if len(want) == 2 and len(pos) == 1 else pos
+            candidates = map(instance_row, instances(u, classes, anchors, 2))
+        else:
+            return None
+        match = next((row for row in candidates if row.coeffs == want), None)
+        if match is None:
+            return None
+        witness.append((Fraction(g), match))
+    witness += pinned
+    slack = dict(expr.coeffs)
+    for lam, row in witness:
+        for c, v in row.coeffs.items():
+            slack[c] = slack.get(c, 0) - lam * v
+    if any(v < 0 for v in slack.values()):
+        return None
+    return tuple(witness)
 
 
 def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr):
@@ -451,8 +485,9 @@ def check_row(
     generation that certified them and a rational witness; rows that
     exhaust the ladder come back unverified (never invalid), at depth
     max_depth also when a round that adds no class ends it early.  A row
-    that _one_pool_row matches skips the ladder.  Each rung tried, or the
-    match, logs one DEBUG line of its sizes and outcome.
+    that _one_pool_row matches skips the ladder, at depth 1.  Each rung
+    tried logs one DEBUG line of its sizes and outcome; the match logs
+    one line naming each witness entry's kind, in witness order.
     """
     if not 0 <= index < len(cert.rows):
         raise CertificateError(f"row index {index} out of range")
@@ -464,19 +499,24 @@ def check_row(
         key: _term_column(u, cert.terms[key]) for key in row if key not in RESERVED_COLUMNS
     }
     expr = _row_expr(row, term_cols)
+    witness = _one_pool_row(u, expr)
+    if witness is not None:
+        if log.isEnabledFor(logging.DEBUG):
+            kinds = [w.kind for _, w in witness]
+            if not kinds:
+                line = "no negative coefficient"
+            elif len(kinds) == 1:
+                line = f"one pool row ({kinds[0]})"
+            elif kinds[0].endswith("-cap"):
+                line = f"pinned caps ({', '.join(kinds)})"
+            else:
+                line = f"one pool row ({kinds[0]}) and pinned caps ({', '.join(kinds[1:])})"
+            log.debug("row %d, depth 1: %s", index, line)
+        return RowCheck(index, "valid", 1, witness)
     cols = list(term_cols.values())
     for cap in storage_and_bandwidth_caps(u):
         cols += cap.coeffs
     base = {col for col in cols if col not in RESERVED_COLUMNS}
-    witness = _one_pool_row(u, frozenset(base), expr)
-    if witness is not None:
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug(
-                "row %d, depth 1: %s",
-                index,
-                f"one pool row ({witness[0][1].kind})" if witness else "no negative coefficient",
-            )
-        return RowCheck(index, "valid", 1, witness)
     for fam_masks, bases, anchors, need, depth in _rungs(u, base, max_depth):
         if fam_masks is None:
             return RowCheck(index, "unverified", depth, detail="family size cap exceeded")

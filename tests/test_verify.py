@@ -377,13 +377,12 @@ def test_shipped_depth_two_rows_use_the_within_rung(monkeypatch):
 
 def test_active_set_rungs_draw_few_descriptors(monkeypatch):
     # work counts in place of a timing while both shipped certificates
-    # verify: the 25 active-set rungs draw 7,291 descriptors, bounded
-    # here with a margin of about 10%; a ladder that tried the touching
-    # rung before the within rung would draw 62,711.  Only the active-set
+    # verify: the 15 active-set rungs draw 6,499 descriptors, bounded
+    # here with a margin of about 23%; a ladder that tried the touching
+    # rung before the within rung would draw 63,742.  Only the active-set
     # rungs' draws count, not the small ones of the one-row match.
-    # column_key runs 419 times, once per class of each pool_columns
-    # call; keying working rows by signature made 3,190 calls.  No solver
-    # is given two rows with equal coefficients.
+    # column_key runs 380 times, once per class of each pool_columns
+    # call.  No solver is given two rows with equal coefficients.
     drawn = []
     given = {}  # solver -> every row given to it
     keyed = []
@@ -428,7 +427,7 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(drawn) == len(given) == 25
+    assert len(drawn) == len(given) == 15
     assert sum(drawn) <= 8000
     assert len(keyed) <= 1000
     for rows in given.values():
@@ -436,10 +435,10 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
-    # a work count in place of a timing: summed over the 261 pivots made
+    # a work count in place of a timing: summed over the 203 pivots made
     # while both shipped certificates verify, the entries that M = D·B⁻¹
-    # stores before each pivot are 20,918, bounded here with a margin of
-    # about 185%; dense rows would hold all 1,298,391 cells
+    # stores before each pivot are 20,361, bounded here with a margin of
+    # about 195%; dense rows would hold all 1,295,448 cells
     stored = []
     pivot = ratlp._Simplex._pivot
 
@@ -451,7 +450,7 @@ def test_pivots_store_few_basis_entries(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(stored) == 261
+    assert len(stored) == 203
     assert sum(stored) <= 60000
 
 
@@ -594,16 +593,30 @@ def random_pool_row_draws(rng, u, pool, columns):
     return shape, {c: v for c, v in row.items() if v}
 
 
+def caps_draw(rng, u, pool):
+    # a pool row times 1..3 plus multiples, of either sign, of the caps
+    lam = rng.randint(1, 3)
+    row = {c: lam * v for c, v in rng.choice(pool).coeffs.items()}
+    for cap in storage_and_bandwidth_caps(u):
+        a = rng.randint(-3, 3)
+        for col, v in cap.coeffs.items():
+            row[col] = row.get(col, 0) + a * v
+    return "caps", {c: v for c, v in row.items() if v}
+
+
 def test_one_pool_row_match_agrees_with_the_first_rung(monkeypatch):
     # the match before the ladder is a fast path of the first rung.  On
     # seeded rows around small families' pools: a row it accepts is
     # certified by the rung-1 LP too, with the ladder's status and depth,
-    # and its witness adds up to the row (or is empty for a row with no
-    # negative coefficient); a row it declines gets the ladder's result
-    # unchanged, witness included; every multiple of a pool row is
-    # accepted.  A match that skipped the gcd division would decline the
-    # multiples, and one that accepted negated instances would certify
-    # rows the ladder leaves unverified.
+    # and its witness has positive multipliers, at most one entry that is
+    # not a cap, and leaves the row a slack with no negative coefficient
+    # (or is empty for a row with no negative coefficient); a row it
+    # declines gets the ladder's result unchanged, witness included;
+    # every multiple of a pool row is accepted, and so is one plus any
+    # multiples of the caps.  A match that skipped the gcd division would
+    # decline the multiples, one that never used a negated cap would
+    # decline rows with a negative alpha or beta, and one that accepted
+    # negated instances would certify rows the ladder leaves unverified.
     rng = random.Random(2501)
     seen = set()
     for n, k in ((4, 3), (5, 4)):
@@ -614,7 +627,10 @@ def test_one_pool_row_match_agrees_with_the_first_rung(monkeypatch):
             pool = enumerate_rows(u, base) + certificate._pinned_caps(u)
             columns = [ALPHA, BETA, BIGB, *sorted(base)]
             for _ in range(16):
-                shape, coeffs = random_pool_row_draws(rng, u, pool, columns)
+                if rng.random() < 0.25:
+                    shape, coeffs = caps_draw(rng, u, pool)
+                else:
+                    shape, coeffs = random_pool_row_draws(rng, u, pool, columns)
                 if not coeffs:
                     continue
                 cert = row_certificate(u, coeffs)
@@ -623,26 +639,28 @@ def test_one_pool_row_match_agrees_with_the_first_rung(monkeypatch):
                     m.setattr(certificate, "_one_pool_row", lambda *args: None)
                     slow = check_row(u, cert, 0, max_depth=1)
                 expr = LinExpr(coeffs)
-                fam = first_rung_family(u, coeffs)
-                witness = _one_pool_row(u, fam, expr)
+                witness = _one_pool_row(u, expr)
                 seen.add((shape, witness is not None))
                 if witness is None:
-                    assert shape != "multiple", coeffs
+                    assert shape not in ("multiple", "caps"), coeffs
                     assert fast == slow, coeffs
                     continue
                 assert (fast.status, fast.depth, fast.detail) == ("valid", 1, "")
                 assert (slow.status, slow.depth, slow.detail) == ("valid", 1, ""), coeffs
                 assert fast.witness == witness
+                fam = first_rung_family(u, coeffs)
                 assert full_pool_reference(u, fam, (), 0, (), expr) is not None
-                if witness:
-                    assert len(witness) == 1 and witness[0][0] > 0
-                    assert recombined(witness) == coeffs
-                else:
+                assert all(lam > 0 for lam, _ in witness), coeffs
+                assert sum(not row.kind.endswith("-cap") for _, row in witness) <= 1, coeffs
+                total = recombined(witness)
+                assert all(coeffs.get(c, 0) >= total.get(c, 0) for c in {*coeffs, *total})
+                if not witness:
                     assert min(coeffs.values()) > 0
-    # accepted multiples and nonnegative rows, and declined rows of the
-    # other shapes, all occur
+    # accepted multiples, cap sums and nonnegative rows, and declined rows
+    # of the other shapes, all occur
     assert {
         ("multiple", True),
+        ("caps", True),
         ("nonnegative", True),
         ("changed", False),
         ("sum", False),
@@ -689,9 +707,10 @@ def test_active_set_and_full_pool_agree_on_random_rows():
 def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
     # a work count in place of a timing: every row of the seven
     # certificates that the benchmark's prove workload writes is one pool
-    # row times a multiplier, so verifying them solves no LP at all, and
-    # verifying both shipped certificates builds 25 active-set solvers and
-    # makes no cold solve
+    # row plus pinned caps, so verifying them solves no LP at all.  Of
+    # the rows of both shipped certificates, only those that need a
+    # closure round reach the ladder; they build 15 active-set solvers
+    # and make no cold solve
     monkeypatch.chdir(tmp_path)
     for d in ("1,0", "2,1", "4,6", "1,3", "0,1"):
         assert cli.main(["solve", "--n", "4", "--k", "3", "--depth", "1", "--dir", d]) == 0
@@ -725,29 +744,65 @@ def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
         solvers.append(solver)
         init(solver, *args)
 
+    on = {}  # the certificate and row that check_row is on
+    laddered = {"prop1": set(), "prop2": set()}
+    check, search = certificate.check_row, certificate._try_pool_active
+
+    def tracked_check(u, cert, index, **kwargs):
+        on["row"] = index
+        return check(u, cert, index, **kwargs)
+
+    def tracked_search(*args):
+        laddered[on["name"]].add(on["row"])
+        return search(*args)
+
     monkeypatch.setattr(ratlp, "solve", counted)
     monkeypatch.setattr(IncrementalDualSolver, "__init__", counted_init)
+    monkeypatch.setattr(certificate, "check_row", tracked_check)
+    monkeypatch.setattr(certificate, "_try_pool_active", tracked_search)
     for name in ("prop1", "prop2"):
+        on["name"] = name
         assert verify(universes[5, 4], load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert (len(solves), len(solvers)) == (0, 25)
+    assert laddered == {name: set(rows) for name, rows in DEPTH_TWO_ROWS.items()}
+    assert (len(solves), len(solvers)) == (0, 15)
 
 
 def test_matched_rows_log_one_line(caplog):
     # a row that the match certifies logs one line in the rung lines'
-    # place, naming the pool row's kind; prop1 rows 5, 7, 8, 9 and 11 are
-    # each one submodularity instance
+    # place, naming each witness entry's kind; prop1 rows 5, 7, 8, 9 and
+    # 11 are each one submodularity instance, and rows 0, 1, 2, 3 and 6
+    # one submodularity instance plus pinned caps; a row that is caps
+    # alone names only the caps
     u = build_universe(5, 4)
-    with caplog.at_level(logging.DEBUG, logger="repairbound.certificate"):
-        assert verify(u, load(DATA / "prop1.cert.json")).overall == "VALID"
-        check_row(u, one_row_cert(("W1",), {"T1": 2, "beta": 1}), 0)
-        check_row(u, one_row_cert(("W1",), {"T1": 3, "alpha": -3}), 0)
-    lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.certificate"]
+
+    def logged(check):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="repairbound.certificate"):
+            check()
+        return [r.getMessage() for r in caplog.records if r.name == "repairbound.certificate"]
+
+    lines = logged(lambda: verify(u, load(DATA / "prop1.cert.json")))
+    assert logged(lambda: check_row(u, one_row_cert(("W1",), {"T1": 2, "beta": 1}), 0)) == [
+        "row 0, depth 1: no negative coefficient"
+    ]
+    assert logged(lambda: check_row(u, one_row_cert(("W1",), {"T1": 3, "alpha": -3}), 0)) == [
+        "row 0, depth 1: one pool row (negated-storage-cap)"
+    ]
+    row = {"alpha": 1, "beta": 1, "T1": -1, "T2": -1}
+    caps_only = Certificate(5, 4, 4, {"T1": ("W1",), "T2": ("S1->2",)}, [row], dict(row))
+    assert logged(lambda: check_row(u, caps_only, 0)) == [
+        "row 0, depth 1: pinned caps (storage-cap, bandwidth-cap)"
+    ]
+    want = {i: "one pool row (submodularity)" for i in (5, 7, 8, 9, 11)}
+    for i, caps in (
+        (0, "storage-cap, bandwidth-cap"),
+        (1, "storage-cap"),
+        (2, "storage-cap"),
+        (3, "bandwidth-cap"),
+        (6, "storage-cap"),
+    ):
+        want[i] = f"one pool row (submodularity) and pinned caps ({caps})"
     matched = [line for line in lines if ": one pool row (" in line]
-    assert matched == [
-        f"row {i}, depth 1: one pool row (submodularity)" for i in (5, 7, 8, 9, 11)
-    ] + ["row 0, depth 1: one pool row (negated-storage-cap)"]
-    assert lines.count("row 0, depth 1: no negative coefficient") == 1
-    for i in (5, 7, 8, 9, 11):
-        assert [line for line in lines if line.startswith(f"row {i}, ")] == [
-            f"row {i}, depth 1: one pool row (submodularity)"
-        ]
+    assert matched == [f"row {i}, depth 1: {want[i]}" for i in sorted(want)]
+    for i, line in want.items():
+        assert [x for x in lines if x.startswith(f"row {i}, ")] == [f"row {i}, depth 1: {line}"]
