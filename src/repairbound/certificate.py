@@ -16,8 +16,8 @@ term table of a bare term file or a certificate, for the prover's seeds.
 A row that is a positive multiple of one row of the first rung's pool
 plus multiples of the pinned capacity rows, or that has no negative
 coefficient, is certified by a direct match, with no pool and no LP.
-Every other row escalates through a ladder: pairwise submodularity over
-the row's classes, then single-variable-growth instances, then families
+Every other row escalates through a ladder: pairwise submodularity and
+single-variable-growth instances over the row's classes, then families
 grown by union/intersection closure rounds.  Each grown family is tried with
 three pair rules in turn: the pairs inside the previous family (those
 its closure round just scanned), the pairs touching it, then every
@@ -375,9 +375,13 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
     whole instance space, so the answer is that of an LP over the whole
     pool, which is never built.
 
-    At a boxed optimum of zero the box multipliers vanish (their sum is
-    the optimum itself), so the boxed duals restricted to pool rows and
-    caps already form the cone witness.
+    The box is the one row B <= 1: the start set's spanning rows
+    B - H(A) >= 0 bound every class through B, and the pinned caps tie
+    alpha and beta to the classes of W1 and S1->2, which every rung's
+    family holds, so the relaxation is bounded.  At a boxed optimum of
+    zero the box multiplier vanishes (it is the optimum itself), so the
+    boxed duals restricted to pool rows and caps already form the cone
+    witness.
     """
     descriptors = list(dict.fromkeys(instances(u, fam_masks, anchors, need, bases)))
 
@@ -396,23 +400,15 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
     for row in start:
         active.setdefault(frozenset(row.coeffs.items()), row)
 
-    columns = pool_columns(fam_masks)
-    box = [LPRow({c: -1}, 1) for c in columns]
-    n_box = len(box)
-    solver = IncrementalDualSolver(
-        columns, dict(expr.coeffs), box + [LPRow(r.coeffs) for r in active.values()]
-    )
+    lp_rows = [LPRow({BIGB: -1}, 1)] + [LPRow(r.coeffs) for r in active.values()]
+    solver = IncrementalDualSolver(pool_columns(fam_masks), dict(expr.coeffs), lp_rows)
 
     batch = 100
     for _ in range(200):
         sol = solver.solve()
         if sol.value == 0:
             rows = list(active.values())
-            return tuple(
-                (lam, rows[i - n_box])
-                for i, lam in enumerate(sol.duals)
-                if lam and i >= n_box
-            )
+            return tuple((lam, rows[i - 1]) for i, lam in enumerate(sol.duals) if lam and i)
 
         den = math.lcm(*(v.denominator for v in sol.primal.values()))
         val = {col: v.numerator * (den // v.denominator) for col, v in sol.primal.items()}
@@ -446,8 +442,10 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
 def _rungs(u: Universe, base, max_depth: int):
     """Yield the ladder over a row's base classes, one rung at a time:
     (family, elemental bases, pair anchors, need, reported depth), read as
-    in ``instances``.  Every rung but the first takes the elementals grown
-    from the empty set and from each base class.  Each depth g >= 2 has
+    in ``instances``.  Every rung takes the elementals grown from the
+    empty set and from each base class, so depth 1 is one rung: every
+    pair of the base family and those elementals, a pool that holds the
+    pool of the same pairs alone.  Each depth g >= 2 has
     three rungs over its grown family, whose pair pools nest: the pairs
     with both classes in the family of depth g-1 (need 2), the pairs
     touching it (need 1), then every pair (need 0).  The closure round
@@ -458,7 +456,6 @@ def _rungs(u: Universe, base, max_depth: int):
     as every deeper rung would repeat the unrestricted one that failed."""
     bases = (0, *sorted(base, reverse=True))
     fam = frozenset(base)
-    yield fam, (), (), 0, 1
     yield fam, bases, (), 0, 1
     for depth in range(2, max_depth + 1):
         grown, done = closure_round(u, fam, FAMILY_CAP)

@@ -100,12 +100,13 @@ def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
     mask set anchors: need 0 keeps every pair, need 1 the pairs touching
     the anchors, need 2 the pairs inside them.  Descriptors may repeat.
 
-    Keys are read from the universe's member index, which orbit_masks
-    fills with every member of each family class, through the family's
+    Keys are read from the universe's member index, which canon_mask
+    filled with every member of each family class, through the family's
     class set: a closed mask outside the family is never canonicalized.
+    Only the orbits the pair rule iterates are fetched: the anchors' alone
+    at need 2.
     """
     fam = sorted(fam_masks, reverse=True)
-    orbits = {r: u.orbit_masks(r) for r in fam}
     in_fam = set(fam)
     get = u.class_of.get
     full = u.full_mask
@@ -113,6 +114,7 @@ def instances(u: Universe, fam_masks, anchors=(), need=0, bases=()):
     # the positions of the anchored classes in fam, and those classes
     held_at = [i for i, r in enumerate(fam) if r in anchors] if need else []
     held = [fam[i] for i in held_at]
+    orbits = {r: u.orbit_masks(r) for r in (held if need == 2 else fam)}
     for ai, ra in enumerate(fam):
         # how many of the pair's anchors rb must still supply
         left = need - (ra in anchors) if need else 0

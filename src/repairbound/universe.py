@@ -116,6 +116,7 @@ class Universe:
         self._perm_tables = None
         self._closure_cache: dict[int, int] = {}
         self.class_of: dict[int, int] = {}
+        self.classes_found = 0  # canon_mask misses, one per class
         self._orbit_cache: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
@@ -210,21 +211,27 @@ class Universe:
         return array(self._slot, packed.to_bytes(self._packed_bytes, sys.byteorder))
 
     def canon_mask(self, mask: int) -> int:
+        """The class of closure(mask): the largest mask of its orbit.  A
+        miss indexes every orbit member in class_of, unsorted."""
         closed = self.closure_mask(mask)
         cached = self.class_of.get(closed)
         if cached is not None:
             return cached
-        images = sorted(set(self._images(closed)), reverse=True)
-        best = images[0]
+        images = self._images(closed)
+        best = max(images)
         self.class_of.update(dict.fromkeys(images, best))
-        self._orbit_cache[best] = tuple(images)
+        self.classes_found += 1
         return best
 
     def orbit_masks(self, mask: int) -> tuple[int, ...]:
         """All distinct closed masks in the orbit of closure(mask),
-        descending (the canonical member first)."""
+        descending (the canonical member first).  The tuple is built and
+        cached on the first request for its class."""
         best = self.canon_mask(mask)
-        return self._orbit_cache[best]
+        orbit = self._orbit_cache.get(best)
+        if orbit is None:
+            orbit = self._orbit_cache[best] = tuple(sorted(set(self._images(best)), reverse=True))
+        return orbit
 
 
 def build_universe(n: int, k: int, d: int | None = None) -> Universe:
@@ -252,7 +259,7 @@ def closure_round(u: Universe, masks, cap: int):
     fam = sorted(masks, reverse=True)
     out = set(masks)
     full = u.full_mask
-    orbits_known = len(u._orbit_cache)  # a canon_mask miss adds one orbit
+    found = u.classes_found
     pairs = 0
     for i, ra in enumerate(fam):
         for rb in fam[i:]:
@@ -265,13 +272,13 @@ def closure_round(u: Universe, masks, cap: int):
                 if inter:
                     out.add(u.canon_mask(inter))
                 if len(out) > cap:
-                    _log_round(u, fam, out, pairs, orbits_known, False)
+                    _log_round(u, fam, out, pairs, found, False)
                     return out, False
-    _log_round(u, fam, out, pairs, orbits_known, True)
+    _log_round(u, fam, out, pairs, found, True)
     return out, True
 
 
-def _log_round(u: Universe, fam, out, pairs: int, orbits_known: int, done: bool):
+def _log_round(u: Universe, fam, out, pairs: int, found: int, done: bool):
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "closure round: %d classes in, %d classes out, %d pairs scanned, "
@@ -279,7 +286,7 @@ def _log_round(u: Universe, fam, out, pairs: int, orbits_known: int, done: bool)
             len(fam),
             len(out),
             pairs,
-            len(u._orbit_cache) - orbits_known,
+            u.classes_found - found,
             len(u.class_of),
             "" if done else ", stopped at the cap",
         )

@@ -176,6 +176,34 @@ def test_orbit_masks_lists_whole_orbit():
     assert all(u.closure_mask(x) == x for x in orb)
 
 
+def test_lazy_orbits_match_an_eager_reference():
+    # canon_mask takes the max of a mask's images and indexes them
+    # unsorted; orbit_masks sorts a class's orbit on its first read.  On
+    # seeded random masks, canonicalized in a random order, both agree
+    # with sorting every orbit as it is found: the same class for every
+    # mask, the same member index, and the same orbit tuple per class
+    rng = random.Random(2828)
+    for n, k in ((4, 3), (5, 4), (6, 5)):
+        u = build_universe(n, k)
+        masks = [rng.getrandbits(u.num_vars) for _ in range(40 if n == 6 else 120)]
+        masks += [u.closure_mask(m) for m in masks[:20]]
+        rng.shuffle(masks)
+        class_of, orbits = {}, {}
+        for m in masks:
+            closed = u.closure_mask(m)
+            if closed not in class_of:
+                images = tuple(sorted(set(u._images(closed)), reverse=True))
+                class_of.update(dict.fromkeys(images, images[0]))
+                orbits[images[0]] = images
+            assert u.canon_mask(m) == class_of[closed], (n, k, m)
+        assert u.class_of == class_of, (n, k)
+        assert u.classes_found == len(orbits), (n, k)
+        assert not u._orbit_cache  # no tuple is built before it is read
+        for m in rng.sample(masks, len(masks)):
+            assert u.orbit_masks(m) == orbits[class_of[u.closure_mask(m)]], (n, k, m)
+        assert u._orbit_cache == orbits and u.class_of == class_of, (n, k)
+
+
 def test_intersection_of_closed_masks_is_closed():
     # instances reads an intersection's class without closing it first
     rng = random.Random(606)

@@ -245,7 +245,7 @@ def test_full_pool_and_active_set_rungs_agree():
 
 def test_closure_round_runs_only_after_depth_one_fails(monkeypatch):
     # prop1 row 0 is certified at depth 1 and row 4 needs depth 2; the
-    # ladder grows a depth-2 family only once both depth-1 rungs fail
+    # ladder grows a depth-2 family only once the depth-1 rung fails
     rounds = []
     closure_round = certificate.closure_round
 
@@ -276,12 +276,11 @@ def test_check_row_logs_one_line_per_rung(caplog):
             [r.getMessage() for r in caplog.records if r.name == "repairbound.certificate"]
         )
     assert runs[0] == runs[1]
-    assert len(runs[0]) >= 3
-    assert all(line.startswith("row 0, depth ") for line in runs[0])
-    assert runs[0][-1].startswith("row 0, depth 2: ")
-    assert ", within, " in runs[0][-1]
-    assert runs[0][-1].endswith(": valid")
-    assert all(line.endswith(": no witness") for line in runs[0][:-1])
+    # depth 1 is one rung; depth 2 certifies the row on its first rung
+    assert runs[0] == [
+        "row 0, depth 1: 4 classes, unanchored, 5 elemental bases: no witness",
+        "row 0, depth 2: 51 classes, within, 5 elemental bases: valid",
+    ]
 
 
 def test_family_cap_leaves_a_row_unverified(monkeypatch):
@@ -370,18 +369,18 @@ def test_shipped_depth_two_rows_use_the_within_rung(monkeypatch):
             tried.clear()
             rc = check_row(u, cert, index)
             assert (rc.status, rc.depth) == ("valid", 2), (name, index)
-            assert tried == [(0, 1), (0, 1), (2, 2)], (name, index)
+            assert tried == [(0, 1), (2, 2)], (name, index)
             expr = _row_expr(cert.rows[index], term_cols)
             assert recombined(rc.witness) == expr.coeffs, (name, index)
 
 
 def test_active_set_rungs_draw_few_descriptors(monkeypatch):
     # work counts in place of a timing while both shipped certificates
-    # verify: the 15 active-set rungs draw 6,499 descriptors, bounded
-    # here with a margin of about 23%; a ladder that tried the touching
-    # rung before the within rung would draw 63,742.  Only the active-set
+    # verify: the 10 active-set rungs draw 6,077 descriptors, bounded
+    # here with a margin of about 32%; a ladder that tried the touching
+    # rung before the within rung would draw 63,320.  Only the active-set
     # rungs' draws count, not the small ones of the one-row match.
-    # column_key runs 380 times, once per class of each pool_columns
+    # column_key runs 359 times, once per class of each pool_columns
     # call.  No solver is given two rows with equal coefficients.
     drawn = []
     given = {}  # solver -> every row given to it
@@ -427,7 +426,7 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(drawn) == len(given) == 15
+    assert len(drawn) == len(given) == 10
     assert sum(drawn) <= 8000
     assert len(keyed) <= 1000
     for rows in given.values():
@@ -435,10 +434,10 @@ def test_active_set_rungs_draw_few_descriptors(monkeypatch):
 
 
 def test_pivots_store_few_basis_entries(monkeypatch):
-    # a work count in place of a timing: summed over the 203 pivots made
+    # a work count in place of a timing: summed over the 166 pivots made
     # while both shipped certificates verify, the entries that M = D·B⁻¹
-    # stores before each pivot are 20,361, bounded here with a margin of
-    # about 195%; dense rows would hold all 1,295,448 cells
+    # stores before each pivot are 18,826, bounded here with a margin of
+    # about 219%; dense rows would hold all 1,206,305 cells
     stored = []
     pivot = ratlp._Simplex._pivot
 
@@ -450,7 +449,7 @@ def test_pivots_store_few_basis_entries(monkeypatch):
     u = build_universe(5, 4)
     for name in ("prop1", "prop2"):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
-    assert len(stored) == 203
+    assert len(stored) == 166
     assert sum(stored) <= 60000
 
 
@@ -676,7 +675,10 @@ def test_active_set_and_full_pool_agree_on_random_rows():
     # witness has positive multipliers and adds up to the row less a
     # slack with no negative coefficient, which x >= 0 covers; the slack
     # is zero on the shipped rows, but on a row such as an instance plus
-    # H(A) the LP leaves H(A) in its reduced costs
+    # H(A) the LP leaves H(A) in its reduced costs.  The pairs of the base
+    # family without elemental bases, once a rung of their own, form a pool
+    # inside the depth-1 rung's, so that rung finds a witness whenever the
+    # reference finds one over those pairs alone
     rng = random.Random(2602)
     seen = set()
     for n, k in ((4, 3), (5, 4)):
@@ -691,7 +693,11 @@ def test_active_set_and_full_pool_agree_on_random_rows():
                 if not coeffs:
                     continue
                 expr = LinExpr(coeffs)
-                for rung, full, active in both_searches(u, first_rung_family(u, coeffs), expr):
+                base = first_rung_family(u, coeffs)
+                pairs_only = full_pool_reference(u, base, (), 0, (), expr)
+                for rung, full, active in both_searches(u, base, expr):
+                    if rung[0] == 1:
+                        assert pairs_only is None or active is not None, coeffs
                     for witness in (full, active):
                         if witness is not None:
                             assert all(lam > 0 for lam, _ in witness)
@@ -700,7 +706,7 @@ def test_active_set_and_full_pool_agree_on_random_rows():
                             assert min(slack) >= 0, (coeffs, total)
                     seen.add((n, *rung, active is not None))
     # both sizes reach every rung kind, each with and without a witness
-    kinds = ((1, 0, False), (1, 0, True), (2, 2, True), (2, 1, True), (2, 0, True))
+    kinds = ((1, 0, True), (2, 2, True), (2, 1, True), (2, 0, True))
     assert {(n, *kind, found) for n in (4, 5) for kind in kinds for found in (False, True)} <= seen
 
 
@@ -709,7 +715,7 @@ def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
     # certificates that the benchmark's prove workload writes is one pool
     # row plus pinned caps, so verifying them solves no LP at all.  Of
     # the rows of both shipped certificates, only those that need a
-    # closure round reach the ladder; they build 15 active-set solvers
+    # closure round reach the ladder; they build 10 active-set solvers
     # and make no cold solve
     monkeypatch.chdir(tmp_path)
     for d in ("1,0", "2,1", "4,6", "1,3", "0,1"):
@@ -764,7 +770,7 @@ def test_rows_that_are_one_pool_row_need_no_lp(monkeypatch, tmp_path):
         on["name"] = name
         assert verify(universes[5, 4], load(DATA / f"{name}.cert.json")).overall == "VALID"
     assert laddered == {name: set(rows) for name, rows in DEPTH_TWO_ROWS.items()}
-    assert (len(solves), len(solvers)) == (0, 15)
+    assert (len(solves), len(solvers)) == (0, 10)
 
 
 def test_matched_rows_log_one_line(caplog):
