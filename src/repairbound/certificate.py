@@ -406,12 +406,14 @@ def _try_pool_active(u: Universe, fam_masks, anchors, need, bases, expr: LinExpr
     batch = 100
     for _ in range(200):
         sol = solver.solve()
-        if sol.value == 0:
+        if sol.value_num == 0:
             rows = list(active.values())
-            return tuple((lam, rows[i - 1]) for i, lam in enumerate(sol.duals) if lam and i)
+            return tuple(
+                (Fraction(lam, sol.den), rows[i - 1]) for i, lam in sol.dual_num.items() if i
+            )
 
-        den = math.lcm(*(v.denominator for v in sol.primal.values()))
-        val = {col: v.numerator * (den // v.denominator) for col, v in sol.primal.items()}
+        # the primal over its denominator: only signs and order are read
+        val = dict(sol.primal_num)
         val[0] = 0
 
         violated = []

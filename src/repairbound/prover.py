@@ -156,10 +156,11 @@ def prove(
 ) -> ProvedBound:
     """Solve the direction LP and extract a self-contained certificate.
 
-    Rows with nonzero duals are scaled by the least common multiple of
-    all dual and reduced-cost denominators, divided by the collective
-    gcd, and written out pre-multiplied; reduced costs on columns the
-    optimum left out of play become one trailing all-positive row.  The
+    Rows with nonzero multipliers are scaled by the answer's common
+    denominator, which clears every multiplier and reduced cost, divided
+    by the collective gcd, and written out pre-multiplied; reduced costs
+    on columns the optimum left out of play become one trailing
+    all-positive row.  The
     result is re-verified before return.  rows are passed on to build_lp.
     The target is built from build_lp's integer objective, and the LP's
     value is divided by the direction's scale for the proved value.
@@ -171,28 +172,21 @@ def prove(
         raise LPError(f"bound LP came back {sol.status}")
     value = sol.value / s
 
-    reduced = dict(lp.objective)
-    for lam, row in zip(sol.duals, lp.rows):
-        if lam:
-            for col, cv in row.coeffs.items():
-                reduced[col] = reduced.get(col, 0) - lam * cv
-    slack = {col: rc for col, rc in reduced.items() if rc}
-
-    lcm = math.lcm(*(q.denominator for q in (*sol.duals, *slack.values())))
-    mults = [lam.numerator * (lcm // lam.denominator) if lam else 0 for lam in sol.duals]
-    smults = {col: rc.numerator * (lcm // rc.denominator) for col, rc in slack.items()}
-    g = 0
-    for m in (*mults, *smults.values()):
-        g = math.gcd(g, m)
-    g = g or 1
+    # the multipliers and the reduced costs, as numerators over sol.den
+    reduced = {col: v * sol.den for col, v in lp.objective.items()}
+    for i, lam in sol.dual_num.items():
+        for col, cv in lp.rows[i].coeffs.items():
+            reduced[col] = reduced.get(col, 0) - lam * cv
+    smults = {col: rc for col, rc in reduced.items() if rc}
+    g = math.gcd(*sol.dual_num.values(), *smults.values()) or 1
 
     out_rows = []
-    for mult, row in zip(mults, lp.rows):
-        if mult:
-            coeffs = dict(row.coeffs)
-            if row.const:
-                coeffs[BIGB] = row.const
-            out_rows.append({c: mult // g * v for c, v in coeffs.items()})
+    for i, mult in sol.dual_num.items():
+        row = lp.rows[i]
+        coeffs = dict(row.coeffs)
+        if row.const:
+            coeffs[BIGB] = row.const
+        out_rows.append({c: mult // g * v for c, v in coeffs.items()})
     if smults:
         out_rows.append({c: s // g for c, s in smults.items()})
 
@@ -206,7 +200,7 @@ def prove(
             row_json[term_ids.get(col, col)] = coeffs[col]
         rows_json.append(row_json)
 
-    scale = Fraction(lcm, g)
+    scale = Fraction(sol.den, g)
     target_full = {
         BETA: lp.objective[BETA] * scale,
         ALPHA: lp.objective[ALPHA] * scale,

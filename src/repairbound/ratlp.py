@@ -5,10 +5,11 @@ subject to integer rows ``coeffs . x + const >= 0``.  An equality is
 written as a row and its negation, a free column as the difference of
 two nonnegative ones, and rational data are scaled to integers by the
 caller; every objective value, coefficient and constant must be an int.
-An optimal answer is accepted only after an exact certificate check
-(primal feasibility, dual feasibility, equal objective values), made in
-integers over common denominators, so a returned "optimal" is a proof,
-not an estimate.
+An optimal answer is held as integers over one denominator, the
+determinant D of its basis, and is accepted only after an exact
+certificate check (primal feasibility, dual feasibility, equal objective
+values) made on those integers, so a returned "optimal" is a proof, not
+an estimate.
 
 The solver is a two-phase revised simplex over Python integers.  The
 basis inverse is kept fraction-free (Edmonds 1967; Bareiss 1968) as the
@@ -16,31 +17,33 @@ integer matrix ``M = D·B⁻¹`` over one common denominator
 ``D = |det B|``, updated by exact integer division at every pivot.  Each
 row of M is a dict of its nonzero entries, so a pivot costs what the
 basis stores, not m², and the integer duals ``y = cost_B·M`` are computed
-once per run and then carried through each pivot by the same exact step.
+once per run and then carried through each pivot by the same exact step,
+which moves only the pivot row's entries when D stays the same.
 Pricing and ratio tests compare integers, so each pivot is the one exact
-rational arithmetic would choose; fractions appear only where an answer
-is read back.  Pricing is multiple: the improving columns that a
-partial scan finds are repriced, the most negative entering, until none
-improves.  Every run breaks ratio ties lexicographically (Dantzig,
-Orden & Wolfe 1955), which cannot cycle and halves the pivots on the
-degenerate bound LPs.  The
-order is anchored at the starting basis and again after an artificial
-is driven out, and an ``IncrementalDualSolver`` keeps its anchor across
-appended rows and solves.  The tie rule picks which optimal vertex is
+rational arithmetic would choose; fractions appear only where a caller
+reads an answer back as rationals.  Pricing is multiple: the improving
+columns that a partial scan finds are repriced, the most negative
+entering, until none improves.  Every run breaks ratio ties
+lexicographically (Dantzig, Orden & Wolfe 1955), which cannot cycle and
+halves the pivots on the degenerate bound LPs.  The order is anchored
+at the starting basis and again after an artificial is driven out, and
+an ``IncrementalDualSolver`` keeps its anchor across appended rows and
+solves.  The tie rule picks which optimal vertex is
 reached, so a certificate may list different rows for the same bound.
 Every run is deterministic.  Every problem is solved
 through its explicit dual, built in standard form straight from the
 problem: its simplex basis has one row per column of the problem and so
 stays small on the tall bound LPs, and each row of the problem, given or
 appended, becomes a dual column through one method.  The answer is
-mapped back exactly and certified against the problem itself.
+read off the dual's basis in its own integers and certified against the
+problem itself.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -72,12 +75,43 @@ class LPProblem:
     rows: list
 
 
-@dataclass
+@dataclass(repr=False)
 class LPSolution:
+    """An LP answer.  An optimal one is held in integers over one
+    denominator ``den`` = D > 0: the value is ``value_num``/D, column c
+    is ``primal_num[c]``/D, and row i's multiplier is ``dual_num[i]``/D,
+    where ``dual_num`` holds the nonzero ones in increasing row index
+    and every other row of the ``n_rows`` has multiplier 0.  ``value``,
+    ``primal`` (column -> Fraction) and ``duals`` (one Fraction per row)
+    read the answer back as rationals."""
+
     status: str  # optimal | unbounded | infeasible
-    value: Fraction | None
-    primal: dict
-    duals: list
+    den: int = 1
+    value_num: int | None = None
+    primal_num: dict = field(default_factory=dict)
+    dual_num: dict = field(default_factory=dict)
+    n_rows: int = 0
+
+    @property
+    def value(self):
+        return None if self.value_num is None else Fraction(self.value_num, self.den)
+
+    @property
+    def primal(self):
+        return {c: Fraction(v, self.den) for c, v in self.primal_num.items()}
+
+    @property
+    def duals(self):
+        duals = [ZERO] * self.n_rows
+        for i, v in self.dual_num.items():
+            duals[i] = Fraction(v, self.den)
+        return duals
+
+    def __repr__(self):
+        return (
+            f"LPSolution(status={self.status!r}, value={self.value!r}, "
+            f"primal={self.primal!r}, duals={self.duals!r})"
+        )
 
 
 def _validate(lp: LPProblem):
@@ -313,12 +347,18 @@ class _Simplex:
             d = self.D
             self._pivot(leave, enter, u)
             # y' = (p·y + rc·M'[leave]) / D, with p and M'[leave] the new
-            # determinant and pivot row
+            # determinant and pivot row; when p = D only the entries of
+            # M'[leave] move, each by rc·c / D, an integer because y and
+            # y' are
             p = self.D
-            y = [p * v for v in y]
-            for k, c in self.M[leave].items():
-                y[k] += rc * c
-            y = [v // d for v in y]
+            if p == d:
+                for k, c in self.M[leave].items():
+                    y[k] += rc * c // d
+            else:
+                y = [p * v for v in y]
+                for k, c in self.M[leave].items():
+                    y[k] += rc * c
+                y = [v // d for v in y]
 
     def artificial_positive(self):
         """True when some artificial is basic at a nonzero value."""
@@ -342,20 +382,6 @@ class _Simplex:
             # the pivot may be negative; at the new anchor every row is
             # positive again
             self._anchor()
-
-    # -- answers, read back in fractions ----------------------------------
-
-    def value(self):
-        """The phase-2 objective at the current basis."""
-        num = sum(self.cost[j] * x for j, x in zip(self.basis, self.xb))
-        return Fraction(num, self.D)
-
-    def basic_columns(self):
-        """(row index i, value) of every basic y column."""
-        for j, x in zip(self.basis, self.xb):
-            kind, i = self.svars[j]
-            if kind == "y":
-                yield i, Fraction(x, self.D)
 
 
 def _phase1(lp: LPProblem) -> _Simplex:
@@ -391,15 +417,20 @@ def _log_counts(what: str, lp: LPProblem, runs):
 
 
 def _dual_answer(lp: LPProblem, sx: _Simplex) -> LPSolution:
-    """The answer to lp read off an optimal basis of its dual: the
-    dual's primal values are lp's duals and its duals are lp's primal.
-    Certified against lp itself before return."""
-    duals = [ZERO] * len(lp.rows)
-    for i, v in sx.basic_columns():
-        duals[i] = v
+    """The answer to lp read off an optimal basis of its dual, in the
+    basis's integers over its D: the dual's primal values xb are lp's
+    multipliers, its duals y are lp's primal, and lp's value is minus
+    the dual's.  Certified by check_duals against lp itself before
+    return."""
     y, rsign = sx._duals(sx.cost), sx.rsign
-    primal = {col: Fraction(y[p] * rsign[p], sx.D) for p, col in enumerate(lp.columns)}
-    sol = LPSolution("optimal", -sx.value(), primal, duals)
+    primal = {col: y[p] * rsign[p] for p, col in enumerate(lp.columns)}
+    duals, value = [], 0
+    for j, x in zip(sx.basis, sx.xb):
+        value -= sx.cost[j] * x
+        kind, i = sx.svars[j]
+        if kind == "y" and x:
+            duals.append((i, x))
+    sol = LPSolution("optimal", sx.D, value, primal, dict(sorted(duals)), len(lp.rows))
     if not check_duals(lp, sol):
         raise LPError("internal certificate check failed")
     return sol
@@ -462,10 +493,10 @@ def solve(lp: LPProblem) -> LPSolution:
         if sx.run(sx.cost, ban_art=True) == "optimal":
             sol = _dual_answer(lp, sx)
         else:  # dual unbounded: lp is infeasible
-            sol = LPSolution("infeasible", None, {}, [])
+            sol = LPSolution("infeasible")
     elif _zero_is_feasible(lp):
         # dual infeasible and lp feasible: lp is unbounded
-        sol = LPSolution("unbounded", None, {}, [])
+        sol = LPSolution("unbounded")
     else:
         # dual infeasible: lp is unbounded if it is feasible at all.  The
         # dual of lp's zero-objective form is feasible at y = 0 and is
@@ -473,7 +504,7 @@ def solve(lp: LPProblem) -> LPSolution:
         probe = _phase1(LPProblem(lp.columns, {}, lp.rows))
         runs.append(probe)
         bounded = probe.run(probe.cost, ban_art=True) == "optimal"
-        sol = LPSolution("unbounded" if bounded else "infeasible", None, {}, [])
+        sol = LPSolution("unbounded" if bounded else "infeasible")
     _log_counts("solve (dual)", lp, runs)
     return sol
 
@@ -481,44 +512,39 @@ def solve(lp: LPProblem) -> LPSolution:
 def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     """Exact and independent: primal feasibility, dual sign and
     column-wise domination of the objective, and equal objective values,
-    all in one pass over the rows.
+    read straight from the answer's integers over its denominator D.
 
-    The primal is taken over the lcm X of its denominators, and each
-    row's feasibility is read from X times the row at x.  The reduced
-    costs are summed over the lcm L of the denominators of the
-    multipliers λ and compared with L times the objective.  On integer
-    data every sum is an integer, and the only new Fractions are the two
-    objective values compared; on rational data, which solve refuses,
-    the same sums stay exact in Fractions, only slower."""
-    if sol.status != "optimal" or sol.value is None:
+    Each row's feasibility is read from D times the row at x, the
+    reduced costs are D times those at the multipliers, and the primal
+    and dual values are compared with the value, all as numerators over
+    D.  On integer data every sum is an integer; on rational data, which
+    solve refuses, the same sums stay exact in Fractions, only slower."""
+    if sol.status != "optimal" or sol.value_num is None:
         return False
-    if len(sol.duals) != len(lp.rows):
+    D, rows = sol.den, lp.rows
+    if D <= 0 or sol.n_rows != len(rows):
         return False
-    x = {c: sol.primal.get(c, 0) for c in lp.columns}
-    X = math.lcm(*(v.denominator for v in x.values()))
-    x = {c: v.numerator * (X // v.denominator) for c, v in x.items()}
+    x = {c: sol.primal_num.get(c, 0) for c in lp.columns}
     if any(v < 0 for v in x.values()):
         return False
-    support = []  # (λ, row) of every row with λ != 0
-    for r, lam in zip(lp.rows, sol.duals):
-        v = r.const * X  # X times the row at x
+    for r in rows:
+        v = r.const * D  # D times the row at x
         for c, cv in r.coeffs.items():
             v += cv * x[c]
-        sign = lam.numerator
-        if v < 0 or sign < 0:
+        if v < 0:
             return False
-        if sign:
-            support.append((lam, r))
-    L = math.lcm(*(lam.denominator for lam, _ in support))
-    rc = dict.fromkeys(lp.columns, 0)  # L · Σ λ·row, per column
-    dval = 0  # L · Σ -λ·const
-    for lam, r in support:
-        m = lam.numerator * (L // lam.denominator)
+    indices = range(len(rows))
+    rc = dict.fromkeys(lp.columns, 0)  # D · Σ λ·row, per column
+    dval = 0  # D · Σ -λ·const
+    for i, m in sol.dual_num.items():
+        if i not in indices or m < 0:
+            return False
+        r = rows[i]
         dval -= m * r.const
         for c, cv in r.coeffs.items():
             rc[c] += m * cv
     for c, v in rc.items():
-        if lp.objective.get(c, 0) * L < v:
+        if lp.objective.get(c, 0) * D < v:
             return False
-    pval = Fraction(sum(v * x[c] for c, v in lp.objective.items()), X)
-    return pval == Fraction(dval, L) == sol.value
+    pval = sum(v * x[c] for c, v in lp.objective.items())
+    return pval == dval == sol.value_num

@@ -219,7 +219,7 @@ class Universe:
             return cached
         images = self._images(closed)
         best = max(images)
-        self.class_of.update(dict.fromkeys(images, best))
+        self.class_of.update(zip(images, itertools.repeat(best)))
         self.classes_found += 1
         return best
 

@@ -3,7 +3,7 @@ import itertools
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import pytest
@@ -93,9 +93,28 @@ def canonical(lp):
             if r.rel == "=":
                 lam -= next(lams)
             duals.append(lam * t / s)
-        return LPSolution(sol.status, sol.value / s, primal, duals)
+        return rational_answer(sol.status, sol.value / s, primal, duals)
 
     return one_form, back
+
+
+def rational_answer(status, value, primal, duals):
+    """The LPSolution of an answer given in rationals: a value, a primal
+    dict and one multiplier per row, over the lcm of their denominators."""
+    qs = (*primal.values(), *duals, 0 if value is None else value)
+    den = math.lcm(*(F(q).denominator for q in qs))
+
+    def num(q):
+        return F(q).numerator * (den // F(q).denominator)
+
+    return LPSolution(
+        status,
+        den,
+        None if value is None else num(value),
+        {c: num(q) for c, q in primal.items()},
+        {i: num(q) for i, q in enumerate(duals) if q},
+        len(duals),
+    )
 
 
 def solve_general(lp):
@@ -158,11 +177,11 @@ def test_check_duals_rejects_tampering():
     lp = lp_min_x_above_one()
     sol = solve(lp)
     assert check_duals(lp, sol)
-    bad = LPSolution(sol.status, sol.value, sol.primal, [-d for d in sol.duals])
+    bad = rational_answer(sol.status, sol.value, sol.primal, [-d for d in sol.duals])
     assert not check_duals(lp, bad)
-    scaled = LPSolution(sol.status, sol.value, sol.primal, [2 * d for d in sol.duals])
+    scaled = rational_answer(sol.status, sol.value, sol.primal, [2 * d for d in sol.duals])
     assert not check_duals(lp, scaled)
-    wrong_value = LPSolution(sol.status, sol.value + 1, sol.primal, sol.duals)
+    wrong_value = rational_answer(sol.status, sol.value + 1, sol.primal, sol.duals)
     assert not check_duals(lp, wrong_value)
 
 
@@ -175,10 +194,10 @@ def test_check_duals_rejects_a_free_column_imbalance():
     lp, _ = canonical(GeneralLP(["x", "y"], {"x": F(1)}, rows, {"x"}))
     sol = solve(lp)
     assert check_duals(lp, sol) and sol.duals == [1, 0]
-    tampered = LPSolution(sol.status, sol.value, sol.primal, [F(1), F(1)])
+    tampered = rational_answer(sol.status, sol.value, sol.primal, [F(1), F(1)])
     assert not check_duals(lp, tampered)
     nonneg, _ = canonical(GeneralLP(["x", "y"], {"x": F(1)}, rows, {"x", "y"}))
-    answer = LPSolution(sol.status, sol.value, {"x": F(1), "y": F(0)}, [F(1), F(1)])
+    answer = rational_answer(sol.status, sol.value, {"x": F(1), "y": F(0)}, [F(1), F(1)])
     assert check_duals(nonneg, answer)
 
 
@@ -465,18 +484,49 @@ def test_check_duals_matches_fraction_reference():
             )
             one_form, back = canonical(general)
             sol = back(solve(one_form))
+        # rational -> integer -> rational gives the same answer back
+        again = rational_answer(sol.status, sol.value, sol.primal, sol.duals)
+        assert (again.value, again.primal, again.duals) == (sol.value, sol.primal, sol.duals)
+        assert repr(again) == repr(sol)
         if sol.status != "optimal":
             continue
+        # the integer form itself tampered with, where the rational views
+        # cannot follow: a denominator <= 0 (the negated one with every
+        # numerator negated reads as the same rationals), a multiplier on
+        # a row index outside the problem, a negative multiplier and a
+        # value off by 1/D.  A multiplier on an appended row 0 >= 0 moves
+        # no reduced cost or value, so only its sign decides
+        zero_row = LPProblem(lp.columns, lp.objective, lp.rows + [LPRow({})])
+        for lam in (1, -1):
+            dual_num = {**sol.dual_num, len(lp.rows): lam}
+            answer = replace(sol, dual_num=dual_num, n_rows=len(lp.rows) + 1)
+            assert check_duals(zero_row, answer) == (lam > 0)
+            assert reference_check_duals(as_general(zero_row), answer) == (lam > 0)
+        negated = replace(
+            sol,
+            den=-sol.den,
+            value_num=-sol.value_num,
+            primal_num={c: -v for c, v in sol.primal_num.items()},
+            dual_num={j: -v for j, v in sol.dual_num.items()},
+        )
+        tampered = [replace(sol, den=0), negated]
+        for j in (len(lp.rows), -1):
+            tampered.append(replace(sol, dual_num={**sol.dual_num, j: 1}))
+        if lp.rows:
+            j = rng.randrange(len(lp.rows))
+            tampered.append(replace(sol, dual_num={**sol.dual_num, j: -1}))
+        tampered += [replace(sol, value_num=sol.value_num + step) for step in (-1, 1)]
+        assert not any(check_duals(lp, answer) for answer in tampered), i
         fractional += i % 2 == 0
         delta = F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
         cases = [("true", lp, sol)]
         if sol.duals:
             duals = list(sol.duals)
             duals[rng.randrange(len(duals))] += delta
-            cases.append(("dual", lp, LPSolution(sol.status, sol.value, sol.primal, duals)))
+            cases.append(("dual", lp, rational_answer(sol.status, sol.value, sol.primal, duals)))
         primal = dict(sol.primal)
         primal[rng.choice(lp.columns)] += delta
-        cases.append(("primal", lp, LPSolution(sol.status, sol.value, primal, sol.duals)))
+        cases.append(("primal", lp, rational_answer(sol.status, sol.value, primal, sol.duals)))
         # a new column z at zero in one row with a nonzero multiplier
         # lambda and coefficient |delta|: every row, sign and objective
         # value still holds, and only z's reduced cost -lambda·|delta| is off

@@ -36,6 +36,7 @@ from repairbound.universe import (
     token_for_index,
 )
 from test_instance import reference_enumerate_rows
+from test_ratlp import bound_lps_433
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -451,6 +452,48 @@ def test_pivots_store_few_basis_entries(monkeypatch):
         assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
     assert len(stored) == 166
     assert sum(stored) <= 60000
+
+
+def test_dual_steps_rescale_only_when_the_determinant_moves(monkeypatch):
+    # a work count in place of a timing: a pivot on |p| = D moves only
+    # the entries of y in the pivot row, and only the other pivots
+    # rescale the whole of y, which makes a new list.  Of the 166 pivots
+    # made while both shipped certificates verify, 134 keep D, and of the
+    # 297 of the five (4,3,3) depth-1 bound LPs, 216 do; each run prices
+    # after every pivot, so every pivot is followed by one price
+    seen = {"y": None, "kept": None}
+    steps = []  # per pivot: (whether D stayed, whether y is a new list)
+    run, price, pivot = ratlp._Simplex.run, ratlp._Simplex._price, ratlp._Simplex._pivot
+
+    def counted_run(sx, cost, ban_art):
+        seen["y"] = seen["kept"] = None
+        return run(sx, cost, ban_art)
+
+    def counted_pivot(sx, leave, enter, u):
+        d = sx.D
+        pivot(sx, leave, enter, u)
+        seen["kept"] = sx.D == d
+
+    def counted_price(sx, cost, y, ban_art, scan, batch):
+        if seen["kept"] is not None:
+            steps.append((seen["kept"], y is not seen["y"]))
+            seen["kept"] = None
+        seen["y"] = y
+        return price(sx, cost, y, ban_art, scan, batch)
+
+    monkeypatch.setattr(ratlp._Simplex, "run", counted_run)
+    monkeypatch.setattr(ratlp._Simplex, "_pivot", counted_pivot)
+    monkeypatch.setattr(ratlp._Simplex, "_price", counted_price)
+    u = build_universe(5, 4)
+    for name in ("prop1", "prop2"):
+        assert verify(u, load(DATA / f"{name}.cert.json")).overall == "VALID"
+    assert (len(steps), sum(k for k, _ in steps)) == (166, 134)
+    assert all(kept != rescaled for kept, rescaled in steps)
+    steps.clear()
+    for lp in bound_lps_433():
+        ratlp.solve(lp)
+    assert (len(steps), sum(k for k, _ in steps)) == (297, 216)
+    assert all(kept != rescaled for kept, rescaled in steps)
 
 
 def test_active_set_rungs_that_fail_add_few_rows(monkeypatch):
