@@ -213,7 +213,9 @@ def enumerate_rows(u: Universe, fam_masks) -> list[LinExpr]:
     kinds = {order: kind for kind, order in KIND_ORDER.items()}
     order = sorted((order, *key) for key, order in seen.items())
     del seen
-    out = [LinExpr({cols[e // 5]: e % 5 - 2 for e in key}, kinds[o]) for o, *key in order]
+    # entry e of a key decodes to the pair (column, coefficient) at decode[e]
+    decode = [(col, v) for col in cols for v in range(-2, 3)].__getitem__
+    out = [LinExpr(dict(map(decode, key)), kinds[o]) for o, *key in order]
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "pool: %d classes, %d orbit members, %d descriptors (%d distinct), %d rows",

@@ -118,17 +118,14 @@ def _check_direction(direction) -> tuple:
 def pool_rows(u: Universe, fam: frozenset) -> list:
     """The bound LP's rows over a family, for every direction: the caps,
     then one row per pooled constraint in pool order, with its BIGB
-    coefficient as the constant."""
+    coefficient as the constant.  Each row takes over the coefficient
+    dict of the expression just built for it, with BIGB popped out."""
     if not fam:
         raise FamilyError("empty family")
-    lprows = []
-    for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam):
-        coeffs = e.coeffs
-        const = coeffs.get(BIGB, 0)
-        if const:
-            coeffs = {c: v for c, v in coeffs.items() if c != BIGB}
-        lprows.append(LPRow(coeffs, const))
-    return lprows
+    return [
+        LPRow(e.coeffs, e.coeffs.pop(BIGB, 0))
+        for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam)
+    ]
 
 
 def build_lp(u: Universe, fam: frozenset, direction, rows=None) -> LPProblem:

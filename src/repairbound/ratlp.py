@@ -4,12 +4,12 @@ Solves one form: minimize a sparse integer objective over ``x >= 0``
 subject to integer rows ``coeffs . x + const >= 0``.  An equality is
 written as a row and its negation, a free column as the difference of
 two nonnegative ones, and rational data are scaled to integers by the
-caller; every objective value, coefficient and constant must be an int.
-An optimal answer is held as integers over one denominator, the
-determinant D of its basis, and is accepted only after an exact
-certificate check (primal feasibility, dual feasibility, equal objective
-values) made on those integers, so a returned "optimal" is a proof, not
-an estimate.
+caller; every objective value, coefficient and constant must be an int,
+and a bool is refused.  An optimal answer is held as integers over one
+denominator, the determinant D of its basis, and is accepted only after
+an exact certificate check (primal feasibility, dual feasibility, equal
+objective values) made on those integers, so a returned "optimal" is a
+proof, not an estimate.
 
 The solver is a two-phase revised simplex over Python integers.  The
 basis inverse is kept fraction-free (Edmonds 1967; Bareiss 1968) as the
@@ -17,8 +17,12 @@ integer matrix ``M = D·B⁻¹`` over one common denominator
 ``D = |det B|``, updated by exact integer division at every pivot.  Each
 row of M is a dict of its nonzero entries, so a pivot costs what the
 basis stores, not m², and the integer duals ``y = cost_B·M`` are computed
-once per run and then carried through each pivot by the same exact step,
-which moves only the pivot row's entries when D stays the same.
+once per run and then carried through each pivot by the same exact step.
+A pivot that keeps D, as most pivots of the degenerate bound LPs do,
+moves y and each touched row of M in place, only at the pivot row's
+entries, and each basic value of ``xb`` by one exact step, which a
+degenerate pivot skips; only a pivot that moves D rebuilds rows.  Each
+row of the problem is checked once, as it becomes a dual column.
 Pricing and ratio tests compare integers, so each pivot is the one exact
 rational arithmetic would choose; fractions appear only where a caller
 reads an answer back as rationals.  Pricing is multiple: the improving
@@ -115,22 +119,16 @@ class LPSolution:
 
 
 def _validate(lp: LPProblem):
+    """Check the columns and the objective; append_rows checks each row
+    as it converts it."""
     colset = set(lp.columns)
     if len(colset) != len(lp.columns):
         raise LPError("duplicate column ids")
     for c, v in lp.objective.items():
         if c not in colset:
             raise LPError(f"objective references unknown column {c!r}")
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise LPError(f"objective value {v!r} of column {c!r} is not an int")
-    for i, r in enumerate(lp.rows):
-        if not isinstance(r.const, int):
-            raise LPError(f"row {i} constant {r.const!r} is not an int")
-        for c, v in r.coeffs.items():
-            if c not in colset:
-                raise LPError(f"row {i} references unknown column {c!r}")
-            if not isinstance(v, int):
-                raise LPError(f"row {i} coefficient {v!r} of column {c!r} is not an int")
 
 
 class _Simplex:
@@ -187,14 +185,27 @@ class _Simplex:
 
     def append_rows(self, rows, first):
         """Append rows first, first+1, ... of the problem as the dual
-        columns y_i, each entry v of column p signed to -v·rsign[p]."""
+        columns y_i, each entry v of column p signed to -v·rsign[p].  A
+        row is checked as it is read: its constant and coefficients must
+        be ints (a bool is not) and its columns the problem's, else
+        LPError names the row by its place in rows, and no row of the
+        batch is appended."""
         colpos, rsign = self.colpos, self.rsign
-        for i, r in enumerate(rows, first):
+        batch = []
+        for n, r in enumerate(rows):
+            if type(r.const) is not int:
+                raise LPError(f"row {n} constant {r.const!r} is not an int")
             entries = []
             for col, v in r.coeffs.items():
+                p = colpos.get(col)
+                if p is None:
+                    raise LPError(f"row {n} references unknown column {col!r}")
+                if type(v) is not int:
+                    raise LPError(f"row {n} coefficient {v!r} of column {col!r} is not an int")
                 if v:
-                    p = colpos[col]
                     entries.append((p, -v * rsign[p]))
+            batch.append(entries)
+        for i, entries in enumerate(batch, first):
             self._add("y", i, entries)
 
     def reset_counts(self):
@@ -225,8 +236,12 @@ class _Simplex:
     def _pivot(self, leave, enter, u):
         """Bareiss step on p = u[leave]: row `leave` keeps its integers,
         every other row i becomes (p·M[i] − u[i]·M[leave]) / D, exactly,
-        over the union of the two rows' entries with zeros dropped, and
-        D becomes p; all three flip sign when p < 0."""
+        with zeros dropped, and D becomes p; all three flip sign when
+        p < 0, the other rows still reading the unflipped pivot row.
+        When p = D each u[i]·M[leave][k] is divisible by D, so row i
+        moves in place, only at the pivot row's keys, and xb[i] only
+        when the pivot is not degenerate; otherwise every touched row
+        is rebuilt over the union of the two rows' keys."""
         M, xb, d = self.M, self.xb, self.D
         lrow, lx = M[leave], xb[leave]
         p = u[leave]
@@ -235,18 +250,31 @@ class _Simplex:
             u = [-f for f in u]
             M[leave] = {k: -a for k, a in lrow.items()}
             xb[leave] = -lx
-        lkeys = lrow.keys()
-        for i, f in enumerate(u):
-            if i == leave:
-                continue
-            if f:
-                row = M[i]
-                M[i] = {k: a // d for k in row.keys() | lkeys
-                        if (a := p * row.get(k, 0) - f * lrow.get(k, 0))}
-                xb[i] = (p * xb[i] - f * lx) // d
-            elif p != d:
-                M[i] = {k: p * a // d for k, a in M[i].items()}
-                xb[i] = p * xb[i] // d
+        if p == d:
+            litems = lrow.items()
+            for i, f in enumerate(u):
+                if f and i != leave:
+                    row = M[i]
+                    for k, c in litems:
+                        if a := row.get(k, 0) - f * c // d:
+                            row[k] = a
+                        else:
+                            del row[k]
+                    if lx:
+                        xb[i] -= f * lx // d
+        else:
+            lkeys = lrow.keys()
+            for i, f in enumerate(u):
+                if i == leave:
+                    continue
+                if f:
+                    row = M[i]
+                    M[i] = {k: a // d for k in row.keys() | lkeys
+                            if (a := p * row.get(k, 0) - f * lrow.get(k, 0))}
+                    xb[i] = (p * xb[i] - f * lx) // d
+                else:
+                    M[i] = {k: p * a // d for k, a in M[i].items()}
+                    xb[i] = p * xb[i] // d
         self.D = p
         self.pivots += 1
         if not lx:
@@ -462,7 +490,6 @@ class IncrementalDualSolver:
 
     def add_rows(self, rows):
         rows = list(rows)
-        _validate(LPProblem(self._plp.columns, {}, rows))
         sx = self._sx
         sx.append_rows(rows, len(self._plp.rows))
         self._plp.rows += rows

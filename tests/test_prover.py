@@ -7,8 +7,9 @@ import pytest
 
 from repairbound import prover
 from repairbound.certificate import CertificateError, check_sum, load_terms, serialize, verify
+from repairbound.instance import BIGB, enumerate_rows, storage_and_bandwidth_caps
 from repairbound.prover import FamilyError, build_lp, default_family, pool_rows, prove
-from repairbound.ratlp import solve
+from repairbound.ratlp import LPRow, solve
 from repairbound.region import from_halfplanes
 from repairbound.universe import build_universe
 
@@ -96,6 +97,35 @@ def test_load_seed_terms_errors(tmp_path):
     bad.write_text('{"rows": []}')
     with pytest.raises(CertificateError, match="'terms'"):
         load_terms(bad, 5)
+
+
+def copied_pool_rows(u, fam):
+    """pool_rows by copy: every row that carries BIGB is rebuilt as a new
+    dict without it."""
+    lprows = []
+    for e in storage_and_bandwidth_caps(u) + enumerate_rows(u, fam):
+        coeffs = e.coeffs
+        const = coeffs.get(BIGB, 0)
+        if const:
+            coeffs = {c: v for c, v in coeffs.items() if c != BIGB}
+        lprows.append(LPRow(coeffs, const))
+    return lprows
+
+
+def test_pool_rows_match_the_copied_rows(u54, base54):
+    # popping BIGB from the expressions enumerate_rows just built gives
+    # the rows, key order included, that copying them gave, on the
+    # (4,3,3) depth-1 pool, where 426 of 851 rows carry BIGB, and on the
+    # (5,4,4) depth-0 pool, where 31 of 66 do
+    u43 = build_universe(4, 3)
+    pools = ((u43, default_family(u43, depth=1), 851, 426), (u54, base54, 66, 31))
+    for u, fam, size, with_b in pools:
+        rows, copied = pool_rows(u, fam), copied_pool_rows(u, fam)
+        assert [(list(r.coeffs.items()), r.const) for r in rows] == [
+            (list(r.coeffs.items()), r.const) for r in copied
+        ]
+        assert not any(BIGB in r.coeffs for r in rows)
+        assert (len(rows), sum(1 for r in rows if r.const)) == (size, with_b)
 
 
 def test_build_lp_known_optima_depth0(u54, base54):

@@ -211,11 +211,13 @@ def test_validation_errors():
 
 
 @pytest.mark.parametrize(
-    "bad", [1.5, "1", F(1, 2), F(2)], ids=["float", "str", "fraction", "integral-fraction"]
+    "bad",
+    [1.5, "1", F(1, 2), F(2), True],
+    ids=["float", "str", "fraction", "integral-fraction", "bool"],
 )
 def test_non_int_input_is_rejected(bad):
-    # nothing is converted, not even an integral Fraction: each position
-    # raises LPError
+    # nothing is converted, not even an integral Fraction or a bool, an
+    # int subclass: each position raises LPError
     row = LPRow({"x": 1}, -1)
     for lp in (
         LPProblem(["x"], {"x": bad}, [row]),
@@ -622,14 +624,15 @@ def test_incremental_solver_with_fractional_rows():
 
 
 def row_snapshot(rows):
-    """Every row's coefficients in their order and type, and its
-    constant."""
-    return [repr((list(r.coeffs.items()), r.const)) for r in rows]
+    """Every row of a list, by identity and in order, with its
+    coefficients in their order and type, and its constant."""
+    return [(id(r), repr((list(r.coeffs.items()), r.const))) for r in rows]
 
 
 def test_solvers_never_mutate_rows():
     # the prover's pool rows and the verifier's rung rows share their
-    # coefficient dicts with the LP, so no solver may write to one
+    # coefficient dicts with the LP, so no solver may write to one, nor
+    # to the list that holds them, while it checks and converts them
     rng = random.Random(606)
     for i in range(80):
         lp, _ = canonical(random_lp(rng, dens=None if i % 2 else (1, 2, 3)))
@@ -645,7 +648,7 @@ def test_solvers_never_mutate_rows():
         cols = [f"c{i}" for i in range(rng.randrange(2, 7))]
         objective = {c: rng.randrange(-4, 5) for c in cols}
         rows = [LPRow({c: -1}, 1) for c in cols] + [
-            LPRow({c: rng.randrange(-3, 4) for c in cols if rng.random() < 0.6})
+            LPRow({c: rng.randrange(-3, 4) for c in cols if rng.random() < 0.6}, rng.randrange(2))
             for _ in range(rng.randrange(2, 16))
         ]
         before = row_snapshot(rows)
@@ -749,6 +752,67 @@ def test_fraction_free_basis_invariant(monkeypatch):
     for _ in incremental_runs(rng, 8, dens=(1, 2, 3)):
         pass
     assert min(seen.values()) > 0, seen
+
+
+def dense_pivot(M, xb, d, leave, u):
+    """The Bareiss step on copies of M and xb, every touched row rebuilt
+    over the union of its keys and the pivot row's, as _pivot made it on
+    every pivot before it kept D in place: the new (M, xb, D)."""
+    M, xb = [dict(row) for row in M], list(xb)
+    lrow, lx = M[leave], xb[leave]
+    p = u[leave]
+    if p < 0:
+        p = -p
+        u = [-f for f in u]
+        M[leave] = {k: -a for k, a in lrow.items()}
+        xb[leave] = -lx
+    lkeys = lrow.keys()
+    for i, f in enumerate(u):
+        if i == leave:
+            continue
+        if f:
+            row = M[i]
+            M[i] = {k: a // d for k in row.keys() | lkeys
+                    if (a := p * row.get(k, 0) - f * lrow.get(k, 0))}
+            xb[i] = (p * xb[i] - f * lx) // d
+        elif p != d:
+            M[i] = {k: p * a // d for k, a in M[i].items()}
+            xb[i] = p * xb[i] // d
+    return M, xb, p
+
+
+def test_pivots_match_the_dense_step(monkeypatch):
+    # the in-place step against the dense one it replaces: after every
+    # pivot, M, xb and D equal the dense step's on a copy made before it,
+    # on the LPs of test_answers_are_pinned, integer and fractional
+    # incremental runs, and the -1 drive-out pivot of y_above_x.  One
+    # negative pivot of the pinned LPs moves other rows, which must read
+    # the pivot row as it was before its negation
+    seen = {"kept": 0, "moved": 0, "negative": 0, "negative, rows moved": 0}
+    pivot = ratlp._Simplex._pivot
+
+    def checked_pivot(sx, leave, enter, u):
+        want = dense_pivot(sx.M, sx.xb, sx.D, leave, u)
+        d = sx.D
+        pivot(sx, leave, enter, u)
+        assert (sx.M, sx.xb, sx.D) == want
+        seen["kept" if sx.D == d else "moved"] += 1
+        if u[leave] < 0:
+            seen["negative"] += 1
+            seen["negative, rows moved"] += any(u[:leave] + u[leave + 1 :])
+
+    monkeypatch.setattr(ratlp._Simplex, "_pivot", checked_pivot)
+    assert solve(lp_y_above_x()).value == 1
+    assert seen["negative"] == 1
+    rng = random.Random(20260418)
+    for _ in range(300):
+        solve(canonical(random_lp(rng))[0])
+    for _ in incremental_runs(random.Random(4711), 40):
+        pass
+    for _ in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
+        pass
+    assert seen["kept"] > 300 and seen["moved"] > 1000, seen
+    assert seen["negative, rows moved"] == 1, seen
 
 
 def test_carried_duals_match_fresh_duals(monkeypatch):
