@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import logging
@@ -783,3 +784,89 @@ def test_unknown_log_level_means_warning(capsys, monkeypatch):
         assert logging.getLogger("repairbound").level == logging.WARNING
         code, out, _ = run(capsys, "export-latex", PROP1)
         assert code == 0 and "% log-level=WARNING\n" in out
+
+
+DIRS_433 = ("1,0", "2,1", "4,6", "1,3", "0,1")
+SEEDS = ("--seeds", str(DATA / "prop1.terms.json"), "--seeds", str(DATA / "prop2.terms.json"))
+
+
+def golden_outputs(capsys):
+    """name -> bytes of every pinned CLI output, run in the current
+    directory, with the data directory's absolute path replaced."""
+    outputs = {}
+
+    def call(name, *argv, files=()):
+        code, out, _ = run(capsys, *argv)
+        outputs[name] = f"exit {code}\n{out}".encode()
+        for path in files:
+            outputs[f"{name}: {path}"] = Path(path).read_bytes()
+
+    for stem in ("prop1", "prop2"):
+        for depth in ("1", "2", "3"):
+            report = f"{stem}-{depth}.report.json"
+            cert = str(DATA / f"{stem}.cert.json")
+            call(f"verify {stem} {depth}", "verify", cert, "--max-depth", depth,
+                 "--report", report, files=[report])
+    certs = []
+    for d in DIRS_433:
+        out = f"n4-{d}.cert.json"
+        call(f"solve 433 {d}", "solve", "--n", "4", "--k", "3", "--depth", "1",
+             "--dir", d, "--out", out, files=[out])
+        certs += ["--cert", out]
+    call("region 433", "region", "--n", "4", "--k", "3", "--cutset", *certs)
+    call("solve 544", "solve", "--n", "5", "--k", "4", "--dir", "1,0", "--dir", "15,10",
+         files=["bound-n5-k4-d4-1-0.cert.json", "bound-n5-k4-d4-15-10.cert.json"])
+    call("solve 544 seeded", "solve", "--n", "5", "--k", "4", "--dir", "15,10", *SEEDS,
+         "--out", "seeded.cert.json", files=["seeded.cert.json"])
+    call("region eq1", "region", "--builtin-eq1", "--csv", "eq1.csv", "--svg", "eq1.svg",
+         files=["eq1.csv", "eq1.svg"])
+    call("export-latex prop1", "export-latex", PROP1)
+    data = str(DATA).encode()
+    return {name: blob.replace(data, b"DATA") for name, blob in outputs.items()}
+
+
+# sha256 of every output of golden_outputs; a change that moves one on
+# purpose re-pins it and says so
+GOLDEN = {
+    "verify prop1 1": "c80325e248631e17ce8ba13b7151f91da3f4a71633219c3909ab35075d896c02",
+    "verify prop1 1: prop1-1.report.json": "319cd5aa56486f59417629fb554c3e685c052719ef08a4a09fa1bae189f3741b",
+    "verify prop1 2": "5ececef9f0a85a0de15eeac924d05a3429bddc160c7ee22adc7c89834b12bd5b",
+    "verify prop1 2: prop1-2.report.json": "55ad3bbbc0a35ccf6fad14306ed27af1639bb4809c00365c4cdbebbb6c8d7f96",
+    "verify prop1 3": "5ececef9f0a85a0de15eeac924d05a3429bddc160c7ee22adc7c89834b12bd5b",
+    "verify prop1 3: prop1-3.report.json": "ff890ff9bd82f4384348de2c54f39edfb9e24b28c7106e19d4a8586aa5277c53",
+    "verify prop2 1": "8a0ee48092b841af4b309cac77a23294033b040dcebed92cbdf0ecbf54cbd0d0",
+    "verify prop2 1: prop2-1.report.json": "0eb3ef7b3fe3e4f39a1d0a5dad7c9dea12a6db83794933cbb4de8f98c65f8cef",
+    "verify prop2 2": "7cdd3b62ad9f1e69b367215ec8ca17ce5793b5cffa2a104c827dce4b80882435",
+    "verify prop2 2: prop2-2.report.json": "3b1186ee43104a8fd59ae709485a98509f07ad03a3390daeb8a4ecbd61aa1c18",
+    "verify prop2 3": "7cdd3b62ad9f1e69b367215ec8ca17ce5793b5cffa2a104c827dce4b80882435",
+    "verify prop2 3: prop2-3.report.json": "9aaf24b0eb7cf6646dc55728204e7ad4e0d7f94d07d58ededaf0dc449f3ed76b",
+    "solve 433 1,0": "0d133a8995b12d40c2921f5920e71e998383047c57c7a0b3428818144bed7154",
+    "solve 433 1,0: n4-1,0.cert.json": "504ff22dad332dcb6e539afa480bfde0f5030f1c866b0de7afb952f9f1b03de9",
+    "solve 433 2,1": "1d6c0ebfb8e9bfd0a34f0c6bfd02363231f47e90646de38a835e31587dd8af61",
+    "solve 433 2,1: n4-2,1.cert.json": "9d9bc5612e5aac512054e1e5acdb457dd180d63f7a16c2849b725eb976bce7c1",
+    "solve 433 4,6": "fa37ab7d98bbfb6f6d88363604822b9ff4073fe334e1a18558b4cd925e86dd18",
+    "solve 433 4,6: n4-4,6.cert.json": "4bbf41ad2a9494399b77db691a21b5267fdab6e89de611fea3ee106e07d7f438",
+    "solve 433 1,3": "6526530a57165dd30009b2d829ed6ea90c845cbc71035b49fe8f08d1a2ae5c42",
+    "solve 433 1,3: n4-1,3.cert.json": "e23b66d74c57040cbe70c7169092a0e8120f48da3d31e42b78511a8591eb6130",
+    "solve 433 0,1": "f9386ca0f67fa05ba927507219a3676d207cddb44be25bbe84e6f393d92d8d30",
+    "solve 433 0,1: n4-0,1.cert.json": "4e48d83d9658d328cc6db42d318b0e3c4acc45effaf9200f7cbd470cac1e549f",
+    "region 433": "4fb74c4607c8f5af9bc0dcf7a7ecfefc9026dd26a0c5f837d24c5a0d3ed923a1",
+    "solve 544": "28afc4efdc6cd7228b48e8db500175b0470df5b57136000dcd2c31a2b502aeac",
+    "solve 544: bound-n5-k4-d4-1-0.cert.json": "d4d74bc2d2d1a7309288ea3fa9bfa4559042f294e4e216df3716b27ef5fc537d",
+    "solve 544: bound-n5-k4-d4-15-10.cert.json": "df404f9bc70998b7bd52cd53bb9eabecbbe88ae94e2e8bc56e3f0c385dc85742",
+    "solve 544 seeded": "c30e7aa903c1919e7ed8a9b733ae6a9fb86db9c5a75591323fdae4360f5743e3",
+    "solve 544 seeded: seeded.cert.json": "03ce3b515653ab16a4c8204ca26868913bd4ca57d4425d4cb9cf4709a4407640",
+    "region eq1": "beb36a393cfeb3bb504d9eaf0fc0654238cb690d5a8d4cecefe6bce1322f82ed",
+    "region eq1: eq1.csv": "1cbb41de364e65a633458c729d85a8bb45564ee2b396009c39f08c75265f0b79",
+    "region eq1: eq1.svg": "06786bb4fc092619c90dc2bb80988ba64c91e9bf0881a8e80fb9ee5fceb9717c",
+    "export-latex prop1": "97eb7a0d2fa567707fd49f2c474ab523039cf04a451444875ef19a9185e08490",
+}
+
+
+def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPAIRBOUND_LOG", raising=False)
+    digests = {
+        name: hashlib.sha256(blob).hexdigest() for name, blob in golden_outputs(capsys).items()
+    }
+    assert digests == GOLDEN
