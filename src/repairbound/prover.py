@@ -28,7 +28,7 @@ from .instance import (
     pool_columns,
     storage_and_bandwidth_caps,
 )
-from .ratlp import LPError, LPProblem, LPRow, solve
+from .ratlp import LPProblem, LPRow, solve
 from .universe import Universe, closure_round, index_for_token, token_for_index
 
 DEFAULT_FAMILY_CAP = 20000
@@ -165,8 +165,6 @@ def prove(
     lp = build_lp(u, fam, direction, rows)
     ca, cb, s = _check_direction(direction)
     sol = solve(lp)
-    if sol.status != "optimal":
-        raise LPError(f"bound LP came back {sol.status}")
     value = sol.value / s
 
     # the multipliers and the reduced costs, as numerators over sol.den

@@ -8,8 +8,10 @@ caller; every objective value, coefficient and constant must be an int,
 and a bool is refused.  An optimal answer is held as integers over one
 denominator, the determinant D of its basis, and is accepted only after
 an exact certificate check (primal feasibility, dual feasibility, equal
-objective values) made on those integers, so a returned "optimal" is a
-proof, not an estimate.
+objective values) made on those integers.  ``solve`` returns such an
+optimal answer, a proof rather than an estimate, or raises LPError: when
+the dual is unbounded the problem is infeasible, and when the dual is
+infeasible the problem has no optimum.
 
 The solver is a two-phase revised simplex over Python integers.  The
 basis inverse is kept fraction-free (Edmonds 1967; Bareiss 1968) as the
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -81,24 +83,23 @@ class LPProblem:
 
 @dataclass(repr=False)
 class LPSolution:
-    """An LP answer.  An optimal one is held in integers over one
-    denominator ``den`` = D > 0: the value is ``value_num``/D, column c
-    is ``primal_num[c]``/D, and row i's multiplier is ``dual_num[i]``/D,
-    where ``dual_num`` holds the nonzero ones in increasing row index
-    and every other row of the ``n_rows`` has multiplier 0.  ``value``,
-    ``primal`` (column -> Fraction) and ``duals`` (one Fraction per row)
-    read the answer back as rationals."""
+    """An optimal LP answer, the only kind the solvers return, held in
+    integers over one denominator ``den`` = D > 0: the value is
+    ``value_num``/D, column c is ``primal_num[c]``/D, and row i's
+    multiplier is ``dual_num[i]``/D, where ``dual_num`` holds the nonzero
+    ones in increasing row index and every other row of the ``n_rows``
+    has multiplier 0.  ``value``, ``primal`` (column -> Fraction) and
+    ``duals`` (one Fraction per row) read the answer back as rationals."""
 
-    status: str  # optimal | unbounded | infeasible
-    den: int = 1
-    value_num: int | None = None
-    primal_num: dict = field(default_factory=dict)
-    dual_num: dict = field(default_factory=dict)
-    n_rows: int = 0
+    den: int
+    value_num: int
+    primal_num: dict
+    dual_num: dict
+    n_rows: int
 
     @property
     def value(self):
-        return None if self.value_num is None else Fraction(self.value_num, self.den)
+        return Fraction(self.value_num, self.den)
 
     @property
     def primal(self):
@@ -113,7 +114,7 @@ class LPSolution:
 
     def __repr__(self):
         return (
-            f"LPSolution(status={self.status!r}, value={self.value!r}, "
+            f"LPSolution(value={self.value!r}, "
             f"primal={self.primal!r}, duals={self.duals!r})"
         )
 
@@ -145,8 +146,7 @@ class _Simplex:
     dict {i: entry} of its nonzero entries.  ``run`` carries the duals
     ``y = cost_B·M`` through each pivot instead of recomputing them.
     Ratio ties are broken by the rows of M·B_a for the anchor basis B_a
-    (``_anchor``).  ``cost`` is the phase-2 cost; it stays None when the
-    dual is infeasible.
+    (``_anchor``).  ``cost`` is the phase-2 cost, set by ``_phase1``.
     """
 
     def __init__(self, lp: LPProblem):
@@ -175,7 +175,6 @@ class _Simplex:
             self.M[p] = {p: 1}
         self.basis_set = set(self.basis)
         self._anchor()
-        self.cost = None
         self.reset_counts()
 
     def _add(self, kind, payload, entries):
@@ -414,22 +413,23 @@ class _Simplex:
 
 def _phase1(lp: LPProblem) -> _Simplex:
     """Standard form of the dual of lp at a feasible basis with the
-    artificials driven out and the phase-2 cost set; the cost stays None
-    when the dual is infeasible."""
+    artificials driven out and the phase-2 cost set; LPError when the
+    dual is infeasible."""
     sx = _Simplex(lp)
     if sx.artificial_positive():
         status = sx.run([int(a) for a in sx.is_art], ban_art=False)
         if status != "optimal":  # phase 1 is bounded below by zero
             raise LPError("phase-1 anomaly")
         if sx.artificial_positive():
-            return sx
+            raise LPError("the dual is infeasible: the problem has no optimum "
+                          "(it is unbounded or infeasible)")
     sx.drive_out_artificials()
     sx.cost = [lp.rows[i].const if kind == "y" else 0 for kind, i in sx.svars]
     return sx
 
 
-def _log_counts(what: str, lp: LPProblem, runs):
-    """One DEBUG line with the counters of the simplex runs behind an answer."""
+def _log_counts(what: str, lp: LPProblem, sx: _Simplex):
+    """One DEBUG line with the counters of the simplex behind an answer."""
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "%s: %d rows, %d columns, %d pivots (%d degenerate), "
@@ -437,10 +437,10 @@ def _log_counts(what: str, lp: LPProblem, runs):
             what,
             len(lp.rows),
             len(lp.columns),
-            sum(sx.pivots for sx in runs),
-            sum(sx.degenerate for sx in runs),
-            sum(sx.priced for sx in runs),
-            max(sx.det_bits for sx in runs),
+            sx.pivots,
+            sx.degenerate,
+            sx.priced,
+            sx.det_bits,
         )
 
 
@@ -458,10 +458,19 @@ def _dual_answer(lp: LPProblem, sx: _Simplex) -> LPSolution:
         kind, i = sx.svars[j]
         if kind == "y" and x:
             duals.append((i, x))
-    sol = LPSolution("optimal", sx.D, value, primal, dict(sorted(duals)), len(lp.rows))
+    sol = LPSolution(sx.D, value, primal, dict(sorted(duals)), len(lp.rows))
     if not check_duals(lp, sol):
         raise LPError("internal certificate check failed")
     return sol
+
+
+def _optimum(what: str, lp: LPProblem, sx: _Simplex) -> LPSolution:
+    """Run phase 2 from a feasible basis of lp's dual, log its counters
+    and return the certified answer; LPError when the dual is unbounded."""
+    if sx.run(sx.cost, ban_art=True) != "optimal":
+        raise LPError("the dual is unbounded: the problem is infeasible")
+    _log_counts(what, lp, sx)
+    return _dual_answer(lp, sx)
 
 
 class IncrementalDualSolver:
@@ -473,20 +482,18 @@ class IncrementalDualSolver:
     feasible and each re-solve costs marginal pivots instead of a run
     from scratch.  The row set must keep the problem feasible and
     bounded at every stage (e.g. a cone intersected with a box); a stage
-    that is not raises LPError.  The data are those of an LPProblem,
-    given or appended, and an appended row's constant is the cost of its
-    dual column; add_rows raises LPError on a batch with a malformed row
-    and appends none of it.  Every solve() is certified exactly before
-    return.
+    that is not raises solve's LPError.  The data are those of an
+    LPProblem, given or appended, and an appended row's constant is the
+    cost of its dual column; add_rows raises LPError on a batch with a
+    malformed row and appends none of it.  Every solve() is certified
+    exactly before return.
     """
 
     def __init__(self, columns, objective, rows):
         self._plp = LPProblem(list(columns), dict(objective), list(rows))
         _validate(self._plp)
         self._sx = _phase1(self._plp)
-        _log_counts("incremental phase 1 (dual)", self._plp, [self._sx])
-        if self._sx.cost is None:
-            raise LPError("unbounded stage in incremental solver")
+        _log_counts("incremental phase 1 (dual)", self._plp, self._sx)
 
     def add_rows(self, rows):
         rows = list(rows)
@@ -496,44 +503,16 @@ class IncrementalDualSolver:
         sx.cost += [r.const for r in rows]
 
     def solve(self) -> LPSolution:
-        sx = self._sx
-        sx.reset_counts()
-        if sx.run(sx.cost, ban_art=True) != "optimal":
-            raise LPError("infeasible stage in incremental solver")
-        _log_counts("incremental solve (dual)", self._plp, [sx])
-        return _dual_answer(self._plp, sx)
-
-
-def _zero_is_feasible(lp: LPProblem) -> bool:
-    """Whether x = 0 satisfies every row, as it does on a cone."""
-    return all(r.const >= 0 for r in lp.rows)
+        self._sx.reset_counts()
+        return _optimum("incremental solve (dual)", self._plp, self._sx)
 
 
 def solve(lp: LPProblem) -> LPSolution:
-    """Minimize lp through its explicit dual; an optimal answer is
-    certified by check_duals before return.  lp and its rows are read,
-    never mutated."""
+    """Minimize lp through its explicit dual and return its optimal
+    answer, certified by check_duals, or raise LPError when lp has none.
+    lp and its rows are read, never mutated."""
     _validate(lp)
-    sx = _phase1(lp)
-    runs = [sx]
-    if sx.cost is not None:
-        if sx.run(sx.cost, ban_art=True) == "optimal":
-            sol = _dual_answer(lp, sx)
-        else:  # dual unbounded: lp is infeasible
-            sol = LPSolution("infeasible")
-    elif _zero_is_feasible(lp):
-        # dual infeasible and lp feasible: lp is unbounded
-        sol = LPSolution("unbounded")
-    else:
-        # dual infeasible: lp is unbounded if it is feasible at all.  The
-        # dual of lp's zero-objective form is feasible at y = 0 and is
-        # bounded exactly when lp is feasible.
-        probe = _phase1(LPProblem(lp.columns, {}, lp.rows))
-        runs.append(probe)
-        bounded = probe.run(probe.cost, ban_art=True) == "optimal"
-        sol = LPSolution("unbounded" if bounded else "infeasible")
-    _log_counts("solve (dual)", lp, runs)
-    return sol
+    return _optimum("solve (dual)", lp, _phase1(lp))
 
 
 def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
@@ -546,8 +525,6 @@ def check_duals(lp: LPProblem, sol: LPSolution) -> bool:
     and dual values are compared with the value, all as numerators over
     D.  On integer data every sum is an integer; on rational data, which
     solve refuses, the same sums stay exact in Fractions, only slower."""
-    if sol.status != "optimal" or sol.value_num is None:
-        return False
     D, rows = sol.den, lp.rows
     if D <= 0 or sol.n_rows != len(rows):
         return False

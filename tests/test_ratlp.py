@@ -80,7 +80,7 @@ def canonical(lp):
     one_form = LPProblem([c for col in lp.columns for c in split[col]], ints(lp.objective, s), rows)
 
     def back(sol):
-        if sol.status != "optimal":
+        if isinstance(sol, str):  # the message of a problem with no optimum
             return sol
         primal = {
             c: sum(sol.primal[p] * sign for p, sign in zip(split[c], (1, -1)))
@@ -93,34 +93,50 @@ def canonical(lp):
             if r.rel == "=":
                 lam -= next(lams)
             duals.append(lam * t / s)
-        return rational_answer(sol.status, sol.value / s, primal, duals)
+        return rational_answer(sol.value / s, primal, duals)
 
     return one_form, back
 
 
-def rational_answer(status, value, primal, duals):
+def rational_answer(value, primal, duals):
     """The LPSolution of an answer given in rationals: a value, a primal
     dict and one multiplier per row, over the lcm of their denominators."""
-    qs = (*primal.values(), *duals, 0 if value is None else value)
+    qs = (*primal.values(), *duals, value)
     den = math.lcm(*(F(q).denominator for q in qs))
 
     def num(q):
         return F(q).numerator * (den // F(q).denominator)
 
     return LPSolution(
-        status,
         den,
-        None if value is None else num(value),
+        num(value),
         {c: num(q) for c, q in primal.items()},
         {i: num(q) for i, q in enumerate(duals) if q},
         len(duals),
     )
 
 
+# the two messages of solve's LPError on a problem with no optimum, and
+# the statuses of an exact oracle that each message agrees with
+INFEASIBLE = "the dual is unbounded: the problem is infeasible"
+NO_OPTIMUM = "the dual is infeasible: the problem has no optimum (it is unbounded or infeasible)"
+MEANS = {INFEASIBLE: {"infeasible"}, NO_OPTIMUM: {"unbounded", "infeasible"}}
+
+
+def outcome(lp):
+    """solve's optimal answer to lp, or the message of its LPError when
+    lp has no optimum."""
+    try:
+        return solve(lp)
+    except LPError as e:
+        assert str(e) in MEANS, e
+        return str(e)
+
+
 def solve_general(lp):
     """The answer to a GeneralLP, through its one form."""
     one_form, back = canonical(lp)
-    return back(solve(one_form))
+    return back(outcome(one_form))
 
 
 # -- small problems ---------------------------------------------------------
@@ -140,7 +156,6 @@ def lp_y_above_x():
 
 def test_min_x_above_one():
     sol = solve(lp_min_x_above_one())
-    assert sol.status == "optimal"
     assert sol.value == 1
     assert sol.primal["x"] == 1
     assert sol.duals == [1]
@@ -148,12 +163,12 @@ def test_min_x_above_one():
 
 def test_unbounded_below():
     lp = LPProblem(["x"], {"x": -1}, [])
-    assert solve(lp).status == "unbounded"
+    assert outcome(lp) == NO_OPTIMUM
 
 
 def test_infeasible():
     lp = LPProblem(["x"], {"x": 1}, [LPRow({"x": 1}, -1), LPRow({"x": -1})])
-    assert solve(lp).status == "infeasible"
+    assert outcome(lp) == INFEASIBLE
 
 
 def test_equality_rows_and_free_columns():
@@ -167,7 +182,6 @@ def test_equality_rows_and_free_columns():
     one_form, back = canonical(lp)
     assert one_form.columns == ["x", ("y", "+"), ("y", "-")] and len(one_form.rows) == 3
     sol = solve(one_form)
-    assert sol.status == "optimal"
     assert sol.value == 3
     assert check_duals(one_form, sol)
     assert reference_check_duals(lp, back(sol))
@@ -177,11 +191,11 @@ def test_check_duals_rejects_tampering():
     lp = lp_min_x_above_one()
     sol = solve(lp)
     assert check_duals(lp, sol)
-    bad = rational_answer(sol.status, sol.value, sol.primal, [-d for d in sol.duals])
+    bad = rational_answer(sol.value, sol.primal, [-d for d in sol.duals])
     assert not check_duals(lp, bad)
-    scaled = rational_answer(sol.status, sol.value, sol.primal, [2 * d for d in sol.duals])
+    scaled = rational_answer(sol.value, sol.primal, [2 * d for d in sol.duals])
     assert not check_duals(lp, scaled)
-    wrong_value = rational_answer(sol.status, sol.value + 1, sol.primal, sol.duals)
+    wrong_value = rational_answer(sol.value + 1, sol.primal, sol.duals)
     assert not check_duals(lp, wrong_value)
 
 
@@ -194,10 +208,10 @@ def test_check_duals_rejects_a_free_column_imbalance():
     lp, _ = canonical(GeneralLP(["x", "y"], {"x": F(1)}, rows, {"x"}))
     sol = solve(lp)
     assert check_duals(lp, sol) and sol.duals == [1, 0]
-    tampered = rational_answer(sol.status, sol.value, sol.primal, [F(1), F(1)])
+    tampered = rational_answer(sol.value, sol.primal, [F(1), F(1)])
     assert not check_duals(lp, tampered)
     nonneg, _ = canonical(GeneralLP(["x", "y"], {"x": F(1)}, rows, {"x", "y"}))
-    answer = rational_answer(sol.status, sol.value, {"x": F(1), "y": F(0)}, [F(1), F(1)])
+    answer = rational_answer(sol.value, {"x": F(1), "y": F(0)}, [F(1), F(1)])
     assert check_duals(nonneg, answer)
 
 
@@ -333,30 +347,32 @@ def _gauss_solve(mat, n):
 
 def test_random_lps_pass_certification():
     rng = random.Random(1234)
-    statuses = set()
+    outcomes = set()
     for _ in range(100):
         lp = random_lp(rng)
         one_form, back = canonical(lp)
-        sol = solve(one_form)
-        statuses.add(sol.status)
-        if sol.status == "optimal":
+        sol = outcome(one_form)
+        if isinstance(sol, str):
+            outcomes.add(sol)
+        else:
+            outcomes.add("optimal")
             assert check_duals(one_form, sol)
             assert reference_check_duals(lp, back(sol))
-    assert statuses == {"optimal", "unbounded", "infeasible"}
+    assert outcomes == {"optimal", INFEASIBLE, NO_OPTIMUM}
 
 
 def assert_matches_vertex_oracle(lp, *sols):
-    """Every answer agrees with vertex enumeration; True when optimal."""
+    """Every answer agrees with vertex enumeration, and every message
+    with its status; True when optimal."""
     small = brute_force_box_min(lp, 10**3)
     big = brute_force_box_min(lp, 10**9)
+    status = "infeasible" if big is None else "unbounded" if big < small else "optimal"
     for sol in sols:
-        if sol.status == "infeasible":
-            assert big is None
-        elif sol.status == "unbounded":
-            assert big is not None and big < small
+        if isinstance(sol, str):
+            assert status in MEANS[sol]
         else:
             assert big == sol.value
-    return sols[0].status == "optimal"
+    return not isinstance(sols[0], str)
 
 
 def test_random_lps_match_vertex_oracle():
@@ -376,21 +392,21 @@ def test_fractional_lps_match_vertex_oracle():
     for _ in range(40):
         lp = random_lp(rng, max_cols=4, max_rows=6, dens=(1, 2, 3, 4, 6))
         sol = solve_general(lp)
-        assert sol.status != "optimal" or reference_check_duals(lp, sol)
+        assert isinstance(sol, str) or reference_check_duals(lp, sol)
         checked += assert_matches_vertex_oracle(lp, sol)
     assert checked >= 5
 
 
 def test_answers_are_pinned():
-    # sha256 over the repr of every answer: a change of any pivot or of
-    # any rational read back moves it
+    # sha256 over the repr of every answer, and of the message of every
+    # LPError: a change of any pivot or of any rational read back moves it
     rng = random.Random(20260418)
     digest = hashlib.sha256()
     for _ in range(300):
         lp, _ = canonical(random_lp(rng))
-        digest.update(repr(solve(lp)).encode() + b"\n")
+        digest.update(repr(outcome(lp)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "c82a6762e19f8f8e1675f04cfe45dba2f3dc0576226ef2f09eab1c743be96a8a"
+        "9d7771b31d2c57f2dee20878d4b2da242c645ed00722c90a4dbdbfaa22127084"
     )
 
 
@@ -428,18 +444,15 @@ def test_dualize_round_trip_value():
     for _ in range(30):
         lp = random_lp(rng, max_cols=4, max_rows=5)
         sol = solve_general(lp)
-        if sol.status != "optimal":
+        if isinstance(sol, str):
             continue
         ds = solve_general(dualize(lp))
-        assert ds.status == "optimal"
         assert ds.value == -sol.value
 
 
 def reference_check_duals(lp, sol):
     # the slow path: one Fraction per coefficient, as check_duals was
     # before it cleared denominators
-    if sol.status != "optimal" or sol.value is None:
-        return False
     if len(sol.duals) != len(lp.rows):
         return False
     x = {c: F(sol.primal.get(c, 0)) for c in lp.columns}
@@ -478,20 +491,20 @@ def test_check_duals_matches_fraction_reference():
     for i in range(300):
         if i % 2:
             lp, _ = canonical(random_lp(rng))
-            sol = solve(lp)
+            sol = outcome(lp)
         else:
             general = random_lp(rng, dens=(1, 2, 3, 4, 6), nonneg_share=1, eq_share=0)
             lp = LPProblem(
                 general.columns, general.objective, [LPRow(r.coeffs, r.const) for r in general.rows]
             )
             one_form, back = canonical(general)
-            sol = back(solve(one_form))
+            sol = back(outcome(one_form))
+        if isinstance(sol, str):
+            continue
         # rational -> integer -> rational gives the same answer back
-        again = rational_answer(sol.status, sol.value, sol.primal, sol.duals)
+        again = rational_answer(sol.value, sol.primal, sol.duals)
         assert (again.value, again.primal, again.duals) == (sol.value, sol.primal, sol.duals)
         assert repr(again) == repr(sol)
-        if sol.status != "optimal":
-            continue
         # the integer form itself tampered with, where the rational views
         # cannot follow: a denominator <= 0 (the negated one with every
         # numerator negated reads as the same rationals), a multiplier on
@@ -525,10 +538,10 @@ def test_check_duals_matches_fraction_reference():
         if sol.duals:
             duals = list(sol.duals)
             duals[rng.randrange(len(duals))] += delta
-            cases.append(("dual", lp, rational_answer(sol.status, sol.value, sol.primal, duals)))
+            cases.append(("dual", lp, rational_answer(sol.value, sol.primal, duals)))
         primal = dict(sol.primal)
         primal[rng.choice(lp.columns)] += delta
-        cases.append(("primal", lp, rational_answer(sol.status, sol.value, primal, sol.duals)))
+        cases.append(("primal", lp, rational_answer(sol.value, primal, sol.duals)))
         # a new column z at zero in one row with a nonzero multiplier
         # lambda and coefficient |delta|: every row, sign and objective
         # value still holds, and only z's reduced cost -lambda·|delta| is off
@@ -598,11 +611,25 @@ def test_incremental_solver_matches_cold_dual_solve():
         incremental_runs(random.Random(4713), 40, const_hi=4),
     )
     for sol, cold in runs:
-        assert (sol.status, sol.value) == (cold.status, cold.value)
+        assert sol.value == cold.value
         zero_optimum.add(sol.value == 0)
     # x = 0 is always feasible: the sample holds both a zero optimum (a
     # cone witness exists) and a negative one
     assert zero_optimum == {True, False}
+
+
+def test_incremental_solver_raises_the_messages_of_solve():
+    # min -x over x >= 0 has no optimum, which phase 1 finds at once
+    with pytest.raises(LPError) as e:
+        IncrementalDualSolver(["x"], {"x": -1}, [])
+    assert str(e.value) == NO_OPTIMUM
+    # min x over x <= 1 is 0; the appended x >= 2 empties the problem
+    solver = IncrementalDualSolver(["x"], {"x": 1}, [LPRow({"x": -1}, 1)])
+    assert solver.solve().value == 0
+    solver.add_rows([LPRow({"x": 1}, -2)])
+    with pytest.raises(LPError) as e:
+        solver.solve()
+    assert str(e.value) == INFEASIBLE
 
 
 def test_incremental_solver_with_fractional_rows():
@@ -620,7 +647,7 @@ def test_incremental_solver_with_fractional_rows():
     assert check_duals(LPProblem(["x", "y"], objective, box + [row]), sol)
     assert sol.value == 0
     for sol, cold in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
-        assert (sol.status, sol.value) == (cold.status, cold.value)
+        assert sol.value == cold.value
 
 
 def row_snapshot(rows):
@@ -637,7 +664,7 @@ def test_solvers_never_mutate_rows():
     for i in range(80):
         lp, _ = canonical(random_lp(rng, dens=None if i % 2 else (1, 2, 3)))
         before = row_snapshot(lp.rows)
-        solve(lp)
+        outcome(lp)
         assert row_snapshot(lp.rows) == before, i
     lps = bound_lps_433()
     before = row_snapshot(lps[0].rows)
@@ -664,20 +691,21 @@ def test_pivot_counters_are_pinned(caplog):
     # sha256 over the DEBUG counter lines (pivots, degenerate pivots,
     # reduced costs and determinant bits) of the LPs of
     # test_answers_are_pinned and of cold and incremental runs: a change
-    # of any pivot moves it even where the answers stay the same
+    # of any pivot moves it even where the answers stay the same.  Only
+    # optimal answers log a line, 37 of the 300 random LPs
     with caplog.at_level(logging.DEBUG, logger="repairbound.ratlp"):
         rng = random.Random(20260418)
         for _ in range(300):
-            solve(canonical(random_lp(rng))[0])
+            outcome(canonical(random_lp(rng))[0])
         for _ in incremental_runs(random.Random(4711), 6):
             pass
         for _ in incremental_runs(random.Random(4712), 6, dens=(1, 2, 3, 5)):
             pass
     lines = [r.getMessage() for r in caplog.records if r.name == "repairbound.ratlp"]
-    assert len(lines) > 300
+    assert len(lines) == 87
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "d7f394a8032d563f7141fe723f262d211b6a9fd92f9429d4dbf63e2eb733444e"
+        "e0b7ec44c604b5ef544db33426e09663899716f60946d837181772b5d9e7d4ed"
     )
 
 
@@ -748,7 +776,7 @@ def test_fraction_free_basis_invariant(monkeypatch):
     rng = random.Random(1968)
     for dens in (None, (1, 2, 3, 4)):
         for _ in range(30):
-            solve(canonical(random_lp(rng, max_cols=6, max_rows=8, dens=dens))[0])
+            outcome(canonical(random_lp(rng, max_cols=6, max_rows=8, dens=dens))[0])
     for _ in incremental_runs(rng, 8, dens=(1, 2, 3)):
         pass
     assert min(seen.values()) > 0, seen
@@ -806,7 +834,7 @@ def test_pivots_match_the_dense_step(monkeypatch):
     assert seen["negative"] == 1
     rng = random.Random(20260418)
     for _ in range(300):
-        solve(canonical(random_lp(rng))[0])
+        outcome(canonical(random_lp(rng))[0])
     for _ in incremental_runs(random.Random(4711), 40):
         pass
     for _ in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
@@ -838,7 +866,7 @@ def test_carried_duals_match_fresh_duals(monkeypatch):
     monkeypatch.setattr(ratlp._Simplex, "_price", checked_price)
     rng = random.Random(20260418)
     for _ in range(300):
-        solve(canonical(random_lp(rng))[0])
+        outcome(canonical(random_lp(rng))[0])
     for _ in incremental_runs(random.Random(4711), 40):
         pass
     for _ in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
@@ -883,7 +911,7 @@ def test_candidate_pricing_matches_full_pricing(monkeypatch):
     monkeypatch.setattr(ratlp._Simplex, "_pivot", checked_pivot)
     rng = random.Random(20260418)
     for _ in range(300):
-        solve(canonical(random_lp(rng))[0])
+        outcome(canonical(random_lp(rng))[0])
     for _ in incremental_runs(random.Random(4711), 40):
         pass
     for _ in incremental_runs(random.Random(4712), 30, dens=(1, 2, 3, 5)):
@@ -986,8 +1014,9 @@ def test_lexicographic_ties_match_lowest_index_ties(monkeypatch):
     # the one tie rule against references that do not share it, on the
     # LPs of test_answers_are_pinned, the fractional LPs of
     # test_fractional_lps_match_vertex_oracle and the (4,3,3) bound LPs.
-    # Every random LP gives the status and value of bland_reference, whose
-    # ratio ties go to the lowest basic index, and of the vertex oracle
+    # Every random LP gives the value of bland_reference, whose ratio
+    # ties go to the lowest basic index, or a message that agrees with
+    # its status, and the same against the vertex oracle
     # where that enumerates at most 100 active sets (89 of the 340; the
     # others need up to 735,471).  The bound LPs give the values of
     # Tian's (4,3,3) region, in which 3α, 2α+β, 4α+6β and α+3β are at
@@ -1007,9 +1036,12 @@ def test_lexicographic_ties_match_lowest_index_ties(monkeypatch):
     oracle = 0
     for lp in general:
         one_form, back = canonical(lp)
-        sol = solve(one_form)
-        assert (sol.status, sol.value) == bland_reference(one_form)
-        if sol.status == "optimal":
+        sol = outcome(one_form)
+        status, value = bland_reference(one_form)
+        if isinstance(sol, str):
+            assert status in MEANS[sol]
+        else:
+            assert (status, value) == ("optimal", sol.value)
             assert check_duals(one_form, sol)
         if active_sets(lp) <= 100:
             assert_matches_vertex_oracle(lp, back(sol))
@@ -1067,11 +1099,11 @@ def test_lexicographic_runs_keep_rows_positive(monkeypatch):
     assert (seen["runs"], seen["re-anchored runs"]) == (1, 1)
     rng = random.Random(20260418)
     for _ in range(300):
-        solve(canonical(random_lp(rng))[0])
+        outcome(canonical(random_lp(rng))[0])
     rng = random.Random(1968)
     for dens in (None, (1, 2, 3, 4)):
         for _ in range(30):
-            solve(canonical(random_lp(rng, max_cols=6, max_rows=8, dens=dens))[0])
+            outcome(canonical(random_lp(rng, max_cols=6, max_rows=8, dens=dens))[0])
     for _ in incremental_runs(rng, 8, dens=(1, 2, 3)):
         pass
     for lp in bound_lps_433():
@@ -1130,33 +1162,3 @@ def test_solve_logs_deterministic_counters(caplog):
         "incremental solve (dual): 2 rows, 3 columns, 2 pivots (1 degenerate), "
         "5 reduced costs, determinant bits 1",
     ]
-
-
-def test_zero_objective_probe_only_when_zero_is_infeasible(monkeypatch):
-    phase1_calls = []
-    phase1 = ratlp._phase1
-
-    def counted(lp):
-        phase1_calls.append(len(lp.rows))
-        return phase1(lp)
-
-    monkeypatch.setattr(ratlp, "_phase1", counted)
-
-    def status_and_phase1_runs(lp):
-        phase1_calls.clear()
-        return solve(lp).status, len(phase1_calls)
-
-    # cones hold x = 0, so an infeasible dual already means unbounded
-    cone = LPProblem(
-        ["x", "y", "z"],
-        {"x": -1, "z": 1},
-        [LPRow({"x": 1, "y": -1}), LPRow({"y": 1, "z": -1}), LPRow({"y": -1, "z": 1})],
-    )
-    assert status_and_phase1_runs(cone) == ("unbounded", 1)
-    # x = 0 breaks a row: the probe still tells the two answers apart
-    above_one = LPProblem(["x"], {"x": -1}, [LPRow({"x": 1}, -1)])
-    assert status_and_phase1_runs(above_one) == ("unbounded", 2)
-    pinned, _ = canonical(GeneralLP(["x", "y"], {"y": -1}, [Row({"x": 1}, -1, "=")], {"x"}))
-    assert status_and_phase1_runs(pinned) == ("unbounded", 2)
-    empty = LPProblem(["x", "y"], {"x": -1}, [LPRow({"y": 1}, -1), LPRow({"y": -1})])
-    assert status_and_phase1_runs(empty) == ("infeasible", 2)

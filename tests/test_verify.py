@@ -28,7 +28,7 @@ from repairbound.instance import (
     pool_columns,
     storage_and_bandwidth_caps,
 )
-from repairbound.ratlp import IncrementalDualSolver, LPProblem, LPRow
+from repairbound.ratlp import IncrementalDualSolver, LPError, LPProblem, LPRow
 from repairbound.universe import (
     build_universe,
     closure_round,
@@ -36,7 +36,7 @@ from repairbound.universe import (
     token_for_index,
 )
 from test_instance import reference_enumerate_rows
-from test_ratlp import bound_lps_433
+from test_ratlp import NO_OPTIMUM, bound_lps_433
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -191,13 +191,17 @@ def recombined(witness) -> dict:
 def full_pool_reference(u, fam, anchors, need, bases, expr):
     # the slow path of a rung's search: the rung's whole pool and the
     # pinned caps, built at once and solved cold; a witness list when
-    # the row's minimum over that cone is zero, else None
+    # the row's minimum over that cone is zero, else None.  The cone
+    # holds x = 0, so it has no optimum only when it is unbounded, and
+    # any other LPError fails the test
     rows = reference_enumerate_rows(u, fam, anchors, need, bases) + certificate._pinned_caps(u)
     lp = LPProblem(pool_columns(fam), dict(expr.coeffs), [LPRow(r.coeffs) for r in rows])
-    sol = ratlp.solve(lp)
-    if sol.status == "unbounded":
+    try:
+        sol = ratlp.solve(lp)
+    except LPError as e:
+        assert str(e) == NO_OPTIMUM
         return None
-    assert (sol.status, sol.value) == ("optimal", 0)
+    assert sol.value == 0
     return tuple((lam, rows[i]) for i, lam in enumerate(sol.duals) if lam)
 
 
